@@ -1,5 +1,5 @@
 //! Concurrent-serving benchmark: the immutable-snapshot read path vs
-//! the serial batch path, plus sharded ingest scaling.
+//! the serial batch path.
 //!
 //! Three measurements on a generated HubDominated network:
 //!
@@ -13,8 +13,6 @@
 //! 3. Delta proportionality: publish latency sampled as the copy-on-write
 //!    overlay grows (1/16/64 extra observes), demonstrating the O(delta)
 //!    publish contract — latency tracks the overlay, not the graph.
-//! 4. Ingest throughput of [`ShardedPredictor::observe_batch_parallel`]
-//!    at 1/2/4 shards over the same event stream.
 //!
 //! Emits machine-readable `BENCH_concurrent_serving.json`. The ≥3×
 //! speedup target at 4 threads is *recorded*, not asserted: on a
@@ -38,22 +36,11 @@ use obs::{ObsHandle, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssf_repro::methods::MethodOptions;
-use ssf_repro::{
-    OnlineLinkPredictor, OnlinePredictorConfig, ScoringSnapshot,
-    ShardedPredictor,
-};
+use ssf_repro::{OnlineLinkPredictor, OnlinePredictorConfig, ScoringSnapshot};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 /// Snapshot publishes measured for the latency histogram.
 const PUBLISHES: usize = 24;
-/// Hard floor on multi-shard ingest throughput relative to one shard.
-/// Sharding may not *help* on a starved host (no spare cores), but it
-/// must never cost real throughput: an earlier revision spawned one
-/// thread per shard unconditionally and dropped 1→4-shard ingest by
-/// ~20% on a single-core host. The floor leaves headroom for timer
-/// noise, not for regressions of that size.
-const INGEST_REGRESSION_FLOOR: f64 = 0.5;
 
 fn config(smoke: bool, seed: u64) -> OnlinePredictorConfig {
     OnlinePredictorConfig::builder()
@@ -264,28 +251,6 @@ fn main() {
         proportionality.push((delta_now, us));
     }
 
-    // --- Sharded ingest scaling over the same event stream. ---
-    let mut ingest: Vec<(usize, f64, f64)> = Vec::new();
-    for &shards in &SHARD_COUNTS {
-        let mut sharded = ShardedPredictor::new(config(smoke, seed), shards)
-            .expect("valid benchmark configuration");
-        let t0 = Instant::now();
-        let accepted = sharded.observe_batch_parallel(&events);
-        let eps = accepted as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-        let ratio = if ingest.is_empty() {
-            1.0
-        } else {
-            eps / ingest[0].1
-        };
-        println!("ingest x{shards}: {eps:>10.0} events/s ({ratio:.2}x)");
-        assert!(
-            ratio >= INGEST_REGRESSION_FLOOR,
-            "sharded ingest regressed: {shards} shards ran at {ratio:.2}x \
-             the 1-shard baseline (floor {INGEST_REGRESSION_FLOOR})"
-        );
-        ingest.push((shards, eps, ratio));
-    }
-
     let parallel_json: Vec<String> = parallel
         .iter()
         .map(|(t, pps, s)| {
@@ -304,16 +269,6 @@ fn main() {
             )
         })
         .collect();
-    let ingest_json: Vec<String> = ingest
-        .iter()
-        .map(|(shards, eps, ratio)| {
-            format!(
-                "    {{ \"shards\": {shards}, \
-                 \"events_per_sec\": {eps:.0}, \
-                 \"vs_one_shard\": {ratio:.3} }}"
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"spec\": \"{}\",\n  \"smoke\": {smoke},\n  \
          \"seed\": {seed},\n  \"nodes\": {},\n  \"links\": {},\n  \
@@ -328,8 +283,7 @@ fn main() {
          \"rebase_delta_links\": {rebase_delta_links}\n  }},\n  \
          \"delta_proportionality\": [\n{}\n  ],\n  \
          \"epoch_lag\": {epoch_lag},\n  \
-         \"ingest_regression_floor\": {INGEST_REGRESSION_FLOOR},\n  \
-         \"ingest\": [\n{}\n  ],\n  \"bit_identical\": true\n}}\n",
+         \"bit_identical\": true\n}}\n",
         spec.name,
         g.node_count(),
         g.link_count(),
@@ -337,7 +291,6 @@ fn main() {
         parallel_json.join(",\n"),
         publish.count(),
         proportionality_json.join(",\n"),
-        ingest_json.join(",\n"),
     );
     fs::write(&out_path, json).expect("write benchmark json");
     println!("wrote {out_path}");

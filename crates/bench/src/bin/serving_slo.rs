@@ -39,6 +39,7 @@
 // aborts the run and IS the failure report.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
+use std::collections::VecDeque;
 use std::fs;
 use std::time::{Duration, Instant};
 
@@ -49,13 +50,16 @@ use rand::{Rng, SeedableRng};
 use ssf_repro::methods::MethodOptions;
 use ssf_repro::{
     CoalesceConfig, Coalescer, OnlineLinkPredictor, OnlinePredictorConfig,
-    Rejection, ScoringSnapshot,
+    Rejection, ScoringSnapshot, Ticket,
 };
 
 /// Deadline budget applied to every load-generator request. Generous on
 /// purpose: at trivial load nothing should miss it, so the smoke gate
 /// can require a 0.0 miss rate.
 const DEADLINE_BUDGET: Duration = Duration::from_millis(250);
+/// Longest an open-loop client sleeps between polls of its oldest
+/// outstanding ticket: bounds how late a completion is stamped.
+const POLL_INTERVAL: Duration = Duration::from_micros(50);
 
 fn config(smoke: bool, seed: u64) -> OnlinePredictorConfig {
     OnlinePredictorConfig::builder()
@@ -268,9 +272,7 @@ fn closed_loop_client(
         match c.submit(u, v) {
             Ok(ticket) => {
                 if ticket.wait().is_ok() {
-                    let ns = u64::try_from(issued.elapsed().as_nanos())
-                        .unwrap_or(u64::MAX);
-                    lat.push(ns);
+                    lat.push(elapsed_ns(issued));
                 }
             }
             Err(Rejection::Overloaded { .. }) => {
@@ -282,10 +284,32 @@ fn closed_loop_client(
     lat
 }
 
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Stamps every resolved ticket at the front of `pending`, recording
+/// the latency of the ones that completed (sheds and expiries do not
+/// count). The coalescer retires requests in admission order, so
+/// polling only the oldest ticket sees each completion as it lands.
+fn take_ready(pending: &mut VecDeque<(Instant, Ticket)>, lat: &mut Vec<u64>) {
+    while let Some((issued, ticket)) = pending.front() {
+        let Some(outcome) = ticket.try_take() else {
+            break;
+        };
+        if outcome.is_ok() {
+            lat.push(elapsed_ns(*issued));
+        }
+        pending.pop_front();
+    }
+}
+
 /// One open-loop client: arrivals follow the schedule (fixed interval
-/// or exponential inter-arrival times), never the completions. Tickets
-/// are collected and awaited only after the arrival process ends, so a
+/// or exponential inter-arrival times), never the completions, so a
 /// backed-up server keeps receiving load — the honest overload model.
+/// Between arrivals the client polls its oldest outstanding ticket and
+/// stamps each completion when it is first seen; after the arrival
+/// window it waits on the rest in order.
 fn open_loop_client(
     c: &Coalescer<ScoringSnapshot>,
     point: &SweepPoint,
@@ -296,13 +320,18 @@ fn open_loop_client(
 ) -> Vec<u64> {
     let mean = interval.expect("open-loop arrivals need an offered rate");
     let mut rng = StdRng::seed_from_u64(seed ^ (0x09e4_u64 + who as u64));
-    let mut pending: Vec<(Instant, ssf_repro::Ticket)> = Vec::new();
+    let mut pending: VecDeque<(Instant, Ticket)> = VecDeque::new();
+    let mut lat: Vec<u64> = Vec::new();
     let start = Instant::now();
     let mut next = start;
     while start.elapsed() < point.duration {
-        let now = Instant::now();
-        if now < next {
-            std::thread::sleep(next - now);
+        loop {
+            take_ready(&mut pending, &mut lat);
+            let now = Instant::now();
+            if now >= next {
+                break;
+            }
+            std::thread::sleep((next - now).min(POLL_INTERVAL));
         }
         next += match point.arrivals {
             Arrivals::OpenPoisson => {
@@ -318,21 +347,16 @@ fn open_loop_client(
         let (u, v) = pair_for(&mut rng, n);
         let issued = Instant::now();
         match c.submit(u, v) {
-            Ok(ticket) => pending.push((issued, ticket)),
+            Ok(ticket) => pending.push_back((issued, ticket)),
             Err(Rejection::Overloaded { .. }) => {
                 // Shed at admission: counted by the coalescer stats.
             }
             Err(_) => {}
         }
     }
-    // Drain after the arrival process ends; only completions count
-    // toward the latency distribution (sheds and expiries do not).
-    let mut lat: Vec<u64> = Vec::new();
     for (issued, ticket) in pending {
         if ticket.wait().is_ok() {
-            let ns =
-                u64::try_from(issued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            lat.push(ns);
+            lat.push(elapsed_ns(issued));
         }
     }
     lat
@@ -578,6 +602,7 @@ fn main() {
          \"worker_threads\": {worker_threads},\n  \
          \"clients\": {clients},\n  \
          \"deadline_budget_ms\": {},\n  \
+         \"phase_duration_ms\": {},\n  \
          \"bit_identical\": {bit_identical},\n  \
          \"counters_reconcile\": true,\n  \
          \"per_pair_qps\": {per_pair_qps:.1},\n  \
@@ -592,6 +617,7 @@ fn main() {
          \"batching_gain_vs_per_pair\": {batching_gain:.3},\n  \
          \"target_speedup_met\": {target_speedup_met}\n}}\n",
         DEADLINE_BUDGET.as_millis(),
+        duration.as_millis(),
         sweep_json.join(",\n"),
         open_json.join(",\n"),
         overload_point.miss_rate,

@@ -44,7 +44,7 @@ use crate::{GraphError, NodeId, Timestamp};
 /// [`FrozenGraph::COMPACT_AUTO_MIN_LINKS`] links) and every count fits
 /// the compact layout's `u32` indices; small graphs keep the wide
 /// layout, whose raw rows decode faster. The enum is
-/// `#[non_exhaustive]`: future layouts (mmap-backed, delta-sharded)
+/// `#[non_exhaustive]`: future layouts (such as an mmap-backed one)
 /// may be added without a breaking change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]

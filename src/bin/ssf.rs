@@ -7,7 +7,7 @@
 //! $ ssf roles network.txt 12 57
 //! $ ssf patterns network.txt --samples 500 --k 10
 //! $ ssf evaluate network.txt --methods cn,katz,ssflr,ssfnm
-//! $ ssf serve network.txt --shards 4 --threads 4
+//! $ ssf serve network.txt --threads 4
 //! ```
 //!
 //! Edge lists are whitespace-separated `u v t` lines (KONECT style; see
@@ -37,7 +37,7 @@ use ssf_repro::ssf_eval::{
 };
 use ssf_repro::{
     CoalesceConfig, Coalescer, DurabilityPolicy, FsyncPolicy,
-    OnlineLinkPredictor, OnlinePredictorConfig, ShardedPredictor, SystemClock,
+    OnlineLinkPredictor, OnlinePredictorConfig, SystemClock,
 };
 
 fn main() -> ExitCode {
@@ -128,15 +128,15 @@ USAGE:
   ssf train    <edge-list> --out MODEL [--k N] [--epochs N]
                                                fit SSFNM, persist the model
   ssf predict  <edge-list> <model> <u> <v>     score a pair with a saved model
-  ssf serve    <edge-list> [--shards N] [--threads N] [--pairs N] [--k N]
+  ssf serve    <edge-list> [--threads N] [--pairs N] [--k N]
                [--epochs N] [--seed N] [--window W]
                                                replay the stream through the
-                                               sharded serving path, publish a
+                                               online predictor, publish a
                                                snapshot, score candidates in
                                                parallel, report health
   ssf serve-loop <edge-list> [--qps N] [--duration-ms N] [--clients N]
                [--max-batch N] [--max-delay-us N] [--queue N]
-               [--deadline-us N] [--shards N] [--threads N] [--k N]
+               [--deadline-us N] [--threads N] [--k N]
                [--epochs N] [--seed N] [--window W]
                [--arrivals closed|fixed|poisson]
                                                run the request-coalescing
@@ -469,14 +469,13 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Replays an edge list through the sharded single-writer ingest path,
+/// Replays an edge list through the single-writer online predictor,
 /// publishes an immutable snapshot and scores a deterministic candidate
 /// batch on the parallel read path, checking it bit-matches the serial
-/// path before reporting throughput and merged health.
+/// path before reporting throughput and health.
 fn cmd_serve(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     let path = args.first().ok_or("usage: ssf serve <edge-list>")?;
     let g = load(path, args)?;
-    let shards: usize = parse_flag(args, "--shards", 1)?;
     let threads: usize = parse_flag(args, "--threads", 4)?;
     let n_pairs: u32 = parse_flag(args, "--pairs", 256)?;
     let seed: u64 = parse_flag(args, "--seed", 7)?;
@@ -492,26 +491,24 @@ fn cmd_serve(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         .window(window_width(args)?)
         .build()
         .map_err(|e| e.to_string())?;
-    let mut sharded =
-        ShardedPredictor::with_recorder(config, shards, obs.clone())
-            .map_err(|e| e.to_string())?;
+    let mut predictor = OnlineLinkPredictor::with_recorder(config, obs.clone());
 
     let mut events: Vec<_> = g.links().map(|l| (l.u, l.v, l.t)).collect();
     events.sort_by_key(|&(_, _, t)| t);
     let t0 = Instant::now();
-    let accepted = sharded.observe_batch_parallel(&events);
+    let accepted = observe_all(&mut predictor, &events);
     let ingest_secs = t0.elapsed().as_secs_f64();
     println!(
-        "ingested {accepted} of {} events over {shards} shard(s) \
+        "ingested {accepted} of {} events \
          in {ingest_secs:.3}s ({:.0} events/s)",
         events.len(),
         accepted as f64 / ingest_secs.max(1e-9),
     );
-    if let Err(e) = sharded.try_refit_all() {
+    if let Err(e) = predictor.try_refit() {
         eprintln!("warning: serving degraded, refit failed: {e}");
     }
 
-    let snap = sharded.snapshot();
+    let snap = predictor.snapshot();
     let n = g.node_count() as u32;
     if n < 2 {
         return Err("network too small to serve".into());
@@ -552,13 +549,13 @@ fn cmd_serve(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         pairs.len() as f64 / parallel_secs.max(1e-9),
         serial_secs / parallel_secs.max(1e-9),
     );
-    let health = sharded.health();
-    let cache = sharded.cache_stats();
+    let health = predictor.health();
+    let cache = predictor.cache_stats();
     println!(
-        "health: fitted={} epochs={:?} model_epoch={:?} accepted={} \
+        "health: fitted={} epoch={} model_epoch={:?} accepted={} \
          quarantined={} degraded_scores={} cache_hit_rate={:.3}",
         health.fitted,
-        snap.epochs(),
+        snap.epoch(),
         health.model_epoch,
         health.accepted,
         health.quarantined,
@@ -566,6 +563,17 @@ fn cmd_serve(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         cache.hit_rate(),
     );
     Ok(())
+}
+
+/// Feeds `events` to the predictor in order; returns how many it accepted.
+fn observe_all(p: &mut OnlineLinkPredictor, events: &[(u32, u32, u32)]) -> u64 {
+    let mut accepted = 0;
+    for &(u, v, t) in events {
+        if p.observe(u, v, t).is_accepted() {
+            accepted += 1;
+        }
+    }
+    accepted
 }
 
 /// How the `serve-loop` load generator times its submissions.
@@ -581,7 +589,7 @@ enum Arrivals {
 }
 
 /// `serve-loop`: the request-coalescing front-end under load. Ingests
-/// the stream through the sharded path like `serve`, then puts the
+/// the stream through the online predictor like `serve`, then puts the
 /// published snapshot behind a [`Coalescer`] and drives it with client
 /// threads. Closed-loop clients each submit one pair, wait for the
 /// ticket, and pace to the offered rate (`--qps 0` submits as fast as
@@ -595,7 +603,6 @@ enum Arrivals {
 fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     let path = args.first().ok_or("usage: ssf serve-loop <edge-list>")?;
     let g = load(path, args)?;
-    let shards: usize = parse_flag(args, "--shards", 1)?;
     let threads: usize = parse_flag(args, "--threads", 1)?;
     let clients: usize = parse_flag(args, "--clients", 4)?;
     let qps: u64 = parse_flag(args, "--qps", 0)?;
@@ -638,17 +645,15 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         .window(window_width(args)?)
         .build()
         .map_err(|e| e.to_string())?;
-    let mut sharded =
-        ShardedPredictor::with_recorder(config, shards, obs.clone())
-            .map_err(|e| e.to_string())?;
+    let mut predictor = OnlineLinkPredictor::with_recorder(config, obs.clone());
     let mut events: Vec<_> = g.links().map(|l| (l.u, l.v, l.t)).collect();
     events.sort_by_key(|&(_, _, t)| t);
-    let accepted = sharded.observe_batch_parallel(&events);
-    println!("ingested {accepted} events over {shards} shard(s)");
-    if let Err(e) = sharded.try_refit_all() {
+    let accepted = observe_all(&mut predictor, &events);
+    println!("ingested {accepted} events");
+    if let Err(e) = predictor.try_refit() {
         eprintln!("warning: serving degraded, refit failed: {e}");
     }
-    let snap = sharded.snapshot();
+    let snap = predictor.snapshot();
 
     // Typed configuration errors (ConfigError::ZeroBatch & friends)
     // surface here as `error:` lines, never panics.

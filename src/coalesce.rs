@@ -45,7 +45,7 @@ use dyngraph::NodeId;
 use obs::ObsHandle;
 
 use crate::error::{ConfigError, SsfError};
-use crate::serve::{ScoringSnapshot, ShardedSnapshot};
+use crate::serve::ScoringSnapshot;
 
 /// A monotonic nanosecond clock the coalescer schedules against.
 ///
@@ -118,11 +118,10 @@ impl Clock for MockClock {
 
 /// Anything the coalescer can drain a batch into.
 ///
-/// Implemented by [`ScoringSnapshot`] and [`ShardedSnapshot`]; tests
-/// wrap them to count exactly which pairs reach extraction. The
-/// contract inherited from the serve layer: `score_batch_threads` must
-/// be bit-identical to scoring each pair alone, at every thread count
-/// and batch split.
+/// Implemented by [`ScoringSnapshot`]; tests wrap it to count exactly
+/// which pairs reach extraction. The contract inherited from the serve
+/// layer: `score_batch_threads` must be bit-identical to scoring each
+/// pair alone, at every thread count and batch split.
 pub trait BatchScorer: Send + Sync {
     /// A value that changes whenever the scorer's answers could change
     /// (the snapshot epoch). [`Coalescer::set_snapshot`] flushes pending
@@ -141,9 +140,8 @@ impl BatchScorer for ScoringSnapshot {
     /// The publish epoch, mixed with the sliding window in force (if
     /// any): epoch-staged batching must also never mix two snapshots
     /// that happen to share a revision but disagree on the window, so
-    /// the window bits fold into the key the same FNV-style way the
-    /// sharded scorer folds shard epochs. Unbounded snapshots keep the
-    /// bare epoch.
+    /// the window bits fold into the key with one FNV-style multiply.
+    /// Unbounded snapshots keep the bare epoch.
     fn epoch_key(&self) -> u64 {
         match self.window() {
             None => self.epoch(),
@@ -152,26 +150,6 @@ impl BatchScorer for ScoringSnapshot {
                 (self.epoch() ^ wbits).wrapping_mul(0x0000_0100_0000_01b3)
             }
         }
-    }
-
-    fn score_batch_threads(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<Option<f64>> {
-        self.score_batch_parallel(pairs, threads)
-    }
-}
-
-impl BatchScorer for ShardedSnapshot {
-    /// Order-dependent mix of the per-shard epochs (FNV-style), so any
-    /// shard publishing a new epoch changes the key.
-    fn epoch_key(&self) -> u64 {
-        self.epochs()
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &e| {
-                (h ^ e).wrapping_mul(0x0000_0100_0000_01b3)
-            })
     }
 
     fn score_batch_threads(

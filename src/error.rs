@@ -21,7 +21,7 @@ pub use dyngraph::GraphError;
 ///
 /// Produced by [`crate::stream::OnlinePredictorConfigBuilder::build`],
 /// [`crate::methods::MethodOptions::validate`] and
-/// [`crate::serve::ShardedPredictor::new`]: validation moved from
+/// [`crate::coalesce::CoalesceConfigBuilder::build`]: validation moved from
 /// scattered `assert!`s at first use to one typed, testable gate at
 /// construction time.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,8 +44,6 @@ pub enum ConfigError {
     ZeroRefitInterval,
     /// `max_backoff` must be at least 1 (1 = no backoff growth).
     ZeroBackoff,
-    /// A sharded predictor needs at least one shard.
-    ZeroShards,
     /// A coalescing queue must close batches at ≥ 1 request.
     ZeroBatch,
     /// A coalescing queue must admit at least one request.
@@ -80,9 +78,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroBackoff => {
                 write!(f, "max_backoff must be at least 1")
-            }
-            ConfigError::ZeroShards => {
-                write!(f, "shard count must be at least 1")
             }
             ConfigError::ZeroBatch => {
                 write!(f, "max_batch must be at least 1 request")
@@ -293,7 +288,6 @@ mod tests {
             (ConfigError::InvalidTheta { theta: -0.5 }, "-0.5"),
             (ConfigError::ZeroRefitInterval, "refit_every"),
             (ConfigError::ZeroBackoff, "max_backoff"),
-            (ConfigError::ZeroShards, "shard count"),
             (ConfigError::ZeroBatch, "max_batch"),
             (ConfigError::ZeroQueueCapacity, "queue_capacity"),
             (ConfigError::ZeroWorkerThreads, "worker_threads"),

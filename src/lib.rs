@@ -23,7 +23,7 @@
 //!
 //! The serving-path API lives in this crate directly: [`stream`] (the
 //! single-writer online predictor), [`serve`] (immutable scoring
-//! snapshots and sharded ingestion), [`coalesce`] (the micro-batching
+//! snapshots), [`coalesce`] (the micro-batching
 //! request front-end with deadline budgets and backpressure),
 //! [`durability`] (checkpoints, WAL and crash recovery), [`methods`],
 //! [`model`] and [`error`]. The everyday names are re-exported at the crate root and
@@ -83,8 +83,7 @@ pub use error::{ConfigError, SsfError};
 pub use methods::{Method, MethodOptions};
 pub use model::SsfnmModel;
 pub use serve::{
-    Health, Observed, QuarantineReason, ScoringSnapshot, ShardedPredictor,
-    ShardedSnapshot, StreamStats,
+    Health, Observed, QuarantineReason, ScoringSnapshot, StreamStats,
 };
 pub use ssf_core::CacheStats;
 pub use ssf_persist::FsyncPolicy;

@@ -3,7 +3,7 @@
 //! One glob brings in everything a typical application touches — the
 //! dynamic network substrate, the SSF extractor, the online predictor
 //! with its config builder, the concurrent-serving types
-//! ([`ScoringSnapshot`], [`ShardedPredictor`]), the validated dataset
+//! ([`ScoringSnapshot`]), the validated dataset
 //! specs with their scale tiers ([`DatasetSpec`], [`ScaleTier`]), the
 //! error taxonomy and the observability recorder types. Anything not listed here is still
 //! reachable through the re-exported workspace crates
@@ -38,8 +38,7 @@ pub use crate::error::{ConfigError, SsfError};
 pub use crate::methods::{Method, MethodOptions};
 pub use crate::model::SsfnmModel;
 pub use crate::serve::{
-    Health, Observed, QuarantineReason, ScoringSnapshot, ShardedPredictor,
-    ShardedSnapshot, StreamStats,
+    Health, Observed, QuarantineReason, ScoringSnapshot, StreamStats,
 };
 pub use crate::stream::{
     OnlineLinkPredictor, OnlinePredictorConfig, OnlinePredictorConfigBuilder,

@@ -1,31 +1,25 @@
-//! Concurrent serving: immutable scoring snapshots and sharded ingestion.
+//! Concurrent serving: immutable scoring snapshots.
 //!
 //! The paper's serving story (§V) interleaves two workloads: timestamped
 //! links *stream in* while candidate-pair *queries* arrive. The online
 //! predictor is `&mut self` end-to-end — correct, but a single writer
 //! monopolizes it, so score throughput is capped at one core and every
-//! `observe` stalls all scoring. This module splits the two roles:
+//! `observe` stalls all scoring. This module splits the two roles: one
+//! writer ingests and refits, and readers score a [`ScoringSnapshot`] —
+//! an immutable, `Arc`-published *epoch* of the predictor (graph + fitted
+//! model + frozen extraction-cache view).
 //!
-//! * [`ScoringSnapshot`] — an immutable, `Arc`-published *epoch* of the
-//!   predictor (graph + fitted model + frozen extraction-cache view).
-//!   Snapshots are `Send + Sync` and cheap to clone, so any number of
-//!   reader threads score concurrently — [`ScoringSnapshot::score_batch_parallel`]
-//!   fans one batch out across scoped threads — while the writer keeps
-//!   ingesting and refitting, then publishes the next epoch. Scores are
-//!   **bit-identical** to the serial predictor paths: every route goes
-//!   through the same extraction pipeline, and caches never change values
-//!   (`tests/concurrency.rs` proves it under live interleavings).
-//! * [`ShardedPredictor`] — N independent single-writer ingest cores over
-//!   a partition of the node space. A pair `(u, v)` is owned by shard
-//!   `min(u, v) % N`, so every pair has exactly one home for both
-//!   ingestion and scoring, and disjoint shards ingest in parallel
-//!   ([`ShardedPredictor::observe_batch_parallel`]). Health, stream and
-//!   cache statistics merge across shards.
+//! Snapshots are `Send + Sync` and cheap to clone, so any number of reader
+//! threads score concurrently — [`ScoringSnapshot::score_batch_parallel`]
+//! fans one batch out across scoped threads — while the writer keeps
+//! ingesting and refitting, then publishes the next epoch. Scores are
+//! **bit-identical** to the serial predictor paths: every route goes
+//! through the same extraction pipeline, and caches never change values
+//! (`tests/concurrency.rs` proves it under live interleavings).
 //!
-//! This module is also the canonical home of the serving-surface types
-//! ([`Health`], [`StreamStats`], [`Observed`], [`QuarantineReason`]);
-//! their old `ssf_repro::stream::*` paths remain as deprecated aliases
-//! for one release. Import from [`crate::prelude`] or the crate root.
+//! This module is also the home of the serving-surface types ([`Health`],
+//! [`StreamStats`], [`Observed`], [`QuarantineReason`]). Import them from
+//! [`crate::prelude`] or the crate root.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
@@ -35,13 +29,13 @@ use std::sync::Arc;
 use dyngraph::{
     DeltaGraph, GraphView, NodeId, OverlayView, StorageMode, Timestamp, Window,
 };
-use obs::{labeled, ObsHandle, Snapshot};
-use ssf_core::{CacheStats, ExtractionCache, FrozenCacheView};
+use obs::{ObsHandle, Snapshot};
+use ssf_core::{ExtractionCache, FrozenCacheView};
 use ssf_persist::SnapshotReader;
 
 use crate::durability::{self, PersistedState};
-use crate::error::{ConfigError, SsfError};
-use crate::stream::{FittedModel, OnlineLinkPredictor, OnlinePredictorConfig};
+use crate::error::SsfError;
+use crate::stream::{FittedModel, OnlineLinkPredictor};
 
 /// Why an event was quarantined instead of entering the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,18 +43,19 @@ use crate::stream::{FittedModel, OnlineLinkPredictor, OnlinePredictorConfig};
 pub enum QuarantineReason {
     /// Both endpoints are the same node.
     SelfLoop,
-    /// An identical `(u, v, t)` event was already recorded
-    /// (only with [`OnlinePredictorConfig::quarantine_duplicates`]).
+    /// An identical `(u, v, t)` event was already recorded (only with
+    /// [`quarantine_duplicates`](crate::OnlinePredictorConfig::quarantine_duplicates)).
     Duplicate,
     /// The timestamp trails the newest observed one by more than
-    /// [`OnlinePredictorConfig::max_lag`] ticks.
+    /// [`max_lag`](crate::OnlinePredictorConfig::max_lag) ticks.
     Stale {
         /// How many ticks behind the stream head the event arrived.
         lag: u32,
     },
     /// The timestamp precedes the sliding window's cutoff — the link
     /// expired before it arrived (only with
-    /// [`OnlinePredictorConfig::window`]). Endpoints remain known.
+    /// [`window`](crate::OnlinePredictorConfig::window)). Endpoints remain
+    /// known.
     OutOfWindow {
         /// The inclusive lower bound the timestamp fell short of.
         cutoff: u32,
@@ -115,20 +110,6 @@ impl StreamStats {
     pub fn degraded_scores(&self) -> u64 {
         self.degraded_scores.load(Ordering::Relaxed)
     }
-
-    /// Folds another tally into this one — how [`ShardedPredictor`]
-    /// aggregates its per-shard accounts.
-    pub fn merge(&mut self, other: &StreamStats) {
-        self.accepted += other.accepted;
-        self.self_loops += other.self_loops;
-        self.duplicates += other.duplicates;
-        self.stale += other.stale;
-        self.out_of_window += other.out_of_window;
-        self.successful_refits += other.successful_refits;
-        self.failed_refits += other.failed_refits;
-        self.degraded_scores
-            .fetch_add(other.degraded_scores(), Ordering::Relaxed);
-    }
 }
 
 impl Clone for StreamStats {
@@ -146,8 +127,7 @@ impl Clone for StreamStats {
     }
 }
 
-/// Point-in-time health snapshot of an [`OnlineLinkPredictor`] (or the
-/// merged view of a [`ShardedPredictor`]).
+/// Point-in-time health snapshot of an [`OnlineLinkPredictor`].
 ///
 /// `fitted` and `model_epoch` are read from one atomically-replaced
 /// model slot, so they can never disagree: `fitted` is `true` exactly
@@ -161,8 +141,7 @@ pub struct Health {
     /// Graph revision the serving model was fitted at; `None` before the
     /// first successful refit. Always consistent with `fitted`.
     pub model_epoch: Option<u64>,
-    /// Current graph revision (total accepted mutations; summed across
-    /// shards in a merged health).
+    /// Current graph revision (total accepted mutations).
     pub graph_revision: u64,
     /// Events accepted into the network.
     pub accepted: u64,
@@ -174,8 +153,7 @@ pub struct Health {
     pub successful_refits: u64,
     /// Refit attempts that failed.
     pub failed_refits: u64,
-    /// Current backoff multiplier on the refit interval (1 = healthy;
-    /// the worst shard in a merged health).
+    /// Current backoff multiplier on the refit interval (1 = healthy).
     pub current_backoff: u32,
     /// Rendered error of the most recent failed refit, cleared on success.
     pub last_refit_error: Option<String>,
@@ -452,7 +430,7 @@ impl ScoringSnapshot {
     /// identically, so the chunking never shows in the output.
     ///
     /// Degenerate inputs are handled uniformly across every batch path
-    /// (snapshot, sharded, coalesced): `threads == 0` is clamped to 1
+    /// (snapshot, coalesced): `threads == 0` is clamped to 1
     /// and an empty batch returns an empty vector without spawning
     /// threads or opening spans. Callers that want `threads == 0`
     /// rejected as a typed error should validate through
@@ -544,428 +522,11 @@ impl ScoringSnapshot {
     }
 }
 
-/// N independent single-writer ingest cores over a partition of the node
-/// space.
-///
-/// A pair `(u, v)` is owned by shard `min(u, v) % N` — one deterministic
-/// home per pair for both ingestion and scoring, so cross-shard pairs
-/// never need coordination. Each shard is a full [`OnlineLinkPredictor`]
-/// over the substream routed to it; shard counts divide the refit cost
-/// and let [`Self::observe_batch_parallel`] ingest disjoint substreams on
-/// parallel threads.
-///
-/// The trade-off is explicit: a shard scores a pair against *its own*
-/// substream, not the global graph (see DESIGN.md §9). With one shard the
-/// predictor is exactly the unsharded one, bit for bit; with N shards
-/// each pair scores exactly as an unsharded predictor fed the owner's
-/// substream would — both properties are tested in
-/// `tests/concurrency.rs`.
-#[derive(Debug)]
-pub struct ShardedPredictor {
-    shards: Vec<OnlineLinkPredictor>,
-    /// Pre-rendered shard indices for labeled counters.
-    labels: Vec<String>,
-    obs: ObsHandle,
-}
-
-impl ShardedPredictor {
-    /// Creates `shards` empty ingest cores sharing one configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::ZeroShards`] for `shards == 0`, plus any
-    /// [`MethodOptions::validate`](crate::methods::MethodOptions::validate)
-    /// rejection of the configuration's hyperparameters.
-    pub fn new(
-        config: OnlinePredictorConfig,
-        shards: usize,
-    ) -> Result<Self, SsfError> {
-        Self::with_recorder(config, shards, ObsHandle::noop())
-    }
-
-    /// [`Self::new`] with telemetry: per-shard quarantine counters under
-    /// the labeled family `ssf.serve.shard.quarantined{shard=…}`, shared
-    /// `ssf.stream.*` instrumentation inside every shard, and
-    /// `ssf.serve.ingest_batch` spans around parallel ingestion.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::new`].
-    pub fn with_recorder(
-        config: OnlinePredictorConfig,
-        shards: usize,
-        obs: ObsHandle,
-    ) -> Result<Self, SsfError> {
-        if shards == 0 {
-            return Err(ConfigError::ZeroShards.into());
-        }
-        config.method.validate()?;
-        Ok(ShardedPredictor {
-            shards: (0..shards)
-                .map(|_| {
-                    OnlineLinkPredictor::with_recorder(
-                        config.clone(),
-                        obs.clone(),
-                    )
-                })
-                .collect(),
-            labels: (0..shards).map(|i| i.to_string()).collect(),
-            obs,
-        })
-    }
-
-    /// Number of ingest cores.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The owner shard of a pair: `min(u, v) % N`.
-    pub fn shard_of(&self, u: NodeId, v: NodeId) -> usize {
-        u.min(v) as usize % self.shards.len()
-    }
-
-    /// Borrows one shard's predictor, `None` out of range.
-    pub fn shard(&self, index: usize) -> Option<&OnlineLinkPredictor> {
-        self.shards.get(index)
-    }
-
-    /// Routes one stream event to its owner shard; never panics.
-    pub fn observe(&mut self, u: NodeId, v: NodeId, t: Timestamp) -> Observed {
-        let idx = self.shard_of(u, v);
-        let outcome = self.shards[idx].observe(u, v, t);
-        if !outcome.is_accepted() && self.obs.enabled() {
-            self.obs.counter(
-                &labeled(
-                    "ssf.serve.shard.quarantined",
-                    &[("shard", &self.labels[idx])],
-                ),
-                1,
-            );
-        }
-        outcome
-    }
-
-    /// Partitions a batch of events by owner shard and ingests every
-    /// shard's substream on its own scoped thread — the near-linear
-    /// ingest-scaling path. Within a shard, events keep their order in
-    /// `events`. Returns the number of accepted events.
-    ///
-    /// With one shard — or on a machine without usable parallelism — the
-    /// batch ingests serially instead: spawning threads for substreams
-    /// that cannot run concurrently only adds partition + spawn + join
-    /// overhead (the measured 1→4-shard throughput *drop* in
-    /// `BENCH_concurrent_serving.json` on a single-core host). Events
-    /// route to shards in batch order either way, so both paths produce
-    /// identical shard states by construction; empty substreams never
-    /// spawn a thread.
-    pub fn observe_batch_parallel(
-        &mut self,
-        events: &[(NodeId, NodeId, Timestamp)],
-    ) -> u64 {
-        let n = self.shards.len();
-        let parallelism = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get);
-        let _span = self.obs.span("ssf.serve.ingest_batch");
-        let mut accepted = 0u64;
-        let mut quarantined: Vec<u64> = vec![0; n];
-        if n == 1 || parallelism <= 1 {
-            for &(u, v, t) in events {
-                let idx = u.min(v) as usize % n;
-                if self.shards[idx].observe(u, v, t).is_accepted() {
-                    accepted += 1;
-                } else {
-                    quarantined[idx] += 1;
-                }
-            }
-        } else {
-            let mut per: Vec<Vec<(NodeId, NodeId, Timestamp)>> =
-                vec![Vec::new(); n];
-            for &(u, v, t) in events {
-                per[u.min(v) as usize % n].push((u, v, t));
-            }
-            let shards = &mut self.shards;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .zip(&per)
-                    .enumerate()
-                    .filter(|(_, (_, evs))| !evs.is_empty())
-                    .map(|(i, (shard, evs))| {
-                        let handle = s.spawn(move || {
-                            let (mut acc, mut quar) = (0u64, 0u64);
-                            for &(u, v, t) in evs {
-                                if shard.observe(u, v, t).is_accepted() {
-                                    acc += 1;
-                                } else {
-                                    quar += 1;
-                                }
-                            }
-                            (acc, quar)
-                        });
-                        (i, handle)
-                    })
-                    .collect();
-                for (i, h) in handles {
-                    if let Ok((acc, quar)) = h.join() {
-                        accepted += acc;
-                        quarantined[i] = quar;
-                    }
-                }
-            });
-        }
-        if self.obs.enabled() {
-            for (label, &quar) in self.labels.iter().zip(&quarantined) {
-                if quar > 0 {
-                    self.obs.counter(
-                        &labeled(
-                            "ssf.serve.shard.quarantined",
-                            &[("shard", label)],
-                        ),
-                        quar,
-                    );
-                }
-            }
-        }
-        accepted
-    }
-
-    /// Forces a refit on every shard, attempting all of them even when
-    /// some fail.
-    ///
-    /// # Errors
-    ///
-    /// The first shard failure, after all shards were attempted. Shards
-    /// that fitted keep their new model either way.
-    pub fn try_refit_all(&mut self) -> Result<(), SsfError> {
-        let mut first_err = None;
-        for shard in &mut self.shards {
-            if let Err(e) = shard.try_refit() {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Routes a pair to its owner shard's [`OnlineLinkPredictor::score`].
-    pub fn score(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        self.shards[self.shard_of(u, v)].score(u, v)
-    }
-
-    /// Scores a batch by grouping pairs per owner shard, scoring each
-    /// group through the shard's cached batch path, and scattering the
-    /// results back into input order.
-    pub fn score_batch(
-        &mut self,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Vec<Option<f64>> {
-        let n = self.shards.len();
-        let mut slots: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut groups: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); n];
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            let owner = u.min(v) as usize % n;
-            slots[owner].push(i);
-            groups[owner].push((u, v));
-        }
-        let mut out = vec![None; pairs.len()];
-        for (shard, (slots, group)) in
-            self.shards.iter_mut().zip(slots.iter().zip(&groups))
-        {
-            if group.is_empty() {
-                continue;
-            }
-            for (&i, score) in slots.iter().zip(shard.score_batch(group)) {
-                out[i] = score;
-            }
-        }
-        out
-    }
-
-    /// Publishes every shard's current epoch as one routed snapshot.
-    pub fn snapshot(&self) -> ShardedSnapshot {
-        ShardedSnapshot {
-            shards: self.shards.iter().map(|s| s.snapshot()).collect(),
-        }
-    }
-
-    /// Merged stream tallies, summed across shards.
-    pub fn stream_stats(&self) -> StreamStats {
-        let mut total = StreamStats::default();
-        for shard in &self.shards {
-            total.merge(shard.stats());
-        }
-        total
-    }
-
-    /// Merged extraction-cache tallies, summed across shards.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            total.merge(&shard.cache_stats());
-        }
-        total
-    }
-
-    /// Merged health: counters are summed, `fitted` is true when *any*
-    /// shard serves a model (a pair owned by an unfitted shard still
-    /// scores `None` — check [`Self::shard_healths`] for the full
-    /// picture), `model_epoch` is the stalest fitted shard's epoch,
-    /// `graph_revision` the summed revisions, `current_backoff` the worst
-    /// shard's, and `last_refit_error` the first shard's pending error.
-    pub fn health(&self) -> Health {
-        let stats = self.stream_stats();
-        let mut health = Health {
-            fitted: false,
-            model_epoch: None,
-            graph_revision: 0,
-            accepted: stats.accepted,
-            quarantined: stats.quarantined(),
-            degraded_scores: stats.degraded_scores(),
-            successful_refits: stats.successful_refits,
-            failed_refits: stats.failed_refits,
-            current_backoff: 1,
-            last_refit_error: None,
-            metrics: self.obs.snapshot(),
-        };
-        for shard in &self.shards {
-            let h = shard.health();
-            health.fitted |= h.fitted;
-            health.model_epoch = match (health.model_epoch, h.model_epoch) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            health.graph_revision += h.graph_revision;
-            health.current_backoff =
-                health.current_backoff.max(h.current_backoff);
-            if health.last_refit_error.is_none() {
-                health.last_refit_error = h.last_refit_error;
-            }
-        }
-        health
-    }
-
-    /// Per-shard health snapshots, in shard order.
-    pub fn shard_healths(&self) -> Vec<Health> {
-        self.shards.iter().map(|s| s.health()).collect()
-    }
-}
-
-/// Immutable snapshots of every shard, routed like the predictor:
-/// `min(u, v) % N` picks the [`ScoringSnapshot`] a pair scores against.
-///
-/// `Send + Sync` and cheap to clone, like the per-shard snapshots it
-/// wraps.
-#[derive(Debug, Clone)]
-pub struct ShardedSnapshot {
-    shards: Vec<ScoringSnapshot>,
-}
-
-impl ShardedSnapshot {
-    /// Number of shard snapshots.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The owner shard of a pair: `min(u, v) % N`.
-    pub fn shard_of(&self, u: NodeId, v: NodeId) -> usize {
-        u.min(v) as usize % self.shards.len()
-    }
-
-    /// Borrows one shard's snapshot, `None` out of range.
-    pub fn shard(&self, index: usize) -> Option<&ScoringSnapshot> {
-        self.shards.get(index)
-    }
-
-    /// Publish epochs of every shard snapshot, in shard order.
-    pub fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.epoch()).collect()
-    }
-
-    /// Routes a pair to its owner snapshot's [`ScoringSnapshot::score`].
-    pub fn score(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        self.shards[self.shard_of(u, v)].score(u, v)
-    }
-
-    /// Scores a batch by owner-shard grouping, serially per shard.
-    pub fn score_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
-        self.score_batch_with(pairs, |snap, group| snap.score_batch(group))
-    }
-
-    /// Scores a batch with each shard's group fanned out over up to
-    /// `threads` worker threads (divided across shards with work), in
-    /// parallel across shards. Bit-identical to [`Self::score_batch`].
-    ///
-    /// Degenerate inputs follow the same contract as
-    /// [`ScoringSnapshot::score_batch_parallel`]: `threads == 0` is
-    /// clamped to 1 and an empty batch returns an empty vector without
-    /// spawning threads.
-    pub fn score_batch_parallel(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<Option<f64>> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.max(1);
-        let busy = self.shards.len().min(pairs.len());
-        let per_shard = threads.div_ceil(busy);
-        self.score_batch_with(pairs, |snap, group| {
-            snap.score_batch_parallel(group, per_shard)
-        })
-    }
-
-    /// Shared group/score/scatter skeleton of the batch paths. The
-    /// scoring closure runs per shard on scoped threads; input order is
-    /// restored in the output.
-    fn score_batch_with<F>(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-        score: F,
-    ) -> Vec<Option<f64>>
-    where
-        F: Fn(&ScoringSnapshot, &[(NodeId, NodeId)]) -> Vec<Option<f64>> + Sync,
-    {
-        let n = self.shards.len();
-        let mut slots: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut groups: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); n];
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            let owner = u.min(v) as usize % n;
-            slots[owner].push(i);
-            groups[owner].push((u, v));
-        }
-        let mut out = vec![None; pairs.len()];
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(slots.iter().zip(&groups))
-                .filter(|(_, (_, group))| !group.is_empty())
-                .map(|(snap, (slots, group))| {
-                    let score = &score;
-                    (slots, s.spawn(move || score(snap, group)))
-                })
-                .collect();
-            for (slots, h) in handles {
-                if let Ok(scores) = h.join() {
-                    for (&i, sc) in slots.iter().zip(scores) {
-                        out[i] = sc;
-                    }
-                }
-            }
-        });
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::methods::MethodOptions;
+    use crate::stream::OnlinePredictorConfig;
     use datasets::DatasetSpec;
 
     fn quick_config() -> OnlinePredictorConfig {
@@ -998,8 +559,6 @@ mod tests {
     fn snapshot_types_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ScoringSnapshot>();
-        assert_send_sync::<ShardedSnapshot>();
-        assert_send_sync::<ShardedPredictor>();
     }
 
     #[test]
@@ -1077,78 +636,5 @@ mod tests {
         assert_eq!(snap.score(0, 2), None);
         assert_eq!(snap.score_batch(&[(0, 2)]), vec![None]);
         assert_eq!(snap.score_batch_parallel(&[(0, 2), (1, 0)], 2).len(), 2);
-    }
-
-    #[test]
-    fn sharded_predictor_rejects_zero_shards() {
-        let err = ShardedPredictor::new(quick_config(), 0);
-        assert!(matches!(
-            err,
-            Err(SsfError::Config(ConfigError::ZeroShards))
-        ));
-    }
-
-    #[test]
-    fn sharded_routing_is_deterministic_by_min_endpoint() {
-        let sharded =
-            ShardedPredictor::new(quick_config(), 3).expect("valid config");
-        assert_eq!(sharded.num_shards(), 3);
-        assert_eq!(sharded.shard_of(4, 7), 1);
-        assert_eq!(sharded.shard_of(7, 4), 1, "order must not matter");
-        assert_eq!(sharded.shard_of(9, 2), 2);
-        assert!(sharded.shard(2).is_some());
-        assert!(sharded.shard(3).is_none());
-    }
-
-    #[test]
-    fn sharded_stats_and_health_merge_across_shards() {
-        let mut sharded =
-            ShardedPredictor::new(quick_config(), 2).expect("valid config");
-        sharded.observe(0, 1, 1);
-        sharded.observe(2, 3, 1);
-        sharded.observe(5, 5, 2); // quarantined on 5 % 2 == shard 1
-        let stats = sharded.stream_stats();
-        assert_eq!(stats.accepted, 2);
-        assert_eq!(stats.self_loops, 1);
-        let health = sharded.health();
-        assert!(!health.fitted);
-        assert_eq!(health.accepted, 2);
-        assert_eq!(health.quarantined, 1);
-        // Revisions count every graph mutation (node growth included),
-        // so the merged value is the exact sum over shards.
-        let revisions: u64 = (0..sharded.num_shards())
-            .filter_map(|i| sharded.shard(i))
-            .map(|p| p.network().revision())
-            .sum();
-        assert!(revisions > 0);
-        assert_eq!(health.graph_revision, revisions);
-        assert_eq!(sharded.shard_healths().len(), 2);
-    }
-
-    #[test]
-    fn observe_batch_parallel_matches_serial_routing() {
-        let spec = DatasetSpec::coauthor().scaled(0.12);
-        let g = spec.generate(11);
-        let mut events: Vec<_> = g.links().map(|l| (l.u, l.v, l.t)).collect();
-        events.sort_by_key(|&(_, _, t)| t);
-        let mut serial =
-            ShardedPredictor::new(quick_config(), 3).expect("valid config");
-        for &(u, v, t) in &events {
-            serial.observe(u, v, t);
-        }
-        let mut parallel =
-            ShardedPredictor::new(quick_config(), 3).expect("valid config");
-        let accepted = parallel.observe_batch_parallel(&events);
-        assert_eq!(accepted, serial.stream_stats().accepted);
-        for i in 0..3 {
-            let a = serial.shard(i).expect("shard");
-            let b = parallel.shard(i).expect("shard");
-            assert_eq!(
-                a.network().link_count(),
-                b.network().link_count(),
-                "shard {i} ingested a different substream"
-            );
-            assert_eq!(a.network().revision(), b.network().revision());
-        }
     }
 }

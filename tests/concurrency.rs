@@ -1,7 +1,6 @@
-//! Concurrency suite: the snapshot read path under a live writer, and
-//! the sharding equivalence contracts.
+//! Concurrency suite: the snapshot read path under a live writer.
 //!
-//! Three contracts:
+//! Two contracts:
 //!
 //! 1. *Liveness*: a writer thread interleaving `observe` + `snapshot`
 //!    with reader threads running `score_batch_parallel` completes —
@@ -11,15 +10,11 @@
 //!    `fitted ⇔ model_epoch.is_some()`).
 //! 2. *Determinism*: `score_batch_parallel` is bit-identical to the
 //!    serial path at every thread count.
-//! 3. *Sharding*: one shard is bit-for-bit the unsharded predictor
-//!    (property-tested over random streams), and N shards score exactly
-//!    like N standalone predictors fed the owner-routed substreams.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use proptest::prelude::*;
 use ssf_repro::datasets::DatasetSpec;
 use ssf_repro::prelude::*;
 
@@ -145,116 +140,5 @@ fn score_batch_parallel_is_bit_identical_at_every_thread_count() {
             bits(&parallel),
             "diverged at {threads} threads"
         );
-    }
-}
-
-/// N shards score exactly like N standalone predictors fed the
-/// owner-routed substreams — the documented sharding semantics.
-#[test]
-#[allow(clippy::expect_used)] // test setup
-fn sharded_scores_match_standalone_substream_predictors() {
-    const SHARDS: usize = 3;
-    let events = stream_events();
-    let mut sharded = ShardedPredictor::new(quick_config(5), SHARDS)
-        .expect("valid concurrency configuration");
-    let mut standalone: Vec<OnlineLinkPredictor> = (0..SHARDS)
-        .map(|_| OnlineLinkPredictor::new(quick_config(5)))
-        .collect();
-    for &(u, v, t) in &events {
-        sharded.observe(u, v, t);
-        standalone[u.min(v) as usize % SHARDS].observe(u, v, t);
-    }
-    let n = sharded
-        .shard_healths()
-        .iter()
-        .map(|h| h.accepted)
-        .sum::<u64>();
-    assert_eq!(n, events.len() as u64);
-    let node_count =
-        events.iter().map(|&(u, v, _)| u.max(v)).max().unwrap_or(0);
-    let pairs: Vec<(NodeId, NodeId)> = (0..node_count)
-        .map(|u| (u, (u * 13 + 1) % (node_count + 1)))
-        .collect();
-    let snap = sharded.snapshot();
-    for &(u, v) in &pairs {
-        let owner = sharded.shard_of(u, v);
-        let want = standalone[owner].score(u, v).map(f64::to_bits);
-        assert_eq!(
-            sharded.score(u, v).map(f64::to_bits),
-            want,
-            "sharded.score diverged on ({u}, {v})"
-        );
-        assert_eq!(
-            snap.score(u, v).map(f64::to_bits),
-            want,
-            "sharded snapshot diverged on ({u}, {v})"
-        );
-    }
-    let batch = sharded.score_batch(&pairs);
-    let routed: Vec<Option<f64>> = pairs
-        .iter()
-        .map(|&(u, v)| standalone[sharded.shard_of(u, v)].score(u, v))
-        .collect();
-    assert_eq!(bits(&batch), bits(&routed), "grouped batch diverged");
-}
-
-proptest! {
-    // Every case streams a network and may fit several MLPs; keep the
-    // case count small like the stream property in `properties.rs`.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// One shard *is* the unsharded predictor: same acceptance, same
-    /// health counters, same score bits over random interleavings.
-    #[test]
-    fn one_shard_is_bit_identical_to_unsharded(
-        events in prop::collection::vec(
-            (0..12u32, 0..12u32).prop_filter("no self-loops", |(u, v)| u != v),
-            30..80,
-        ),
-        seed in 0..10u64,
-    ) {
-        let config = OnlinePredictorConfig::builder()
-            .method(MethodOptions {
-                nm_epochs: 10,
-                seed,
-                ..MethodOptions::default()
-            })
-            .refit_every(8)
-            .min_positives(6)
-            .history_folds(0)
-            .build()
-            .expect("valid property configuration");
-        let mut plain = OnlineLinkPredictor::new(config.clone());
-        let mut sharded = ShardedPredictor::new(config, 1)
-            .expect("valid property configuration");
-        let pairs: Vec<(NodeId, NodeId)> =
-            vec![(0, 1), (1, 0), (2, 7), (3, 3), (5, 40), (0, 11)];
-        for (i, &(u, v)) in events.iter().enumerate() {
-            let t = 1 + i as Timestamp / 3;
-            let a = plain.observe(u, v, t);
-            let b = sharded.observe(u, v, t);
-            prop_assert_eq!(
-                a.is_accepted(),
-                b.is_accepted(),
-                "acceptance diverged at event {}", i
-            );
-            if i % 13 != 0 {
-                continue;
-            }
-            for &(u, v) in &pairs {
-                let x = plain.score(u, v).map(f64::to_bits);
-                let y = sharded.score(u, v).map(f64::to_bits);
-                prop_assert_eq!(
-                    x, y,
-                    "score({}, {}) diverged at event {}", u, v, i
-                );
-            }
-        }
-        let (ph, sh) = (plain.health(), sharded.health());
-        prop_assert_eq!(ph.accepted, sh.accepted);
-        prop_assert_eq!(ph.quarantined, sh.quarantined);
-        prop_assert_eq!(ph.fitted, sh.fitted);
-        prop_assert_eq!(ph.model_epoch, sh.model_epoch);
-        prop_assert_eq!(ph.graph_revision, sh.graph_revision);
     }
 }

@@ -27,8 +27,7 @@ use ssf_repro::methods::MethodOptions;
 use ssf_repro::obs::{ObsHandle, Registry};
 use ssf_repro::{
     BatchScorer, CoalesceConfig, Coalescer, MockClock, OnlineLinkPredictor,
-    OnlinePredictorConfig, Rejection, ScoringSnapshot, ShardedPredictor,
-    SsfError,
+    OnlinePredictorConfig, Rejection, ScoringSnapshot, SsfError,
 };
 
 #[allow(clippy::expect_used)] // test helper
@@ -514,21 +513,14 @@ fn counters_reconcile_under_multithreaded_stress() {
 }
 
 // ---------------------------------------------------------------------
-// Sharded path and serve-layer degenerate inputs
+// Direct-vs-coalesced parity and serve-layer degenerate inputs
 // ---------------------------------------------------------------------
 
 #[test]
-fn coalesced_sharded_scoring_matches_direct_including_cross_shard_pairs() {
-    let mut sharded =
-        ShardedPredictor::new(quick_config(), 2).expect("valid config");
-    let g = DatasetSpec::coauthor().scaled(0.15).generate(9);
-    let mut events: Vec<_> = g.links().map(|l| (l.u, l.v, l.t)).collect();
-    events.sort_by_key(|&(_, _, t)| t);
-    sharded.observe_batch_parallel(&events);
-    let _ = sharded.try_refit_all();
-    let snap = sharded.snapshot();
-    // (0, 1) and (2, 3) span both shards (endpoints have different
-    // owners); routing must pick min(u, v) % 2 in either order.
+fn coalesced_scoring_matches_direct_including_reversed_and_self_pairs() {
+    let snap = shared_snapshot().clone();
+    // A reversed pair (1, 0), a self-pair (4, 4) and a repeated (0, 1)
+    // in one two-worker batch must score exactly like the direct path.
     let pairs = [(0u32, 1u32), (1, 0), (2, 3), (4, 4), (1, 7), (0, 1), (5, 2)];
     let direct = snap.score_batch(&pairs);
 
@@ -565,17 +557,6 @@ fn parallel_batch_paths_handle_degenerate_inputs_uniformly() {
     assert_eq!(
         bits(&snap.score_batch_parallel(&pairs, 0)),
         bits(&snap.score_batch(&pairs))
-    );
-
-    let mut sharded =
-        ShardedPredictor::new(quick_config(), 2).expect("valid config");
-    sharded.observe(0, 1, 1);
-    sharded.observe(2, 3, 2);
-    let ssnap = sharded.snapshot();
-    assert!(ssnap.score_batch_parallel(&[], 0).is_empty());
-    assert_eq!(
-        bits(&ssnap.score_batch_parallel(&pairs, 0)),
-        bits(&ssnap.score_batch(&pairs))
     );
 }
 
