@@ -1,28 +1,29 @@
 //! Million-scale tier benchmark: generates the [`ScaleTier`] ladder,
-//! freezes each tier in both physical layouts, and runs the serving
-//! path end-to-end on every tier.
+//! freezes each tier into the CSR layout, and runs the writer's
+//! scoring path end-to-end on every tier.
 //!
 //! Per tier, the report measures:
 //!
 //! * streamed generation and ingest time (events/s through `observe`),
-//! * freeze time for the wide (usize-offset) and compact (u32 +
-//!   varint-arena) layouts,
-//! * `heap_bytes()` per link for each layout — the honest compression
-//!   accounting the compact representation is judged by,
-//! * cold and warm batch-scoring throughput through a fitted online
-//!   predictor (cold = extraction cache cleared),
+//! * freeze time of the tier's graph into a [`FrozenGraph`],
+//! * its `heap_bytes()` in total and per link — the footprint a
+//!   serving snapshot's frozen base pays,
+//! * cold and warm batch-scoring throughput of
+//!   `OnlineLinkPredictor::score_batch` on a fitted predictor (cold =
+//!   extraction cache cleared). That is the writer path: it scores the
+//!   predictor's own mutable graph, not the frozen base,
 //! * snapshot publish latency (median of several publishes).
 //!
 //! Emits machine-readable `BENCH_scale.json`. The binary itself asserts
-//! the invariants CI gates on: compact bytes/link strictly below wide
-//! bytes/link on every tier, and cold/warm scores bit-identical.
+//! the invariants CI gates on: tiers monotone in link count, and
+//! cold/warm scores bit-identical.
 //!
 //! Run: `cargo run -p ssf-bench --release --bin scale
 //!       [--smoke] [--seed <n>] [--out <path>]`
 //!
 //! Full mode runs the S(10k)/M(100k)/L(400k)-node tiers; `--smoke`
 //! substitutes a scaled-down M so the whole run fits a CI minute while
-//! still crossing the streamed-generation and compact-auto thresholds.
+//! still crossing the streamed-generation threshold.
 
 // Bench harness, not the serving data path: a failed expectation
 // aborts the run and IS the failure report.
@@ -32,7 +33,7 @@ use std::fs;
 use std::time::Instant;
 
 use datasets::{DatasetSpec, ScaleTier};
-use dyngraph::{FrozenGraph, NodeId, StorageMode};
+use dyngraph::{FrozenGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssf_eval::SplitConfig;
@@ -48,31 +49,22 @@ struct TierReport {
     links: usize,
     gen_secs: f64,
     ingest_secs: f64,
-    wide_secs: f64,
-    compact_secs: f64,
-    wide_bytes: usize,
-    compact_bytes: usize,
+    freeze_secs: f64,
+    bytes: usize,
     pairs: usize,
     cold_pps: f64,
     warm_pps: f64,
-    storage_mode: StorageMode,
     publish_us: f64,
 }
 
 impl TierReport {
-    fn wide_per_link(&self) -> f64 {
-        self.wide_bytes as f64 / self.links as f64
-    }
-    fn compact_per_link(&self) -> f64 {
-        self.compact_bytes as f64 / self.links as f64
-    }
-    fn saving_pct(&self) -> f64 {
-        100.0 * (1.0 - self.compact_per_link() / self.wide_per_link())
+    fn bytes_per_link(&self) -> f64 {
+        self.bytes as f64 / self.links as f64
     }
 }
 
-/// Times one tier end to end: generate → freeze both layouts →
-/// ingest → fit → score cold/warm → publish.
+/// Times one tier end to end: generate → freeze → ingest → fit →
+/// score cold/warm → publish.
 fn run_tier(
     tier: &'static str,
     spec: &DatasetSpec,
@@ -89,28 +81,14 @@ fn run_tier(
     );
 
     let t0 = Instant::now();
-    let wide = FrozenGraph::from_view_with(&g, StorageMode::Wide)
-        .expect("wide freeze never fails");
-    let wide_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let compact = FrozenGraph::from_view_with(&g, StorageMode::Compact)
-        .expect("every tier fits the compact u32 limits");
-    let compact_secs = t0.elapsed().as_secs_f64();
-    let (wide_bytes, compact_bytes) = (wide.heap_bytes(), compact.heap_bytes());
-    assert!(
-        compact_bytes < wide_bytes,
-        "[{tier}] compact layout must be smaller: {compact_bytes} vs \
-         {wide_bytes} bytes"
-    );
+    let frozen = FrozenGraph::from_view(&g);
+    let freeze_secs = t0.elapsed().as_secs_f64();
+    let bytes = frozen.heap_bytes();
     println!(
-        "[{tier}] freeze wide {wide_secs:.2}s ({:.1} B/link), \
-         compact {compact_secs:.2}s ({:.1} B/link, -{:.1}%)",
-        wide_bytes as f64 / g.link_count() as f64,
-        compact_bytes as f64 / g.link_count() as f64,
-        100.0 * (1.0 - compact_bytes as f64 / wide_bytes as f64),
+        "[{tier}] freeze {freeze_secs:.2}s ({:.1} B/link)",
+        bytes as f64 / g.link_count() as f64,
     );
-    drop(wide);
-    drop(compact);
+    drop(frozen);
 
     // End-to-end serving path: ingest the stream, fit once, score.
     // The split caps keep the fit cost bounded so throughput measures
@@ -180,8 +158,8 @@ fn run_tier(
     let (warm_scores, warm_pps) = run_batch(&mut p);
     assert_eq!(cold_scores, warm_scores, "warm batch changed scores");
     println!(
-        "[{tier}] scoring {} pairs: cold {cold_pps:.0} pairs/s, \
-         warm {warm_pps:.0} pairs/s",
+        "[{tier}] OnlineLinkPredictor::score_batch on {} pairs: \
+         cold {cold_pps:.0} pairs/s, warm {warm_pps:.0} pairs/s",
         pairs.len()
     );
 
@@ -198,11 +176,7 @@ fn run_tier(
         .collect();
     publish_us.sort_by(f64::total_cmp);
     let publish_us = publish_us[publish_us.len() / 2];
-    let storage_mode = p.snapshot().storage_mode();
-    println!(
-        "[{tier}] snapshot publish p50 {publish_us:.1}us \
-         (storage: {storage_mode})"
-    );
+    println!("[{tier}] snapshot publish p50 {publish_us:.1}us");
 
     TierReport {
         tier,
@@ -211,14 +185,11 @@ fn run_tier(
         links: g.link_count(),
         gen_secs,
         ingest_secs,
-        wide_secs,
-        compact_secs,
-        wide_bytes,
-        compact_bytes,
+        freeze_secs,
+        bytes,
         pairs: pairs.len(),
         cold_pps,
         warm_pps,
-        storage_mode,
         publish_us,
     }
 }
@@ -228,14 +199,13 @@ fn tier_json(r: &TierReport) -> String {
         "    {{\n      \"tier\": \"{}\",\n      \"spec\": \"{}\",\n      \
          \"nodes\": {},\n      \"links\": {},\n      \
          \"gen_secs\": {:.3},\n      \"ingest_secs\": {:.3},\n      \
-         \"freeze\": {{ \"wide_secs\": {:.3}, \"compact_secs\": {:.3} }},\n      \
-         \"bytes\": {{\n        \"wide\": {},\n        \"compact\": {},\n        \
-         \"wide_per_link\": {:.2},\n        \"compact_per_link\": {:.2},\n        \
-         \"saving_pct\": {:.1}\n      }},\n      \
-         \"scoring\": {{\n        \"pairs\": {},\n        \
+         \"freeze_secs\": {:.3},\n      \
+         \"bytes\": {},\n      \"bytes_per_link\": {:.2},\n      \
+         \"scoring\": {{\n        \
+         \"path\": \"OnlineLinkPredictor::score_batch\",\n        \
+         \"pairs\": {},\n        \
          \"cold_pairs_per_sec\": {:.1},\n        \
-         \"warm_pairs_per_sec\": {:.1},\n        \
-         \"storage_mode\": \"{}\"\n      }},\n      \
+         \"warm_pairs_per_sec\": {:.1}\n      }},\n      \
          \"snapshot_publish_us\": {:.1}\n    }}",
         r.tier,
         r.spec_name,
@@ -243,17 +213,12 @@ fn tier_json(r: &TierReport) -> String {
         r.links,
         r.gen_secs,
         r.ingest_secs,
-        r.wide_secs,
-        r.compact_secs,
-        r.wide_bytes,
-        r.compact_bytes,
-        r.wide_per_link(),
-        r.compact_per_link(),
-        r.saving_pct(),
+        r.freeze_secs,
+        r.bytes,
+        r.bytes_per_link(),
         r.pairs,
         r.cold_pps,
         r.warm_pps,
-        r.storage_mode,
         r.publish_us,
     )
 }
@@ -278,10 +243,9 @@ fn main() {
         }
     }
 
-    // Smoke keeps CI fast but still crosses both interesting
-    // thresholds: S streams (10k nodes = STREAM_THRESHOLD) and the
-    // reduced M (70k nodes) sits above the compact-auto node floor, so
-    // its serving path runs on the compact layout.
+    // Smoke keeps CI fast but still streams its generation: S sits at
+    // 10k nodes = STREAM_THRESHOLD, and the reduced M (70k nodes) is
+    // above it.
     let tiers: Vec<(&'static str, DatasetSpec, usize)> = if smoke {
         vec![
             ("S", DatasetSpec::tier(ScaleTier::S), 256),

@@ -8,7 +8,7 @@
 //!    through interleaved inserts and advances must equal a from-
 //!    scratch [`DynamicNetwork`] rebuilt out of only the in-window
 //!    links, and a fitted model must score both graphs bit-identically
-//!    — across Wide and Compact frozen layouts, the cached and uncached
+//!    — across the frozen CSR layout, the cached and uncached
 //!    extraction paths, and a kill-and-replay WAL recovery of a durable
 //!    windowed predictor. CI gates on the emitted `bit_identical` flag.
 //! 2. **Expiry cost vs. window width** — the same stream ingested at a
@@ -34,8 +34,8 @@ use std::time::Instant;
 
 use datasets::DatasetSpec;
 use dyngraph::{
-    DynamicNetwork, FrozenGraph, GraphView, NodeId, StorageMode, Timestamp,
-    Window, WindowedView,
+    DynamicNetwork, FrozenGraph, GraphView, NodeId, Timestamp, Window,
+    WindowedView,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -176,12 +176,8 @@ fn check_bit_identity(s: &Stream, model: &SsfnmModel, seed: u64) -> bool {
         let present = window.horizon.saturating_add(1);
         let incremental = score_all(model, &wv, &pairs, present);
         let scratch = score_all(model, &fresh, &pairs, present);
-        let wide = FrozenGraph::from_view_with(&wv, StorageMode::Wide)
-            .expect("wide freeze never fails");
-        let compact = FrozenGraph::from_view_with(&wv, StorageMode::Compact)
-            .expect("benchmark graphs fit the compact limits");
-        let frozen_wide = score_all(model, &wide, &pairs, present);
-        let frozen_compact = score_all(model, &compact, &pairs, present);
+        let frozen =
+            score_all(model, &FrozenGraph::from_view(&wv), &pairs, present);
         let cached: Vec<Option<u64>> = pairs
             .iter()
             .map(|&(u, v)| {
@@ -193,8 +189,7 @@ fn check_bit_identity(s: &Stream, model: &SsfnmModel, seed: u64) -> bool {
             .collect();
         for (name, got) in [
             ("from-scratch", &scratch),
-            ("frozen-wide", &frozen_wide),
-            ("frozen-compact", &frozen_compact),
+            ("frozen", &frozen),
             ("cached", &cached),
         ] {
             if got != &incremental {
@@ -453,7 +448,7 @@ fn main() {
     // --- Correctness first: the bit-identity gate. ---
     let maintained = check_bit_identity(&s, &model, seed);
     println!(
-        "bit-identity (incremental vs rebuild, wide/compact, \
+        "bit-identity (incremental vs rebuild, frozen, \
          cached/uncached): {maintained}"
     );
     let recovered = check_recovery_bit_identity(&s, seed);

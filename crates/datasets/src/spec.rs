@@ -199,8 +199,7 @@ impl PaperDataset {
 /// with Pólya pair repetition) and grow only in size, so cross-tier
 /// comparisons measure scale, not topology. Tier time spans are coarse
 /// relative to the link count — consecutive same-row timestamps stay
-/// close, which is what the compact storage's delta encoding rewards
-/// (and what real traces look like: many events per tick).
+/// close, as in real traces (many events per tick).
 ///
 /// | tier | nodes | links | span |
 /// |------|-------|-------|------|
@@ -212,9 +211,9 @@ impl PaperDataset {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ScaleTier {
-    /// 10k nodes / 50k links — fits every mode, CI-fast.
+    /// 10k nodes / 50k links — CI-fast.
     S,
-    /// 100k nodes / 300k links — first compact-by-default rung.
+    /// 100k nodes / 300k links.
     M,
     /// 400k nodes / 1M links — the acceptance rung for bytes/link.
     L,

@@ -37,21 +37,6 @@ pub enum GraphError {
         /// Which invariant failed, human-readable.
         detail: String,
     },
-    /// A count overflowed the compact storage layout's `u32` indices
-    /// while building a [`StorageMode::Compact`] graph. The offending
-    /// value is reported and never silently truncated — a graph that
-    /// does not fit must stay wide.
-    ///
-    /// [`StorageMode::Compact`]: crate::StorageMode::Compact
-    TooLarge {
-        /// Which count overflowed (`"node count + 1"`,
-        /// `"incident slot count"`, `"arena byte length"`, …).
-        what: &'static str,
-        /// The offending value.
-        value: u64,
-        /// The layout's ceiling for that count.
-        limit: u64,
-    },
     /// A sliding-window horizon was asked to move backwards. Windows
     /// only slide forward — rewinding would resurrect expired links
     /// whose state is gone (see [`WindowedView::advance`]).
@@ -93,13 +78,6 @@ impl fmt::Display for GraphError {
             GraphError::InvalidCsr { detail } => {
                 write!(f, "invalid CSR graph: {detail}")
             }
-            GraphError::TooLarge { what, value, limit } => {
-                write!(
-                    f,
-                    "graph too large for compact storage: {what} {value} \
-                     exceeds {limit}"
-                )
-            }
             GraphError::HorizonRegressed { from, to } => {
                 write!(f, "window horizon cannot regress from {from} to {to}")
             }
@@ -134,14 +112,6 @@ mod tests {
             detail: "offsets not monotone".to_string(),
         };
         assert_eq!(e.to_string(), "invalid CSR graph: offsets not monotone");
-        let e = GraphError::TooLarge {
-            what: "incident slot count",
-            value: 5_000_000_000,
-            limit: u32::MAX as u64,
-        };
-        let text = e.to_string();
-        assert!(text.contains("5000000000"), "{text}");
-        assert!(text.contains("compact"), "{text}");
     }
 
     #[test]

@@ -7,13 +7,9 @@
 //! module provides that split:
 //!
 //! * [`FrozenGraph`] — the network frozen into CSR (compressed sparse
-//!   row) layout, in one of two physical representations selected by
-//!   [`StorageMode`]: the *wide* layout (flat `usize`-offset arrays,
-//!   raw `u32` neighbor/timestamp pairs — fastest to decode) or the
-//!   *compact* layout (`u32` offsets plus a varint-packed incident
-//!   arena behind one `Arc` — roughly 35-45% smaller per link, built
-//!   for million-node graphs; see [`crate::compact`]). Both serve the
-//!   identical [`GraphView`] surface bit for bit.
+//!   row) layout: flat `usize`-offset arrays over raw `u32`
+//!   neighbor/timestamp pairs, so every incident-link row is two slices
+//!   read without decoding.
 //! * [`DeltaGraph`] — the writer-side accumulator: an
 //!   `Arc<FrozenGraph>` base plus a small copy-on-write mutation log.
 //!   Mutations never touch the shared base; only the rows of nodes the
@@ -27,103 +23,12 @@
 //! (property-tested in `crates/dyngraph/tests/frozen_prop.rs`).
 
 use std::collections::HashMap;
-use std::str::FromStr;
 use std::sync::Arc;
 
-use crate::compact::{CompactData, CompactLimits};
 use crate::view::{GraphView, IncidentLinks};
 #[cfg(any(test, doc))]
 use crate::DynamicNetwork;
 use crate::{GraphError, NodeId, Timestamp};
-
-/// Which physical representation a [`FrozenGraph`] uses.
-///
-/// `Auto` (the default) picks [`StorageMode::Compact`] when the graph
-/// is large enough for footprint to matter
-/// ([`FrozenGraph::COMPACT_AUTO_MIN_NODES`] nodes or
-/// [`FrozenGraph::COMPACT_AUTO_MIN_LINKS`] links) and every count fits
-/// the compact layout's `u32` indices; small graphs keep the wide
-/// layout, whose raw rows decode faster. The enum is
-/// `#[non_exhaustive]`: future layouts (such as an mmap-backed one)
-/// may be added without a breaking change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum StorageMode {
-    /// Choose per graph: compact when large and it fits, else wide.
-    #[default]
-    Auto,
-    /// Flat `usize` offsets + raw `u32` pairs; fastest decode.
-    Wide,
-    /// `u32` offsets + varint arena behind one `Arc`; smallest.
-    Compact,
-}
-
-impl StorageMode {
-    /// Stable lower-case name (`"auto"` / `"wide"` / `"compact"`),
-    /// used by the CLI `--storage` flag and telemetry.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            StorageMode::Auto => "auto",
-            StorageMode::Wide => "wide",
-            StorageMode::Compact => "compact",
-        }
-    }
-}
-
-impl std::fmt::Display for StorageMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for StorageMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(StorageMode::Auto),
-            "wide" => Ok(StorageMode::Wide),
-            "compact" => Ok(StorageMode::Compact),
-            other => Err(format!(
-                "unknown storage mode {other:?} (expected auto, wide or \
-                 compact)"
-            )),
-        }
-    }
-}
-
-/// The wide representation: five flat arrays, `usize` offsets.
-#[derive(Debug, Clone, PartialEq)]
-struct WideData {
-    /// Incident-link row bounds: row `u` is `offsets[u]..offsets[u+1]`.
-    offsets: Vec<usize>,
-    /// Flat neighbor ids, per-node insertion order.
-    neighbors: Vec<NodeId>,
-    /// Flat timestamps, parallel to `neighbors`.
-    timestamps: Vec<Timestamp>,
-    /// Distinct-neighbor row bounds.
-    nbr_offsets: Vec<usize>,
-    /// Flat distinct neighbors, sorted ascending per node.
-    nbr_ids: Vec<NodeId>,
-}
-
-impl Default for WideData {
-    fn default() -> Self {
-        WideData {
-            offsets: vec![0],
-            neighbors: Vec::new(),
-            timestamps: Vec::new(),
-            nbr_offsets: vec![0],
-            nbr_ids: Vec::new(),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Repr {
-    Wide(WideData),
-    Compact(Arc<CompactData>),
-}
 
 /// An immutable dynamic network in CSR layout.
 ///
@@ -134,14 +39,10 @@ enum Repr {
 /// source once (O(V + E)); afterwards the graph is shared by `Arc`
 /// cloning and read concurrently without locks.
 ///
-/// Two physical layouts exist behind the same API — see
-/// [`StorageMode`]. Equality is *logical*: a wide and a compact graph
-/// holding the same links compare equal.
-///
 /// # Example
 ///
 /// ```rust
-/// use dyngraph::{DynamicNetwork, FrozenGraph, GraphView, StorageMode};
+/// use dyngraph::{DynamicNetwork, FrozenGraph, GraphView};
 ///
 /// let mut g = DynamicNetwork::new();
 /// g.add_link(0, 1, 3);
@@ -150,16 +51,20 @@ enum Repr {
 /// assert_eq!(frozen.node_count(), 3);
 /// assert_eq!(frozen.distinct_neighbors(1), &[0, 2]);
 /// assert_eq!(frozen.revision(), g.revision());
-/// // Small graph: Auto picked the wide layout.
-/// assert_eq!(frozen.storage_mode(), StorageMode::Wide);
-/// let compact =
-///     FrozenGraph::from_view_with(&g, StorageMode::Compact).unwrap();
-/// assert_eq!(compact.storage_mode(), StorageMode::Compact);
-/// assert_eq!(compact, frozen); // logical equality across layouts
+/// assert_eq!(FrozenGraph::from_view(&frozen), frozen);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrozenGraph {
-    repr: Repr,
+    /// Incident-link row bounds: row `u` is `offsets[u]..offsets[u+1]`.
+    offsets: Vec<usize>,
+    /// Flat neighbor ids, per-node insertion order.
+    neighbors: Vec<NodeId>,
+    /// Flat timestamps, parallel to `neighbors`.
+    timestamps: Vec<Timestamp>,
+    /// Distinct-neighbor row bounds.
+    nbr_offsets: Vec<usize>,
+    /// Flat distinct neighbors, sorted ascending per node.
+    nbr_ids: Vec<NodeId>,
     num_links: usize,
     min_ts: Timestamp,
     max_ts: Timestamp,
@@ -170,7 +75,11 @@ pub struct FrozenGraph {
 impl Default for FrozenGraph {
     fn default() -> Self {
         FrozenGraph {
-            repr: Repr::Wide(WideData::default()),
+            offsets: vec![0],
+            neighbors: Vec::new(),
+            timestamps: Vec::new(),
+            nbr_offsets: vec![0],
+            nbr_ids: Vec::new(),
             num_links: 0,
             min_ts: 0,
             max_ts: 0,
@@ -179,77 +88,15 @@ impl Default for FrozenGraph {
     }
 }
 
-impl PartialEq for FrozenGraph {
-    /// Logical equality: same nodes, links, timestamps, orderings,
-    /// bounds and revision — regardless of [`StorageMode`].
-    fn eq(&self, other: &Self) -> bool {
-        if self.num_links != other.num_links
-            || self.min_ts != other.min_ts
-            || self.max_ts != other.max_ts
-            || self.revision != other.revision
-            || self.node_count() != other.node_count()
-        {
-            return false;
-        }
-        match (&self.repr, &other.repr) {
-            (Repr::Wide(a), Repr::Wide(b)) => a == b,
-            (Repr::Compact(a), Repr::Compact(b)) => a == b,
-            _ => (0..self.node_count() as NodeId).all(|u| {
-                self.distinct_neighbors(u) == other.distinct_neighbors(u)
-                    && self.incident_links(u).eq(other.incident_links(u))
-            }),
-        }
-    }
-}
-
 impl FrozenGraph {
-    /// `Auto` switches to the compact layout at this many nodes …
-    pub const COMPACT_AUTO_MIN_NODES: usize = 1 << 16;
-    /// … or this many links, whichever comes first.
-    pub const COMPACT_AUTO_MIN_LINKS: usize = 1 << 18;
-
-    /// An empty frozen graph at revision 0 (wide layout).
+    /// An empty frozen graph at revision 0.
     pub fn empty() -> Self {
         Self::default()
     }
 
-    /// Freezes any [`GraphView`] with [`StorageMode::Auto`]: compact
-    /// when the graph is large and fits, wide otherwise. Preserves node
-    /// ids, per-node link insertion order, timestamps and the revision
-    /// counter. O(V + E).
+    /// Freezes any [`GraphView`]. Preserves node ids, per-node link
+    /// insertion order, timestamps and the revision counter. O(V + E).
     pub fn from_view<G: GraphView + ?Sized>(g: &G) -> Self {
-        if g.node_count() >= Self::COMPACT_AUTO_MIN_NODES
-            || g.link_count() >= Self::COMPACT_AUTO_MIN_LINKS
-        {
-            if let Ok(c) = Self::build_compact(g, &CompactLimits::default()) {
-                return c;
-            }
-        }
-        Self::build_wide(g)
-    }
-
-    /// Freezes any [`GraphView`] with an explicit [`StorageMode`].
-    ///
-    /// # Errors
-    ///
-    /// [`StorageMode::Compact`] returns [`GraphError::TooLarge`] when
-    /// any count overflows the compact layout's `u32` indices (the
-    /// value is reported, never truncated). `Auto` and `Wide` never
-    /// fail.
-    pub fn from_view_with<G: GraphView + ?Sized>(
-        g: &G,
-        mode: StorageMode,
-    ) -> Result<Self, GraphError> {
-        match mode {
-            StorageMode::Auto => Ok(Self::from_view(g)),
-            StorageMode::Wide => Ok(Self::build_wide(g)),
-            StorageMode::Compact => {
-                Self::build_compact(g, &CompactLimits::default())
-            }
-        }
-    }
-
-    fn build_wide<G: GraphView + ?Sized>(g: &G) -> Self {
         let n = g.node_count();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut nbr_offsets = Vec::with_capacity(n + 1);
@@ -269,64 +116,29 @@ impl FrozenGraph {
             nbr_offsets.push(nbr_ids.len());
         }
         FrozenGraph {
-            repr: Repr::Wide(WideData {
-                offsets,
-                neighbors,
-                timestamps,
-                nbr_offsets,
-                nbr_ids,
-            }),
+            offsets,
+            neighbors,
+            timestamps,
+            nbr_offsets,
+            nbr_ids,
             num_links: g.link_count(),
             min_ts: g.min_timestamp().unwrap_or(0),
             max_ts: g.max_timestamp().unwrap_or(0),
             revision: g.revision(),
         }
-    }
-
-    pub(crate) fn build_compact<G: GraphView + ?Sized>(
-        g: &G,
-        limits: &CompactLimits,
-    ) -> Result<Self, GraphError> {
-        let data = CompactData::build(g, limits)?;
-        Ok(FrozenGraph {
-            repr: Repr::Compact(Arc::new(data)),
-            num_links: g.link_count(),
-            min_ts: g.min_timestamp().unwrap_or(0),
-            max_ts: g.max_timestamp().unwrap_or(0),
-            revision: g.revision(),
-        })
-    }
-
-    /// The physical representation in effect — [`StorageMode::Wide`] or
-    /// [`StorageMode::Compact`], never [`StorageMode::Auto`].
-    pub fn storage_mode(&self) -> StorageMode {
-        match &self.repr {
-            Repr::Wide(_) => StorageMode::Wide,
-            Repr::Compact(_) => StorageMode::Compact,
-        }
-    }
-
-    /// `true` when the graph uses the compact layout.
-    pub fn is_compact(&self) -> bool {
-        matches!(self.repr, Repr::Compact(_))
     }
 
     /// Logical heap footprint of the graph arrays in bytes (element
-    /// counts times element width, plus the arena length — capacities
-    /// and allocator overhead excluded). The honest numerator for the
-    /// bench's bytes-per-link accounting.
+    /// counts times element width — capacities and allocator overhead
+    /// excluded). The honest numerator for the bench's bytes-per-link
+    /// accounting.
     pub fn heap_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Wide(w) => {
-                let word = std::mem::size_of::<usize>();
-                w.offsets.len() * word
-                    + w.neighbors.len() * 4
-                    + w.timestamps.len() * 4
-                    + w.nbr_offsets.len() * word
-                    + w.nbr_ids.len() * 4
-            }
-            Repr::Compact(c) => c.heap_bytes(),
-        }
+        let word = std::mem::size_of::<usize>();
+        self.offsets.len() * word
+            + self.neighbors.len() * 4
+            + self.timestamps.len() * 4
+            + self.nbr_offsets.len() * word
+            + self.nbr_ids.len() * 4
     }
 
     /// Raw `(min_ts, max_ts)` counters, `(0, 0)` when the graph holds
@@ -336,56 +148,23 @@ impl FrozenGraph {
         (self.min_ts, self.max_ts)
     }
 
-    /// Borrows the raw storage arrays for serialization. The variant
-    /// mirrors [`Self::storage_mode`]; serialization layers write the
-    /// arrays verbatim and reassemble through [`Self::try_from_parts`]
-    /// or [`Self::try_from_compact_parts`].
-    pub fn raw_storage(&self) -> RawStorage<'_> {
-        match &self.repr {
-            Repr::Wide(w) => RawStorage::Wide {
-                offsets: &w.offsets,
-                neighbors: &w.neighbors,
-                timestamps: &w.timestamps,
-                nbr_offsets: &w.nbr_offsets,
-                nbr_ids: &w.nbr_ids,
-            },
-            Repr::Compact(c) => RawStorage::Compact {
-                slot_offsets: &c.slot_offsets,
-                byte_offsets: &c.byte_offsets,
-                arena: &c.arena,
-                nbr_offsets: &c.nbr_offsets,
-                nbr_ids: &c.nbr_ids,
-            },
-        }
-    }
-
-    /// Materializes the graph as owned wide CSR arrays (cloning for a
-    /// wide graph, decoding for a compact one). The interchange type
-    /// for tests and cross-layout tooling.
+    /// Copies the graph out as owned CSR arrays, the interchange type
+    /// for tests and tooling.
     pub fn to_parts(&self) -> FrozenGraphParts {
-        match &self.repr {
-            Repr::Wide(w) => FrozenGraphParts {
-                offsets: w.offsets.clone(),
-                neighbors: w.neighbors.clone(),
-                timestamps: w.timestamps.clone(),
-                nbr_offsets: w.nbr_offsets.clone(),
-                nbr_ids: w.nbr_ids.clone(),
-                num_links: self.num_links,
-                min_ts: self.min_ts,
-                max_ts: self.max_ts,
-                revision: self.revision,
-            },
-            Repr::Compact(c) => expand_compact(
-                c,
-                self.num_links,
-                self.min_ts,
-                self.max_ts,
-                self.revision,
-            ),
+        FrozenGraphParts {
+            offsets: self.offsets.clone(),
+            neighbors: self.neighbors.clone(),
+            timestamps: self.timestamps.clone(),
+            nbr_offsets: self.nbr_offsets.clone(),
+            nbr_ids: self.nbr_ids.clone(),
+            num_links: self.num_links,
+            min_ts: self.min_ts,
+            max_ts: self.max_ts,
+            revision: self.revision,
         }
     }
 
-    /// Reassembles a wide frozen graph from raw CSR arrays, validating
+    /// Reassembles a frozen graph from raw CSR arrays, validating
     /// every structural invariant first. This is the deserialization
     /// path: the input may come from disk, so nothing is trusted — a
     /// graph that decodes but fails any check below must never be
@@ -424,145 +203,21 @@ impl FrozenGraph {
             revision,
         } = parts;
         Ok(FrozenGraph {
-            repr: Repr::Wide(WideData {
-                offsets,
-                neighbors,
-                timestamps,
-                nbr_offsets,
-                nbr_ids,
-            }),
-            num_links,
-            min_ts,
-            max_ts,
-            revision,
-        })
-    }
-
-    /// Reassembles a compact frozen graph from raw arrays, the
-    /// compact-codec deserialization path. Validation is two-phase:
-    /// the packed arrays are first checked structurally (offsets agree
-    /// and close, every varint row decodes exactly, indices and
-    /// timestamps in range — see the `compact` module), then
-    /// *expanded* and run through the same
-    /// semantic validator as [`Self::try_from_parts`], so a compact
-    /// file can never smuggle in structure a wide file would be
-    /// rejected for. The compact arrays are kept; the expansion is
-    /// discarded after validation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidCsr`] naming the violated
-    /// invariant.
-    pub fn try_from_compact_parts(
-        parts: CompactGraphParts,
-    ) -> Result<Self, GraphError> {
-        let CompactGraphParts {
-            slot_offsets,
-            byte_offsets,
-            arena,
+            offsets,
+            neighbors,
+            timestamps,
             nbr_offsets,
             nbr_ids,
             num_links,
             min_ts,
             max_ts,
             revision,
-        } = parts;
-        let data = CompactData {
-            slot_offsets: slot_offsets.into_boxed_slice(),
-            byte_offsets: byte_offsets.into_boxed_slice(),
-            arena: arena.into_boxed_slice(),
-            nbr_offsets: nbr_offsets.into_boxed_slice(),
-            nbr_ids: nbr_ids.into_boxed_slice(),
-        };
-        data.validate_structure(num_links)?;
-        expand_compact(&data, num_links, min_ts, max_ts, revision)
-            .validate()?;
-        Ok(FrozenGraph {
-            repr: Repr::Compact(Arc::new(data)),
-            num_links,
-            min_ts,
-            max_ts,
-            revision,
         })
     }
 }
 
-/// Decodes a compact graph into owned wide arrays.
-fn expand_compact(
-    c: &CompactData,
-    num_links: usize,
-    min_ts: Timestamp,
-    max_ts: Timestamp,
-    revision: u64,
-) -> FrozenGraphParts {
-    let n = c.node_count();
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut nbr_offsets = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    nbr_offsets.push(0);
-    let mut neighbors = Vec::with_capacity(2 * num_links);
-    let mut timestamps = Vec::with_capacity(2 * num_links);
-    let mut nbr_ids = Vec::new();
-    for u in 0..n {
-        for (v, t) in c.packed_row(u) {
-            neighbors.push(v);
-            timestamps.push(t);
-        }
-        offsets.push(neighbors.len());
-        nbr_ids.extend_from_slice(c.distinct_row(u));
-        nbr_offsets.push(nbr_ids.len());
-    }
-    FrozenGraphParts {
-        offsets,
-        neighbors,
-        timestamps,
-        nbr_offsets,
-        nbr_ids,
-        num_links,
-        min_ts,
-        max_ts,
-        revision,
-    }
-}
-
-/// Borrowed raw storage arrays of a [`FrozenGraph`], matching its
-/// [`StorageMode`]. Returned by [`FrozenGraph::raw_storage`] for
-/// serialization layers; `#[non_exhaustive]` like [`StorageMode`].
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum RawStorage<'a> {
-    /// Wide layout: flat `usize` offsets, raw parallel arrays.
-    #[non_exhaustive]
-    Wide {
-        /// Incident-link row bounds, `node_count + 1` entries.
-        offsets: &'a [usize],
-        /// Flat neighbor ids, insertion order.
-        neighbors: &'a [NodeId],
-        /// Flat timestamps, parallel to `neighbors`.
-        timestamps: &'a [Timestamp],
-        /// Distinct-neighbor row bounds.
-        nbr_offsets: &'a [usize],
-        /// Flat distinct neighbors, sorted ascending per row.
-        nbr_ids: &'a [NodeId],
-    },
-    /// Compact layout: `u32` offsets + varint arena.
-    #[non_exhaustive]
-    Compact {
-        /// Incident-slot row bounds, `node_count + 1` entries.
-        slot_offsets: &'a [u32],
-        /// Arena byte bounds per node, `node_count + 1` entries.
-        byte_offsets: &'a [u32],
-        /// Packed incident slots (varint pairs).
-        arena: &'a [u8],
-        /// Distinct-neighbor row bounds.
-        nbr_offsets: &'a [u32],
-        /// Flat distinct neighbors, sorted ascending per row.
-        nbr_ids: &'a [NodeId],
-    },
-}
-
-/// Owned raw CSR arrays of a wide [`FrozenGraph`], the interchange type
-/// for serialization layers (see `ssf-persist`). Construct one field by
+/// Owned raw CSR arrays of a [`FrozenGraph`], the interchange type for
+/// serialization layers (see `ssf-persist`). Construct one field by
 /// field from decoded bytes and hand it to
 /// [`FrozenGraph::try_from_parts`] for validated reassembly.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -578,31 +233,6 @@ pub struct FrozenGraphParts {
     /// Flat distinct neighbors, sorted ascending per row.
     pub nbr_ids: Vec<NodeId>,
     /// Total link count (each link occupies two CSR slots).
-    pub num_links: usize,
-    /// Smallest timestamp, 0 when empty.
-    pub min_ts: Timestamp,
-    /// Largest timestamp, 0 when empty.
-    pub max_ts: Timestamp,
-    /// Revision of the source graph at freeze time.
-    pub revision: u64,
-}
-
-/// Owned raw arrays of a compact [`FrozenGraph`], the compact-codec
-/// interchange type. Hand to [`FrozenGraph::try_from_compact_parts`]
-/// for validated reassembly.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CompactGraphParts {
-    /// Incident-slot row bounds, `node_count + 1` entries.
-    pub slot_offsets: Vec<u32>,
-    /// Arena byte bounds per node, `node_count + 1` entries.
-    pub byte_offsets: Vec<u32>,
-    /// Packed incident slots (varint pairs).
-    pub arena: Vec<u8>,
-    /// Distinct-neighbor row bounds, `node_count + 1` entries.
-    pub nbr_offsets: Vec<u32>,
-    /// Flat distinct neighbors, sorted ascending per row.
-    pub nbr_ids: Vec<NodeId>,
-    /// Total link count (each link occupies two slots).
     pub num_links: usize,
     /// Smallest timestamp, 0 when empty.
     pub min_ts: Timestamp,
@@ -741,10 +371,7 @@ impl FrozenGraphParts {
 
 impl GraphView for FrozenGraph {
     fn node_count(&self) -> usize {
-        match &self.repr {
-            Repr::Wide(w) => w.offsets.len() - 1,
-            Repr::Compact(c) => c.node_count(),
-        }
+        self.offsets.len() - 1
     }
 
     fn link_count(&self) -> usize {
@@ -765,29 +392,21 @@ impl GraphView for FrozenGraph {
 
     fn distinct_neighbors(&self, u: NodeId) -> &[NodeId] {
         let u = u as usize;
-        match &self.repr {
-            Repr::Wide(w) => &w.nbr_ids[w.nbr_offsets[u]..w.nbr_offsets[u + 1]],
-            Repr::Compact(c) => c.distinct_row(u),
-        }
+        &self.nbr_ids[self.nbr_offsets[u]..self.nbr_offsets[u + 1]]
     }
 
     fn incident_links(&self, u: NodeId) -> IncidentLinks<'_> {
         let u = u as usize;
-        match &self.repr {
-            Repr::Wide(w) => IncidentLinks::from_split(
-                &w.neighbors[w.offsets[u]..w.offsets[u + 1]],
-                &w.timestamps[w.offsets[u]..w.offsets[u + 1]],
-            ),
-            Repr::Compact(c) => IncidentLinks::from_packed(c.packed_row(u)),
-        }
+        let row = self.offsets[u]..self.offsets[u + 1];
+        IncidentLinks::from_split(
+            &self.neighbors[row.clone()],
+            &self.timestamps[row],
+        )
     }
 
     fn multi_degree(&self, u: NodeId) -> usize {
         let u = u as usize;
-        match &self.repr {
-            Repr::Wide(w) => w.offsets[u + 1] - w.offsets[u],
-            Repr::Compact(c) => c.slot_count(u),
-        }
+        self.offsets[u + 1] - self.offsets[u]
     }
 }
 
@@ -1084,10 +703,9 @@ impl DeltaGraph {
     /// `affected` must name *both* endpoints of every expired link
     /// (which [`AdvanceReport::affected`](crate::AdvanceReport) does):
     /// rows are symmetric, so each expired link is seen twice and the
-    /// link count drops by half the row removals. Works identically
-    /// over wide and compact bases — expiry materializes the filtered
-    /// row, after which the base layout is out of the read path for
-    /// that node. Returns the number of links removed.
+    /// link count drops by half the row removals. Expiry materializes
+    /// the filtered row, after which the base row is out of the read
+    /// path for that node. Returns the number of links removed.
     pub fn expire_links_below(
         &mut self,
         cutoff: Timestamp,
@@ -1129,60 +747,20 @@ impl DeltaGraph {
     }
 
     /// Folds base + delta into a fresh CSR [`FrozenGraph`] without
-    /// resetting this delta, preserving the base's [`StorageMode`]: a
-    /// compact base refreezes compact (falling back to wide if the
-    /// grown graph no longer fits), a wide base refreezes with the
-    /// `Auto` policy. The frozen copy carries the current revision.
+    /// resetting this delta. The frozen copy carries the current
+    /// revision.
     pub fn freeze(&self) -> FrozenGraph {
-        if self.view.base.is_compact() {
-            match FrozenGraph::from_view_with(&self.view, StorageMode::Compact)
-            {
-                Ok(f) => f,
-                Err(_) => FrozenGraph::build_wide(&self.view),
-            }
-        } else {
-            FrozenGraph::from_view(&self.view)
-        }
-    }
-
-    /// [`Self::freeze`] with an explicit [`StorageMode`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FrozenGraph::from_view_with`]: only
-    /// [`StorageMode::Compact`] can fail, with
-    /// [`GraphError::TooLarge`].
-    pub fn freeze_with(
-        &self,
-        mode: StorageMode,
-    ) -> Result<FrozenGraph, GraphError> {
-        FrozenGraph::from_view_with(&self.view, mode)
+        FrozenGraph::from_view(&self.view)
     }
 
     /// Compacts: freezes the accumulated state into a new shared base
     /// and restarts the delta empty on top of it. Returns the new base.
     /// O(V + E) — amortize by rebasing only when
-    /// [`Self::delta_link_count`] has grown proportionally. The base's
-    /// [`StorageMode`] is preserved (see [`Self::freeze`]).
+    /// [`Self::delta_link_count`] has grown proportionally.
     pub fn rebase(&mut self) -> Arc<FrozenGraph> {
         let base = Arc::new(self.freeze());
         *self = DeltaGraph::new(Arc::clone(&base));
         base
-    }
-
-    /// [`Self::rebase`] with an explicit [`StorageMode`]. On error the
-    /// delta is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// As [`FrozenGraph::from_view_with`].
-    pub fn rebase_with(
-        &mut self,
-        mode: StorageMode,
-    ) -> Result<Arc<FrozenGraph>, GraphError> {
-        let base = Arc::new(self.freeze_with(mode)?);
-        *self = DeltaGraph::new(Arc::clone(&base));
-        Ok(base)
     }
 }
 
@@ -1285,76 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_graph_matches_source_and_wide() {
-        let g = sample();
-        let wide = FrozenGraph::from_view_with(&g, StorageMode::Wide).unwrap();
-        let compact =
-            FrozenGraph::from_view_with(&g, StorageMode::Compact).unwrap();
-        assert_eq!(wide.storage_mode(), StorageMode::Wide);
-        assert_eq!(compact.storage_mode(), StorageMode::Compact);
-        assert!(compact.is_compact());
-        assert_views_agree(&compact, &g);
-        assert_eq!(compact, wide, "logical equality across layouts");
-        assert_eq!(wide, compact);
-        assert_eq!(compact.to_parts(), wide.to_parts());
-    }
-
-    #[test]
-    fn auto_mode_keeps_small_graphs_wide() {
-        let f = FrozenGraph::from_view(&sample());
-        assert_eq!(f.storage_mode(), StorageMode::Wide);
-        let f =
-            FrozenGraph::from_view_with(&sample(), StorageMode::Auto).unwrap();
-        assert_eq!(f.storage_mode(), StorageMode::Wide);
-    }
-
-    #[test]
-    fn storage_mode_parses_and_displays() {
-        for mode in [StorageMode::Auto, StorageMode::Wide, StorageMode::Compact]
-        {
-            assert_eq!(mode.as_str().parse::<StorageMode>(), Ok(mode));
-            assert_eq!(mode.to_string(), mode.as_str());
-        }
-        assert!("mmap".parse::<StorageMode>().is_err());
-        assert_eq!(StorageMode::default(), StorageMode::Auto);
-    }
-
-    #[test]
-    fn compact_overflow_is_a_typed_error() {
-        let g = sample();
-        let err =
-            FrozenGraph::build_compact(&g, &CompactLimits { max_index: 2 })
-                .unwrap_err();
-        match err {
-            GraphError::TooLarge { value, limit, .. } => {
-                assert_eq!(limit, 2);
-                assert!(value > 2, "offending value is reported: {value}");
-            }
-            other => panic!("expected TooLarge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn compact_is_smaller_than_wide() {
-        let mut g = DynamicNetwork::new();
-        // A few hundred links with coarse timestamps, the shape the
-        // compact layout targets.
-        for i in 0..400u32 {
-            let u = i % 97;
-            g.add_link(u, (u + 1 + i % 7) % 97, i / 4);
-        }
-        let wide = FrozenGraph::from_view_with(&g, StorageMode::Wide).unwrap();
-        let compact =
-            FrozenGraph::from_view_with(&g, StorageMode::Compact).unwrap();
-        assert!(
-            compact.heap_bytes() < wide.heap_bytes(),
-            "compact {} >= wide {}",
-            compact.heap_bytes(),
-            wide.heap_bytes()
-        );
-    }
-
-    #[test]
     fn empty_frozen_graph() {
         let f = FrozenGraph::empty();
         assert_eq!(f.node_count(), 0);
@@ -1363,7 +871,6 @@ mod tests {
         assert_eq!(f.min_timestamp(), None);
         assert_eq!(f.max_timestamp(), None);
         assert_eq!(f.revision(), 0);
-        assert_eq!(f.storage_mode(), StorageMode::Wide);
     }
 
     #[test]
@@ -1418,30 +925,6 @@ mod tests {
         let r = delta.revision();
         assert!(delta.try_add_link_sorted(3, 3, 1).is_err());
         assert_eq!(delta.revision(), r);
-    }
-
-    #[test]
-    fn delta_graph_over_compact_base() {
-        let g = sample();
-        let base =
-            FrozenGraph::from_view_with(&g, StorageMode::Compact).unwrap();
-        let mut delta = DeltaGraph::new(Arc::new(base));
-        let mut twin = g.clone();
-        for &(u, v, t) in &[(0u32, 4u32, 9u32), (4, 5, 1), (0, 1, 8)] {
-            assert!(delta.try_add_link(u, v, t).is_ok());
-            assert!(twin.try_add_link(u, v, t).is_ok());
-            assert_views_agree(&delta, &twin);
-        }
-        // Rebase preserves compactness.
-        let new_base = delta.rebase();
-        assert!(new_base.is_compact());
-        assert_views_agree(&*new_base, &twin);
-        // Explicit rebase_with can switch layouts.
-        assert!(delta.try_add_link(5, 6, 11).is_ok());
-        assert!(twin.try_add_link(5, 6, 11).is_ok());
-        let wide_base = delta.rebase_with(StorageMode::Wide).unwrap();
-        assert!(!wide_base.is_compact());
-        assert_views_agree(&*wide_base, &twin);
     }
 
     #[test]
@@ -1506,83 +989,6 @@ mod tests {
             FrozenGraph::try_from_parts(FrozenGraph::empty().to_parts())
                 .unwrap();
         assert_eq!(empty, FrozenGraph::empty());
-    }
-
-    /// Raw compact arrays cloned out through `raw_storage`, the way the
-    /// serialization layer writes them.
-    fn compact_parts_of(f: &FrozenGraph) -> CompactGraphParts {
-        let (min_ts, max_ts) = f.raw_timestamp_bounds();
-        match f.raw_storage() {
-            RawStorage::Compact {
-                slot_offsets,
-                byte_offsets,
-                arena,
-                nbr_offsets,
-                nbr_ids,
-                ..
-            } => CompactGraphParts {
-                slot_offsets: slot_offsets.to_vec(),
-                byte_offsets: byte_offsets.to_vec(),
-                arena: arena.to_vec(),
-                nbr_offsets: nbr_offsets.to_vec(),
-                nbr_ids: nbr_ids.to_vec(),
-                num_links: f.link_count(),
-                min_ts,
-                max_ts,
-                revision: f.revision(),
-            },
-            RawStorage::Wide { .. } => panic!("expected compact storage"),
-        }
-    }
-
-    #[test]
-    fn try_from_compact_parts_round_trips() {
-        let g = sample();
-        let f = FrozenGraph::from_view_with(&g, StorageMode::Compact).unwrap();
-        let rebuilt =
-            FrozenGraph::try_from_compact_parts(compact_parts_of(&f)).unwrap();
-        assert_eq!(rebuilt, f);
-        assert!(rebuilt.is_compact());
-        assert_views_agree(&rebuilt, &g);
-    }
-
-    #[test]
-    fn try_from_compact_parts_rejects_corruption() {
-        let g = sample();
-        let f = FrozenGraph::from_view_with(&g, StorageMode::Compact).unwrap();
-        let good = compact_parts_of(&f);
-        assert!(FrozenGraph::try_from_compact_parts(good.clone()).is_ok());
-        type Mutation = Box<dyn Fn(&mut CompactGraphParts)>;
-        let mutations: Vec<(&str, Mutation)> = vec![
-            ("slot offsets start", Box::new(|p| p.slot_offsets[0] = 1)),
-            (
-                "byte offsets end",
-                Box::new(|p| {
-                    let last = p.byte_offsets.len() - 1;
-                    p.byte_offsets[last] += 1;
-                }),
-            ),
-            ("arena truncated", Box::new(|p| p.arena[0] |= 0x80)),
-            ("local index out of range", Box::new(|p| p.arena[0] = 0x7f)),
-            ("distinct unsorted", Box::new(|p| p.nbr_ids.swap(0, 1))),
-            ("link count", Box::new(|p| p.num_links += 1)),
-            ("timestamp bounds", Box::new(|p| p.max_ts += 7)),
-            (
-                "node count agreement",
-                Box::new(|p| {
-                    p.nbr_offsets.pop();
-                }),
-            ),
-        ];
-        for (name, mutate) in mutations {
-            let mut bad = good.clone();
-            mutate(&mut bad);
-            let got = FrozenGraph::try_from_compact_parts(bad);
-            assert!(
-                matches!(got, Err(GraphError::InvalidCsr { .. })),
-                "mutation {name:?} was accepted: {got:?}"
-            );
-        }
     }
 
     #[test]

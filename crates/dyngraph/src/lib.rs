@@ -36,7 +36,6 @@
 //! # }
 //! ```
 
-mod compact;
 mod error;
 mod frozen;
 pub mod io;
@@ -49,10 +48,7 @@ mod view;
 mod window;
 
 pub use error::GraphError;
-pub use frozen::{
-    CompactGraphParts, DeltaGraph, FrozenGraph, FrozenGraphParts, OverlayView,
-    RawStorage, StorageMode,
-};
+pub use frozen::{DeltaGraph, FrozenGraph, FrozenGraphParts, OverlayView};
 pub use network::{DynamicNetwork, Link};
 pub use static_graph::StaticGraph;
 pub use traversal::Adjacency;

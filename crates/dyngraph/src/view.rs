@@ -15,7 +15,6 @@
 //! extracted through any view reproduce the mutable graph's output
 //! exactly (property-tested in `crates/dyngraph/tests/`).
 
-use crate::compact::PackedLinks;
 use crate::{DynamicNetwork, NodeId, Timestamp};
 
 /// Iterator over the `(neighbor, timestamp)` incidences of one node, in
@@ -41,8 +40,6 @@ enum IncidentLinksInner<'a> {
             std::slice::Iter<'a, Timestamp>,
         >,
     ),
-    /// A varint-packed compact-CSR row, decoded on the fly.
-    Packed(PackedLinks<'a>),
 }
 
 impl<'a> IncidentLinks<'a> {
@@ -67,13 +64,6 @@ impl<'a> IncidentLinks<'a> {
             ),
         }
     }
-
-    /// Wraps a compact-CSR packed-row decoder.
-    pub(crate) fn from_packed(links: PackedLinks<'_>) -> IncidentLinks<'_> {
-        IncidentLinks {
-            inner: IncidentLinksInner::Packed(links),
-        }
-    }
 }
 
 impl Iterator for IncidentLinks<'_> {
@@ -83,7 +73,6 @@ impl Iterator for IncidentLinks<'_> {
         match &mut self.inner {
             IncidentLinksInner::Pairs(it) => it.next().copied(),
             IncidentLinksInner::Split(it) => it.next().map(|(&v, &t)| (v, t)),
-            IncidentLinksInner::Packed(it) => it.next(),
         }
     }
 
@@ -91,7 +80,6 @@ impl Iterator for IncidentLinks<'_> {
         match &self.inner {
             IncidentLinksInner::Pairs(it) => it.size_hint(),
             IncidentLinksInner::Split(it) => it.size_hint(),
-            IncidentLinksInner::Packed(it) => it.size_hint(),
         }
     }
 }

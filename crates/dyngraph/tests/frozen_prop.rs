@@ -6,8 +6,7 @@
 use std::sync::Arc;
 
 use dyngraph::{
-    DeltaGraph, DynamicNetwork, FrozenGraph, GraphView, NodeId, StorageMode,
-    Timestamp,
+    DeltaGraph, DynamicNetwork, FrozenGraph, GraphView, NodeId, Timestamp,
 };
 use proptest::prelude::*;
 
@@ -106,63 +105,6 @@ proptest! {
         for (view, net_then) in &published {
             assert_views_agree(view, net_then);
         }
-    }
-
-    /// The wide and compact physical layouts are observationally
-    /// identical: every `GraphView` query answers the same over both,
-    /// and re-freezing across layouts loses nothing in either
-    /// direction.
-    #[test]
-    fn wide_and_compact_agree_on_every_query(
-        links in prop::collection::vec((0..24u32, 0..24u32, 0..2000u32), 1..80)
-    ) {
-        let mut net = DynamicNetwork::new();
-        for (u, v, t) in links {
-            let _ = net.try_add_link(u, v, t);
-        }
-        let wide = FrozenGraph::from_view_with(&net, StorageMode::Wide)
-            .expect("wide freeze never fails");
-        let compact = FrozenGraph::from_view_with(&net, StorageMode::Compact)
-            .expect("tiny graphs always fit the compact limits");
-        prop_assert_eq!(wide.storage_mode(), StorageMode::Wide);
-        prop_assert_eq!(compact.storage_mode(), StorageMode::Compact);
-        assert_views_agree(&wide, &net);
-        assert_views_agree(&compact, &net);
-        // Cross-layout refreeze: each direction reproduces the other
-        // exactly (logical equality holds across representations).
-        let back = FrozenGraph::from_view_with(&compact, StorageMode::Wide)
-            .expect("wide freeze never fails");
-        prop_assert_eq!(&back, &wide);
-        let forth = FrozenGraph::from_view_with(&wide, StorageMode::Compact)
-            .expect("tiny graphs always fit the compact limits");
-        prop_assert_eq!(&forth, &compact);
-    }
-
-    /// A `DeltaGraph` over a compact base tracks its mutable twin bit
-    /// for bit, and mode-preserving rebases keep the compact layout.
-    #[test]
-    fn delta_over_compact_base_tracks_twin(
-        base_links in prop::collection::vec((0..20u32, 0..20u32, 0..300u32), 1..40),
-        delta_links in prop::collection::vec((0..24u32, 0..24u32, 300..600u32), 1..40),
-    ) {
-        let mut net = DynamicNetwork::new();
-        for (u, v, t) in base_links {
-            let _ = net.try_add_link(u, v, t);
-        }
-        let base = FrozenGraph::from_view_with(&net, StorageMode::Compact)
-            .expect("tiny graphs always fit the compact limits");
-        let mut delta = DeltaGraph::new(Arc::new(base));
-        for (u, v, t) in delta_links {
-            let a = net.try_add_link(u, v, t);
-            let b = delta.try_add_link(u, v, t);
-            prop_assert_eq!(a.is_ok(), b.is_ok());
-        }
-        assert_views_agree(&delta, &net);
-        let rebased = delta
-            .rebase_with(StorageMode::Compact)
-            .expect("tiny graphs always fit the compact limits");
-        prop_assert_eq!(rebased.storage_mode(), StorageMode::Compact);
-        assert_views_agree(&*rebased, &net);
     }
 
     /// Freezing a frozen graph is the identity (CSR round-trips).

@@ -3,14 +3,13 @@
 //! `DynamicNetwork` rebuilt from scratch out of only the in-window
 //! links (inserted in stable time order), and the stream layer's
 //! copy-on-write mirror discipline (`expire_links_below` +
-//! `try_add_link_sorted`) tracks the view revision for revision —
-//! across both physical storage modes.
+//! `try_add_link_sorted`) tracks the view revision for revision.
 
 use std::sync::Arc;
 
 use dyngraph::{
     DeltaGraph, DynamicNetwork, FrozenGraph, GraphError, GraphView, NodeId,
-    StorageMode, Timestamp, WindowedView,
+    Timestamp, WindowedView,
 };
 use proptest::prelude::*;
 
@@ -25,9 +24,9 @@ enum Op {
     /// Push the horizon forward, expiring links behind the new cutoff
     /// (regressions are rejected without any state change).
     Advance(Timestamp),
-    /// Compact the mirror into a fresh frozen base (true = compact
-    /// storage), checking the base against the windowed view.
-    Rebase(bool),
+    /// Compact the mirror into a fresh frozen base, checking the base
+    /// against the windowed view.
+    Rebase,
 }
 
 fn add_link() -> impl Strategy<Value = Op> {
@@ -55,7 +54,7 @@ fn op() -> impl Strategy<Value = Op> {
         add_link(),
         advance(),
         (0..16u32).prop_map(Op::EnsureNode),
-        any::<bool>().prop_map(Op::Rebase),
+        Just(Op::Rebase),
     ]
 }
 
@@ -138,7 +137,7 @@ proptest! {
     /// windowed view equals a from-scratch rebuild of its in-window
     /// links, and the mirror (maintained with the stream layer's
     /// expire + sorted-insert discipline) tracks it bit for bit —
-    /// revisions included — over both storage modes.
+    /// revisions included.
     #[test]
     fn windowed_view_matches_from_scratch_rebuild(
         width in width(),
@@ -188,16 +187,8 @@ proptest! {
                     Err(GraphError::HorizonRegressed { .. }) => {}
                     Err(e) => panic!("unexpected advance failure: {e}"),
                 },
-                Op::Rebase(compact) => {
-                    let mode = if compact {
-                        StorageMode::Compact
-                    } else {
-                        StorageMode::Wide
-                    };
-                    let base = mirror
-                        .rebase_with(mode)
-                        .expect("tiny graphs fit both layouts");
-                    prop_assert_eq!(base.storage_mode(), mode);
+                Op::Rebase => {
+                    let base = mirror.rebase();
                     assert_views_agree(&*base, wv.network());
                 }
             }
@@ -213,13 +204,8 @@ proptest! {
             wv.cutoff().unwrap_or(0),
         );
         assert_views_agree_no_rev(&wv, &want);
-        // And both frozen layouts of the view agree with the rebuild.
-        let wide = FrozenGraph::from_view_with(&wv, StorageMode::Wide)
-            .expect("wide freeze never fails");
-        let compact = FrozenGraph::from_view_with(&wv, StorageMode::Compact)
-            .expect("tiny graphs always fit the compact limits");
-        assert_views_agree_no_rev(&wide, &want);
-        assert_views_agree_no_rev(&compact, &want);
+        // And the frozen view agrees with the rebuild.
+        assert_views_agree_no_rev(&FrozenGraph::from_view(&wv), &want);
     }
 
     /// An unbounded `WindowedView` is indistinguishable from a plain
@@ -254,7 +240,7 @@ proptest! {
                         advances += 1;
                     }
                 }
-                Op::Rebase(_) => {}
+                Op::Rebase => {}
             }
         }
         prop_assert_eq!(wv.revision(), twin.revision() + advances);

@@ -24,24 +24,6 @@ pub fn put_usize(buf: &mut Vec<u8>, v: usize) {
     put_u64(buf, v as u64);
 }
 
-/// Encodes a `usize` slice as flat little-endian `u64`s.
-pub fn encode_usizes(values: &[usize]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 * values.len());
-    for &v in values {
-        put_usize(&mut buf, v);
-    }
-    buf
-}
-
-/// Encodes a `u32` slice as flat little-endian words.
-pub fn encode_u32s(values: &[u32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 * values.len());
-    for &v in values {
-        put_u32(&mut buf, v);
-    }
-    buf
-}
-
 /// FNV-1a 64-bit hash — the config fingerprint stamped into snapshots.
 /// Not cryptographic; it only needs to make "restored under a different
 /// configuration" overwhelmingly detectable.
@@ -158,8 +140,12 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX - 1);
-        buf.extend_from_slice(&encode_usizes(&[0, 7, 42]));
-        buf.extend_from_slice(&encode_u32s(&[1, 2, 3]));
+        for v in [0, 7, 42] {
+            put_usize(&mut buf, v);
+        }
+        for v in [1, 2, 3] {
+            put_u32(&mut buf, v);
+        }
         let mut c = Cursor::new("test", &buf);
         assert_eq!(c.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(c.u64().unwrap(), u64::MAX - 1);

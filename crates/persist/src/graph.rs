@@ -1,58 +1,40 @@
 //! `FrozenGraph` ⇄ snapshot sections.
 //!
-//! The on-disk layout mirrors [`FrozenGraph`]'s in-memory arrays
+//! The on-disk layout mirrors [`FrozenGraph`]'s in-memory CSR arrays
 //! exactly, one section per flat array plus a small meta section with
-//! the counters. Both [`dyngraph::StorageMode`]s have a codec:
+//! the counters: `graph.offsets`/`graph.nbr_offsets` as `u64`, ids and
+//! timestamps as raw `u32` (the format-version-1 layout, unchanged
+//! since).
 //!
-//! * **wide** — `graph.offsets`/`graph.nbr_offsets` as `u64`, ids and
-//!   timestamps as raw `u32` (the format-version-1 layout, still
-//!   written for wide graphs and still loaded unchanged);
-//! * **compact** — `graph.c32.*` sections: `u32` offset arrays and the
-//!   varint incident arena verbatim (added in format version 2).
-//!
-//! Decoding dispatches on which sections are present and funnels the
-//! arrays through [`FrozenGraph::try_from_parts`] /
-//! [`FrozenGraph::try_from_compact_parts`], so a graph that loads is a
-//! graph whose every structural invariant has been re-proven —
-//! checksums catch flipped bits, the validators catch a
-//! consistent-looking but internally wrong CSR. A compact file decodes
-//! to a compact in-memory graph and vice versa, and either loads into
-//! bit-identical scores (the representations serve the same
-//! [`GraphView`]).
+//! Decoding funnels the arrays through [`FrozenGraph::try_from_parts`],
+//! so a graph that loads is a graph whose every structural invariant
+//! has been re-proven — checksums catch flipped bits, the validator
+//! catches a consistent-looking but internally wrong CSR. A payload
+//! without these sections — such as the varint-packed `graph.c32.*`
+//! layout some version-2 and version-3 files carry — is refused as
+//! [`PersistError::Corrupt`].
 
-use dyngraph::{
-    CompactGraphParts, FrozenGraph, FrozenGraphParts, GraphView, RawStorage,
-};
+use dyngraph::{FrozenGraph, FrozenGraphParts, GraphView, NodeId};
 
-use crate::codec::{encode_u32s, encode_usizes, put_u32, put_u64, Cursor};
+use crate::codec::{put_u32, put_u64, put_usize, Cursor};
 use crate::error::PersistError;
 use crate::snapshot::{SnapshotReader, SnapshotWriter};
 
 /// Section names for the graph payload.
 pub const SEC_GRAPH_META: &str = "graph.meta";
-/// Incident-link row bounds, `u64` each (wide layout).
+/// Incident-link row bounds, `u64` each.
 pub const SEC_GRAPH_OFFSETS: &str = "graph.offsets";
-/// Flat neighbor ids, `u32` each (wide layout).
+/// Flat neighbor ids, `u32` each.
 pub const SEC_GRAPH_NEIGHBORS: &str = "graph.neighbors";
-/// Flat timestamps, `u32` each, parallel to the neighbors (wide).
+/// Flat timestamps, `u32` each, parallel to the neighbors.
 pub const SEC_GRAPH_TIMESTAMPS: &str = "graph.timestamps";
-/// Distinct-neighbor row bounds, `u64` each (wide layout).
+/// Distinct-neighbor row bounds, `u64` each.
 pub const SEC_GRAPH_NBR_OFFSETS: &str = "graph.nbr_offsets";
-/// Flat distinct-neighbor ids, `u32` each (wide layout).
+/// Flat distinct-neighbor ids, `u32` each.
 pub const SEC_GRAPH_NBR_IDS: &str = "graph.nbr_ids";
-/// Incident-slot row bounds, `u32` each (compact layout).
-pub const SEC_GRAPH_C32_SLOT_OFFSETS: &str = "graph.c32.slot_offsets";
-/// Arena byte bounds, `u32` each (compact layout).
-pub const SEC_GRAPH_C32_BYTE_OFFSETS: &str = "graph.c32.byte_offsets";
-/// Varint-packed incident arena, raw bytes (compact layout).
-pub const SEC_GRAPH_C32_ARENA: &str = "graph.c32.arena";
-/// Distinct-neighbor row bounds, `u32` each (compact layout).
-pub const SEC_GRAPH_C32_NBR_OFFSETS: &str = "graph.c32.nbr_offsets";
-/// Flat distinct-neighbor ids, `u32` each (compact layout).
-pub const SEC_GRAPH_C32_NBR_IDS: &str = "graph.c32.nbr_ids";
 
-/// Writes `g` into `w` as `graph.*` sections matching its
-/// [`storage mode`](FrozenGraph::storage_mode).
+/// Writes `g` into `w` as `graph.*` sections, reading the rows through
+/// its [`GraphView`] in node order.
 pub fn encode_graph(g: &FrozenGraph, w: &mut SnapshotWriter) {
     let (min_ts, max_ts) = g.raw_timestamp_bounds();
     let mut meta = Vec::with_capacity(8 * 3 + 4 * 2);
@@ -62,46 +44,40 @@ pub fn encode_graph(g: &FrozenGraph, w: &mut SnapshotWriter) {
     put_u32(&mut meta, min_ts);
     put_u32(&mut meta, max_ts);
     w.section(SEC_GRAPH_META, meta);
-    match g.raw_storage() {
-        RawStorage::Wide {
-            offsets,
-            neighbors,
-            timestamps,
-            nbr_offsets,
-            nbr_ids,
-            ..
-        } => {
-            w.section(SEC_GRAPH_OFFSETS, encode_usizes(offsets));
-            w.section(SEC_GRAPH_NEIGHBORS, encode_u32s(neighbors));
-            w.section(SEC_GRAPH_TIMESTAMPS, encode_u32s(timestamps));
-            w.section(SEC_GRAPH_NBR_OFFSETS, encode_usizes(nbr_offsets));
-            w.section(SEC_GRAPH_NBR_IDS, encode_u32s(nbr_ids));
+
+    let n = g.node_count();
+    let slots = 2 * g.link_count();
+    let mut offsets = Vec::with_capacity(8 * (n + 1));
+    let mut neighbors = Vec::with_capacity(4 * slots);
+    let mut timestamps = Vec::with_capacity(4 * slots);
+    let mut nbr_offsets = Vec::with_capacity(8 * (n + 1));
+    let mut nbr_ids = Vec::new();
+    let (mut slot_end, mut nbr_end) = (0usize, 0usize);
+    put_usize(&mut offsets, 0);
+    put_usize(&mut nbr_offsets, 0);
+    for u in 0..n as NodeId {
+        for (v, t) in g.incident_links(u) {
+            put_u32(&mut neighbors, v);
+            put_u32(&mut timestamps, t);
         }
-        RawStorage::Compact {
-            slot_offsets,
-            byte_offsets,
-            arena,
-            nbr_offsets,
-            nbr_ids,
-            ..
-        } => {
-            w.section(SEC_GRAPH_C32_SLOT_OFFSETS, encode_u32s(slot_offsets));
-            w.section(SEC_GRAPH_C32_BYTE_OFFSETS, encode_u32s(byte_offsets));
-            w.section(SEC_GRAPH_C32_ARENA, arena.to_vec());
-            w.section(SEC_GRAPH_C32_NBR_OFFSETS, encode_u32s(nbr_offsets));
-            w.section(SEC_GRAPH_C32_NBR_IDS, encode_u32s(nbr_ids));
+        slot_end += g.multi_degree(u);
+        put_usize(&mut offsets, slot_end);
+        let row = g.distinct_neighbors(u);
+        for &v in row {
+            put_u32(&mut nbr_ids, v);
         }
-        // `RawStorage` is non-exhaustive for future layouts; encoding
-        // runs in-process against the same dyngraph version, so both
-        // current arms are covered above.
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("unknown frozen-graph storage layout"),
+        nbr_end += row.len();
+        put_usize(&mut nbr_offsets, nbr_end);
     }
+    w.section(SEC_GRAPH_OFFSETS, offsets);
+    w.section(SEC_GRAPH_NEIGHBORS, neighbors);
+    w.section(SEC_GRAPH_TIMESTAMPS, timestamps);
+    w.section(SEC_GRAPH_NBR_OFFSETS, nbr_offsets);
+    w.section(SEC_GRAPH_NBR_IDS, nbr_ids);
 }
 
 /// Reads the `graph.*` sections of `r` back into a validated
-/// [`FrozenGraph`], in whichever [`dyngraph::StorageMode`] the file
-/// was written.
+/// [`FrozenGraph`].
 ///
 /// # Errors
 ///
@@ -129,34 +105,6 @@ pub fn decode_graph(r: &SnapshotReader) -> Result<FrozenGraph, PersistError> {
         Ok::<_, PersistError>(out)
     };
 
-    let corrupt_graph = |e: dyngraph::GraphError| PersistError::Corrupt {
-        section: "graph".to_string(),
-        detail: e.to_string(),
-    };
-
-    if r.section(SEC_GRAPH_C32_SLOT_OFFSETS).is_some() {
-        let slot_offsets =
-            read_u32s(SEC_GRAPH_C32_SLOT_OFFSETS, node_count + 1)?;
-        let byte_offsets =
-            read_u32s(SEC_GRAPH_C32_BYTE_OFFSETS, node_count + 1)?;
-        let arena = r.require(SEC_GRAPH_C32_ARENA)?.to_vec();
-        let nbr_offsets = read_u32s(SEC_GRAPH_C32_NBR_OFFSETS, node_count + 1)?;
-        let nbr_count = nbr_offsets.last().copied().unwrap_or(0) as usize;
-        let nbr_ids = read_u32s(SEC_GRAPH_C32_NBR_IDS, nbr_count)?;
-        return FrozenGraph::try_from_compact_parts(CompactGraphParts {
-            slot_offsets,
-            byte_offsets,
-            arena,
-            nbr_offsets,
-            nbr_ids,
-            num_links,
-            min_ts,
-            max_ts,
-            revision,
-        })
-        .map_err(corrupt_graph);
-    }
-
     let offsets = read_usizes(SEC_GRAPH_OFFSETS, node_count + 1)?;
     let neighbors = read_u32s(SEC_GRAPH_NEIGHBORS, 2 * num_links)?;
     let timestamps = read_u32s(SEC_GRAPH_TIMESTAMPS, 2 * num_links)?;
@@ -175,12 +123,15 @@ pub fn decode_graph(r: &SnapshotReader) -> Result<FrozenGraph, PersistError> {
         max_ts,
         revision,
     })
-    .map_err(corrupt_graph)
+    .map_err(|e| PersistError::Corrupt {
+        section: "graph".to_string(),
+        detail: e.to_string(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use dyngraph::{DynamicNetwork, StorageMode};
+    use dyngraph::DynamicNetwork;
 
     use super::*;
     use crate::snapshot::SnapshotReader;
@@ -199,10 +150,6 @@ mod tests {
         FrozenGraph::from_view(&network())
     }
 
-    fn sample_compact() -> FrozenGraph {
-        FrozenGraph::from_view_with(&network(), StorageMode::Compact).unwrap()
-    }
-
     fn round_trip(g: &FrozenGraph) -> FrozenGraph {
         let mut w = SnapshotWriter::new();
         encode_graph(g, &mut w);
@@ -218,59 +165,41 @@ mod tests {
         assert_eq!(round_trip(&empty), empty);
     }
 
+    /// A graph payload in the varint-packed `graph.c32.*` layout that
+    /// format versions 2 and 3 wrote for compact graphs (the fixture is
+    /// such a file, holding the `network()` graph). The container still
+    /// opens — the version is in range and every checksum holds — but
+    /// the graph is refused with a typed error, never a panic.
     #[test]
-    fn compact_graph_round_trips_in_compact_mode() {
-        let g = sample_compact();
-        let back = round_trip(&g);
-        assert_eq!(back.storage_mode(), StorageMode::Compact);
-        assert_eq!(back, g);
-        // And logically equals the wide twin of the same network.
-        assert_eq!(back, sample());
-    }
-
-    #[test]
-    fn compact_sections_are_smaller_than_wide_sections() {
-        let mut dense = DynamicNetwork::new();
-        for i in 0..400u32 {
-            let u = i % 97;
-            dense.add_link(u, (u + 1 + i % 7) % 97, i / 4);
+    fn compact_layout_payload_is_refused_as_corrupt() {
+        let bytes = include_bytes!("../fixtures/compact_graph_v3.ssf1");
+        let r = SnapshotReader::from_bytes(bytes).unwrap();
+        assert!(r.section_names().any(|n| n == "graph.c32.arena"));
+        assert!(r.section(SEC_GRAPH_OFFSETS).is_none());
+        match decode_graph(&r) {
+            Err(PersistError::Corrupt { section, .. }) => {
+                assert_eq!(section, SEC_GRAPH_OFFSETS);
+            }
+            other => panic!("expected a Corrupt refusal, got {other:?}"),
         }
-        let mut ww = SnapshotWriter::new();
-        encode_graph(
-            &FrozenGraph::from_view_with(&dense, StorageMode::Wide).unwrap(),
-            &mut ww,
-        );
-        let mut cw = SnapshotWriter::new();
-        encode_graph(
-            &FrozenGraph::from_view_with(&dense, StorageMode::Compact).unwrap(),
-            &mut cw,
-        );
-        assert!(
-            cw.to_bytes().len() < ww.to_bytes().len(),
-            "compact file {} >= wide file {}",
-            cw.to_bytes().len(),
-            ww.to_bytes().len()
-        );
     }
 
     #[test]
     fn payload_corruption_is_typed_not_panicking() {
-        for g in [sample(), sample_compact()] {
-            let mut w = SnapshotWriter::new();
-            encode_graph(&g, &mut w);
-            let bytes = w.to_bytes();
-            for i in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[i] = bad[i].wrapping_add(1);
-                let outcome = SnapshotReader::from_bytes(&bad)
-                    .and_then(|r| decode_graph(&r));
-                match outcome {
-                    Err(PersistError::Corrupt { .. }) => {}
-                    Err(other) => panic!("byte {i}: unexpected {other}"),
-                    Ok(got) => assert_eq!(
-                        got, g,
-                        "byte {i} silently changed the graph"
-                    ),
+        let g = sample();
+        let mut w = SnapshotWriter::new();
+        encode_graph(&g, &mut w);
+        let bytes = w.to_bytes();
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] = bad[i].wrapping_add(1);
+            let outcome =
+                SnapshotReader::from_bytes(&bad).and_then(|r| decode_graph(&r));
+            match outcome {
+                Err(PersistError::Corrupt { .. }) => {}
+                Err(other) => panic!("byte {i}: unexpected {other}"),
+                Ok(got) => {
+                    assert_eq!(got, g, "byte {i} silently changed the graph")
                 }
             }
         }
@@ -280,32 +209,29 @@ mod tests {
     fn cross_section_lies_are_caught_by_the_validator() {
         // A snapshot whose sections each checksum fine but which
         // disagree with each other: claim one fewer link than the
-        // arrays hold. Exercised for both storage layouts.
-        for g in [sample(), sample_compact()] {
-            let mut w = SnapshotWriter::new();
-            encode_graph(&g, &mut w);
-            let mut r = SnapshotReader::from_bytes(&w.to_bytes()).unwrap();
-            let (min_ts, max_ts) = g.raw_timestamp_bounds();
-            let mut meta = Vec::new();
-            crate::codec::put_u64(&mut meta, g.link_count() as u64 - 1);
-            crate::codec::put_u64(&mut meta, g.node_count() as u64);
-            crate::codec::put_u64(&mut meta, g.revision());
-            crate::codec::put_u32(&mut meta, min_ts);
-            crate::codec::put_u32(&mut meta, max_ts);
-            let mut lying = SnapshotWriter::new();
-            lying.section(SEC_GRAPH_META, meta);
-            for name in
-                r.section_names().map(str::to_string).collect::<Vec<_>>()
-            {
-                if name != SEC_GRAPH_META {
-                    lying.section(&name, r.require(&name).unwrap().to_vec());
-                }
+        // arrays hold.
+        let g = sample();
+        let mut w = SnapshotWriter::new();
+        encode_graph(&g, &mut w);
+        let r = SnapshotReader::from_bytes(&w.to_bytes()).unwrap();
+        let (min_ts, max_ts) = g.raw_timestamp_bounds();
+        let mut meta = Vec::new();
+        crate::codec::put_u64(&mut meta, g.link_count() as u64 - 1);
+        crate::codec::put_u64(&mut meta, g.node_count() as u64);
+        crate::codec::put_u64(&mut meta, g.revision());
+        crate::codec::put_u32(&mut meta, min_ts);
+        crate::codec::put_u32(&mut meta, max_ts);
+        let mut lying = SnapshotWriter::new();
+        lying.section(SEC_GRAPH_META, meta);
+        for name in r.section_names() {
+            if name != SEC_GRAPH_META {
+                lying.section(name, r.require(name).unwrap().to_vec());
             }
-            r = SnapshotReader::from_bytes(&lying.to_bytes()).unwrap();
-            assert!(matches!(
-                decode_graph(&r),
-                Err(PersistError::Corrupt { .. })
-            ));
         }
+        let r = SnapshotReader::from_bytes(&lying.to_bytes()).unwrap();
+        assert!(matches!(
+            decode_graph(&r),
+            Err(PersistError::Corrupt { .. })
+        ));
     }
 }

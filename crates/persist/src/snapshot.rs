@@ -31,13 +31,15 @@ use crate::error::{corrupt, PersistError};
 
 /// File magic: the first four bytes of every snapshot.
 pub const MAGIC: [u8; 4] = *b"SSF1";
-/// Current container format version. Version 2 added the compact-CSR
-/// graph sections (`graph.c32.*`); version 3 added the optional
+/// Current container format version; version 3 added the optional
 /// sliding-window section (`pmeta.window`). The section container
-/// itself is unchanged, so readers accept every version down to
-/// [`MIN_VERSION`].
+/// itself has never changed, so readers open every version down to
+/// [`MIN_VERSION`]. Version 2 also introduced varint-packed
+/// `graph.c32.*` graph sections, which are no longer written or read:
+/// a file whose graph uses them opens, but its graph is refused as
+/// corrupt (see [`crate::graph`]).
 pub const VERSION: u32 = 3;
-/// Oldest container format version this reader still loads.
+/// Oldest container format version this reader still opens.
 pub const MIN_VERSION: u32 = 1;
 
 /// Assembles a snapshot in memory, then persists it atomically.

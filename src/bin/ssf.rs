@@ -13,18 +13,17 @@
 //! Edge lists are whitespace-separated `u v t` lines (KONECT style; see
 //! `dyngraph::io`).
 
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ssf_repro::baselines;
 use ssf_repro::datasets::DatasetSpec;
-use ssf_repro::dyngraph::{
-    io, metrics, stats::NetworkStats, DynamicNetwork, StorageMode,
-};
+use ssf_repro::dyngraph::{io, metrics, stats::NetworkStats, DynamicNetwork};
 use ssf_repro::methods::{Method, MethodOptions};
 use ssf_repro::model::SsfnmModel;
 use ssf_repro::obs::{ObsHandle, Registry};
@@ -37,7 +36,7 @@ use ssf_repro::ssf_eval::{
 };
 use ssf_repro::{
     CoalesceConfig, Coalescer, DurabilityPolicy, FsyncPolicy,
-    OnlineLinkPredictor, OnlinePredictorConfig, SystemClock,
+    OnlineLinkPredictor, OnlinePredictorConfig, SystemClock, Ticket,
 };
 
 fn main() -> ExitCode {
@@ -153,12 +152,9 @@ USAGE:
                                                overload model
   ssf save     <edge-list> --dir DIR [--k N] [--epochs N] [--seed N]
                [--refit-every N] [--fsync always|never|N]
-               [--storage auto|wide|compact] [--window W] [--advance T]
-                                               ingest through a durable
+               [--window W] [--advance T]      ingest through a durable
                                                predictor (WAL per event) and
                                                checkpoint one SSF1 snapshot;
-                                               --storage picks the frozen
-                                               graph layout (auto = by size),
                                                --advance pushes the horizon
                                                to T (expiring aged links)
                                                before the checkpoint
@@ -588,6 +584,30 @@ enum Arrivals {
     OpenPoisson,
 }
 
+/// How often an open-loop client waiting for its next arrival polls its
+/// oldest outstanding ticket.
+const POLL_INTERVAL: Duration = Duration::from_micros(50);
+
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Stamps every resolved ticket at the front of `pending`, recording
+/// the latency of the ones that completed (sheds and expiries do not
+/// count). The coalescer retires requests in admission order, so
+/// polling only the oldest ticket sees each completion as it lands.
+fn take_ready(pending: &mut VecDeque<(Instant, Ticket)>, lat: &mut Vec<u64>) {
+    while let Some((issued, ticket)) = pending.front() {
+        let Some(outcome) = ticket.try_take() else {
+            break;
+        };
+        if outcome.is_ok() {
+            lat.push(elapsed_ns(*issued));
+        }
+        pending.pop_front();
+    }
+}
+
 /// `serve-loop`: the request-coalescing front-end under load. Ingests
 /// the stream through the online predictor like `serve`, then puts the
 /// published snapshot behind a [`Coalescer`] and drives it with client
@@ -597,9 +617,11 @@ enum Arrivals {
 /// follow their arrival schedule regardless of completions — a
 /// backed-up server keeps receiving load, so overload surfaces as
 /// admission sheds and deadline misses instead of politely throttled
-/// clients. Reports the SLO numbers the coalescer exists to serve:
-/// p50/p99 end-to-end latency, deadline-miss rate, mean batch size and
-/// overload sheds.
+/// clients. Between arrivals they poll their oldest ticket and stamp
+/// each completion when first seen; after the arrival window they wait
+/// on the rest in order. Reports the SLO numbers the coalescer exists
+/// to serve: p50/p99 end-to-end latency, deadline-miss rate, mean batch
+/// size and overload sheds.
 fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     let path = args.first().ok_or("usage: ssf serve-loop <edge-list>")?;
     let g = load(path, args)?;
@@ -671,11 +693,10 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         Arc::new(SystemClock::new()),
         obs.clone(),
     );
-    let duration = std::time::Duration::from_millis(duration_ms);
+    let duration = Duration::from_millis(duration_ms);
     // Per-client pacing interval; `--qps 0` means unpaced.
-    let interval = (qps > 0).then(|| {
-        std::time::Duration::from_secs_f64(clients as f64 / qps as f64)
-    });
+    let interval =
+        (qps > 0).then(|| Duration::from_secs_f64(clients as f64 / qps as f64));
     let worker = {
         let c = coalescer.clone();
         std::thread::spawn(move || c.run_worker())
@@ -698,18 +719,29 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
                         (state >> 33) as u32
                     };
                     let mut lat: Vec<u64> = Vec::new();
-                    // Open-loop tickets are collected and drained only
-                    // after the arrival schedule ends, so submissions
-                    // never wait on completions.
-                    let mut pending: Vec<(Instant, ssf_repro::Ticket)> =
-                        Vec::new();
+                    // Open-loop tickets queue here in submission order,
+                    // so submissions never wait on completions.
+                    let mut pending: VecDeque<(Instant, Ticket)> =
+                        VecDeque::new();
                     let start = Instant::now();
                     let mut next = start;
                     while start.elapsed() < duration {
                         if let Some(iv) = interval {
-                            let now = Instant::now();
-                            if now < next {
-                                std::thread::sleep(next - now);
+                            // Until the next arrival is due, poll the
+                            // oldest ticket so each completion is
+                            // stamped when it lands.
+                            loop {
+                                take_ready(&mut pending, &mut lat);
+                                let now = Instant::now();
+                                if now >= next {
+                                    break;
+                                }
+                                let wait = next - now;
+                                std::thread::sleep(if pending.is_empty() {
+                                    wait
+                                } else {
+                                    wait.min(POLL_INTERVAL)
+                                });
                             }
                             next += match arrivals {
                                 Arrivals::OpenPoisson => {
@@ -719,7 +751,7 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
                                     // moves forward.
                                     let u = (f64::from(next_u32()) + 1.0)
                                         / 4_294_967_296.0;
-                                    std::time::Duration::from_secs_f64(
+                                    Duration::from_secs_f64(
                                         (-u.ln() * iv.as_secs_f64()).max(1e-9),
                                     )
                                 }
@@ -735,22 +767,16 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
                         if let Ok(ticket) = c.submit(u, v) {
                             if arrivals == Arrivals::Closed {
                                 if ticket.wait().is_ok() {
-                                    let ns = u64::try_from(
-                                        issued.elapsed().as_nanos(),
-                                    )
-                                    .unwrap_or(u64::MAX);
-                                    lat.push(ns);
+                                    lat.push(elapsed_ns(issued));
                                 }
                             } else {
-                                pending.push((issued, ticket));
+                                pending.push_back((issued, ticket));
                             }
                         }
                     }
                     for (issued, ticket) in pending {
                         if ticket.wait().is_ok() {
-                            let ns = u64::try_from(issued.elapsed().as_nanos())
-                                .unwrap_or(u64::MAX);
-                            lat.push(ns);
+                            lat.push(elapsed_ns(issued));
                         }
                     }
                     lat
@@ -841,7 +867,6 @@ fn predictor_config(args: &[String]) -> Result<OnlinePredictorConfig, String> {
     OnlinePredictorConfig::builder()
         .method(opts)
         .refit_every(parse_flag(args, "--refit-every", 64)?)
-        .storage(storage_mode(args)?)
         .window(window_width(args)?)
         .build()
         .map_err(|e| e.to_string())
@@ -880,15 +905,6 @@ fn apply_advance(
         None => println!("horizon already at {to}; nothing to expire"),
     }
     Ok(())
-}
-
-fn storage_mode(args: &[String]) -> Result<StorageMode, String> {
-    match flag(args, "--storage").as_deref() {
-        None => Ok(StorageMode::Auto),
-        Some(v) => v.parse::<StorageMode>().map_err(|_| {
-            format!("invalid value for --storage: {v:?} (auto, wide, compact)")
-        }),
-    }
 }
 
 fn fsync_policy(args: &[String]) -> Result<FsyncPolicy, String> {
@@ -966,11 +982,10 @@ fn cmd_save(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         events.len() as f64 / ingest_secs.max(1e-9),
     );
     println!(
-        "checkpoint {} at revision {} (fitted={}, storage={})",
+        "checkpoint {} at revision {} (fitted={})",
         snapshot.display(),
         p.network().revision(),
         p.is_fitted(),
-        p.snapshot().storage_mode(),
     );
     Ok(())
 }

@@ -16,8 +16,8 @@ pub use datasets::{
 };
 pub use dyngraph::{
     AdvanceReport, DeltaGraph, DynamicNetwork, FrozenGraph, GraphError,
-    GraphView, IncidentLinks, Link, NodeId, OverlayView, StorageMode,
-    Timestamp, Window, WindowedView,
+    GraphView, IncidentLinks, Link, NodeId, OverlayView, Timestamp, Window,
+    WindowedView,
 };
 pub use obs::{
     NoopRecorder, ObsHandle, Recorder, Registry, RegistryRecorder, Snapshot,

@@ -26,9 +26,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dyngraph::{
-    DeltaGraph, GraphView, NodeId, OverlayView, StorageMode, Timestamp, Window,
-};
+use dyngraph::{DeltaGraph, GraphView, NodeId, OverlayView, Timestamp, Window};
 use obs::{ObsHandle, Snapshot};
 use ssf_core::{ExtractionCache, FrozenCacheView};
 use ssf_persist::SnapshotReader;
@@ -322,16 +320,6 @@ impl ScoringSnapshot {
     /// consistent by construction.
     pub fn epoch(&self) -> u64 {
         self.inner.epoch
-    }
-
-    /// The physical layout of the frozen base graph this snapshot
-    /// serves from — [`StorageMode::Wide`] or [`StorageMode::Compact`],
-    /// never [`StorageMode::Auto`] (the policy has already resolved by
-    /// publish time). Exposed so operators can confirm which
-    /// representation a replica is actually holding; the same value is
-    /// emitted as the `ssf.graph.storage_mode` gauge.
-    pub fn storage_mode(&self) -> StorageMode {
-        self.inner.graph.base().storage_mode()
     }
 
     /// Graph revision the serving model was fitted at; `None` when no

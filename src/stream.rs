@@ -28,8 +28,7 @@ use std::sync::Arc;
 
 use dyngraph::{
     AdvanceReport, DeltaGraph, DynamicNetwork, FrozenGraph, GraphError,
-    GraphView, NodeId, OverlayView, StorageMode, Timestamp, Window,
-    WindowedView,
+    GraphView, NodeId, OverlayView, Timestamp, Window, WindowedView,
 };
 use obs::{labeled, ObsHandle};
 use ssf_core::{CacheStats, ExtractionCache};
@@ -78,12 +77,6 @@ pub struct OnlinePredictorConfig {
     pub min_positives: usize,
     /// Earlier-window folds used to augment training (0 = none).
     pub history_folds: u32,
-    /// Physical layout the copy-on-write graph mirror compacts into
-    /// ([`StorageMode::Auto`] by default: compact once the graph is
-    /// large, wide below that). A [`StorageMode::Compact`] request that
-    /// no longer fits `u32` indices falls back to wide at the next
-    /// compaction instead of failing ingestion.
-    pub storage: StorageMode,
     /// Sliding-window width: keep only links stamped within
     /// `horizon − window ..= horizon`, where the horizon follows the
     /// newest accepted timestamp and can be pushed explicitly with
@@ -105,7 +98,6 @@ impl Default for OnlinePredictorConfig {
             split: SplitConfig::default(),
             min_positives: 30,
             history_folds: 2,
-            storage: StorageMode::Auto,
             window: None,
         }
     }
@@ -194,13 +186,6 @@ impl OnlinePredictorConfigBuilder {
     /// Earlier-window folds used to augment training (0 = none).
     pub fn history_folds(mut self, folds: u32) -> Self {
         self.config.history_folds = folds;
-        self
-    }
-
-    /// Physical layout the graph mirror compacts into (default
-    /// [`StorageMode::Auto`]).
-    pub fn storage(mut self, mode: StorageMode) -> Self {
-        self.config.storage = mode;
         self
     }
 
@@ -449,19 +434,9 @@ impl OnlineLinkPredictor {
             // costs O(V + E) but only after the delta has grown to a
             // fixed fraction of the graph.
             let span = self.obs.span("ssf.stream.compact");
-            let base = match self.delta.rebase_with(self.config.storage) {
-                Ok(base) => base,
-                // An explicit Compact request that overflowed u32
-                // indices: stay available on the wide layout rather
-                // than failing ingestion.
-                Err(_) => self.delta.rebase(),
-            };
+            self.delta.rebase();
             span.finish();
             self.obs.counter("ssf.stream.compactions", 1);
-            self.obs.gauge(
-                "ssf.graph.storage_mode",
-                storage_mode_gauge(base.storage_mode()),
-            );
         }
         self.stats.accepted += 1;
         self.obs.counter("ssf.stream.accepted", 1);
@@ -788,10 +763,6 @@ impl OnlineLinkPredictor {
             None => snap.epoch(),
         };
         self.obs.gauge("ssf.serve.epoch_lag", lag as f64);
-        self.obs.gauge(
-            "ssf.graph.storage_mode",
-            storage_mode_gauge(snap.storage_mode()),
-        );
         snap
     }
 
@@ -1370,15 +1341,6 @@ fn wal_options(policy: DurabilityPolicy) -> WalOptions {
     }
 }
 
-/// Gauge encoding of a resolved storage mode: 0 = wide, 1 = compact.
-/// (`FrozenGraph::storage_mode` never reports `Auto`.)
-pub(crate) fn storage_mode_gauge(mode: StorageMode) -> f64 {
-    match mode {
-        StorageMode::Compact => 1.0,
-        _ => 0.0,
-    }
-}
-
 /// Delta size that triggers folding the copy-on-write log into a fresh
 /// frozen base: an eighth of the graph, floored at 64 links so tiny
 /// graphs don't compact on every observe.
@@ -1464,44 +1426,6 @@ mod tests {
             err,
             Err(SsfError::Config(ConfigError::ZeroBackoff))
         ));
-    }
-
-    #[test]
-    fn storage_config_defaults_to_auto_and_round_trips() {
-        assert_eq!(OnlinePredictorConfig::default().storage, StorageMode::Auto);
-        let built = OnlinePredictorConfig::builder()
-            .storage(StorageMode::Compact)
-            .build()
-            .expect("storage mode alone is always a valid config");
-        assert_eq!(built.storage, StorageMode::Compact);
-    }
-
-    /// An explicit `Compact` storage config must surface in the
-    /// published snapshot once a compaction has folded the delta into a
-    /// frozen base; the default `Auto` policy keeps small graphs wide.
-    #[test]
-    fn explicit_compact_storage_reaches_the_snapshot() {
-        let g = DatasetSpec::coauthor().scaled(0.15).generate(9);
-        let mut links: Vec<_> = g.links().collect();
-        links.sort_by_key(|l| l.t);
-
-        let compact_config = OnlinePredictorConfig {
-            storage: StorageMode::Compact,
-            ..quick_config()
-        };
-        let mut p = OnlineLinkPredictor::new(compact_config);
-        let mut q = OnlineLinkPredictor::new(quick_config());
-        for l in links {
-            p.observe(l.u, l.v, l.t);
-            q.observe(l.u, l.v, l.t);
-        }
-        assert_eq!(p.snapshot().storage_mode(), StorageMode::Compact);
-        // Well below the Auto thresholds: the default stays wide.
-        assert_eq!(q.snapshot().storage_mode(), StorageMode::Wide);
-        // Scores agree bit-for-bit across layouts.
-        for pair in [(0, 1), (2, 5), (1, 4)] {
-            assert_eq!(p.score(pair.0, pair.1), q.score(pair.0, pair.1));
-        }
     }
 
     #[test]
@@ -2094,26 +2018,20 @@ mod tests {
 
     /// A window wide enough that nothing ever expires must be invisible:
     /// scores agree to the bit with the unbounded predictor, across the
-    /// per-pair path, the cached batch path, and a compact-storage twin.
+    /// per-pair path and the cached batch path.
     #[test]
     fn windowed_scores_match_unbounded_when_nothing_expires() {
         let events = clean_events();
         let max_t = events.iter().map(|&(_, _, t)| t).max().unwrap_or(0);
         let mut w = OnlineLinkPredictor::new(windowed_config(max_t));
-        let mut c = OnlineLinkPredictor::new(OnlinePredictorConfig {
-            storage: StorageMode::Compact,
-            ..windowed_config(max_t)
-        });
         let mut u = OnlineLinkPredictor::new(quick_config());
         for &(a, b, t) in &events {
             w.observe(a, b, t);
-            c.observe(a, b, t);
             u.observe(a, b, t);
         }
-        assert!(w.is_fitted() && c.is_fitted() && u.is_fitted());
+        assert!(w.is_fitted() && u.is_fitted());
         assert_eq!(w.network().link_count(), u.network().link_count());
         assert_scores_match(&mut w, &mut u);
-        assert_scores_match(&mut c, &mut u);
         // Cached batch scoring equals the uncached per-pair path bitwise
         // on the windowed predictor too.
         let pairs: Vec<(NodeId, NodeId)> =

@@ -156,20 +156,6 @@ fn cache_gauges_match_cache_stats_after_score_batch() {
     );
 }
 
-/// The `ssf.graph.storage_mode` gauge published at snapshot time must
-/// agree with the snapshot's own reported layout (0 = wide,
-/// 1 = compact).
-#[test]
-fn storage_mode_gauge_matches_the_snapshot() {
-    use ssf_repro::dyngraph::StorageMode;
-    let (p, registry) = recorded_run();
-    let snapshot = p.snapshot();
-    // Workload is far below the Auto compaction thresholds.
-    assert_eq!(snapshot.storage_mode(), StorageMode::Wide);
-    let snap = registry.snapshot();
-    assert_eq!(snap.gauge("ssf.graph.storage_mode"), 0.0);
-}
-
 /// Refit counters mirror [`StreamStats`] on both the success path and
 /// the backoff/failure path.
 #[test]

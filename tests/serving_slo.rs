@@ -650,3 +650,47 @@ proptest! {
         }
     }
 }
+
+/// `ssf serve-loop` with open-loop arrivals stamps each completion when
+/// it lands, not after the arrival window: at a sustainable rate the
+/// reported median sits far below the run's duration. Waiting on every
+/// ticket only once the window closes reads about duration / 2.
+#[test]
+#[allow(clippy::expect_used)]
+fn cli_open_loop_p50_is_far_below_the_duration() {
+    let dir = std::env::temp_dir()
+        .join(format!("ssf-serve-loop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let net = dir.join("net.txt");
+    let ssf = env!("CARGO_BIN_EXE_ssf");
+    let generated = std::process::Command::new(ssf)
+        .args(["generate", "coauthor", "--scale", "0.15", "--out"])
+        .arg(&net)
+        .output()
+        .expect("run ssf generate");
+    assert!(generated.status.success(), "{generated:?}");
+    let duration_ms = 600u64;
+    for arrivals in ["fixed", "poisson"] {
+        let out = std::process::Command::new(ssf)
+            .arg("serve-loop")
+            .arg(&net)
+            .args(["--arrivals", arrivals, "--qps", "100", "--clients", "1"])
+            .args(["--duration-ms", &duration_ms.to_string()])
+            .args(["--epochs", "5"])
+            .output()
+            .expect("run ssf serve-loop");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{arrivals}: {out:?}");
+        let p50_us: f64 = stdout
+            .split_once(" p50 ")
+            .and_then(|(_, rest)| rest.split_once("us"))
+            .and_then(|(v, _)| v.parse().ok())
+            .unwrap_or_else(|| panic!("no p50 in output: {stdout}"));
+        let limit_us = duration_ms as f64 * 1000.0 / 10.0;
+        assert!(
+            p50_us < limit_us,
+            "{arrivals}: p50 {p50_us}us >= duration/10 ({limit_us}us)\n{stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
