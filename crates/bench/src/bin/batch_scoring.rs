@@ -235,8 +235,10 @@ fn main() {
         median((0..REPS).map(|_| run_batch(&mut p, &pairs)).collect());
     let stats = p.cache_stats();
 
-    // Parallel read path on a published snapshot: serial `score_batch`
-    // baseline vs `score_batch_parallel` at 4 workers.
+    // Parallel read path on published snapshots: serial `score_batch`
+    // baseline vs `score_batch_parallel` at 4 workers. Each run gets
+    // its own fresh snapshot: a snapshot memoises the scores it served,
+    // so the second run on a shared one would time memo lookups.
     let cores = std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get);
     let snapshot = p.snapshot();
@@ -244,6 +246,7 @@ fn main() {
     let snap_serial = snapshot.score_batch(&pairs);
     let snap_serial_pps =
         pairs.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
+    let snapshot = p.snapshot();
     let t0 = Instant::now();
     let snap_parallel = snapshot.score_batch_parallel(&pairs, 4);
     let snap_parallel_pps =

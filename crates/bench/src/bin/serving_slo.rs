@@ -2,9 +2,11 @@
 //! the request-coalescing front-end.
 //!
 //! One binary, many load configurations (the unified experiment-
-//! interface idiom): a fitted [`ScoringSnapshot`] is put behind a
-//! [`Coalescer`], a worker thread drives dispatch, and client threads
-//! sweep offered QPS under two arrival models:
+//! interface idiom): each point puts a freshly published
+//! [`ScoringSnapshot`] of one fitted predictor behind a [`Coalescer`]
+//! (fresh, because a snapshot memoises the scores it served), a worker
+//! thread drives dispatch, and client threads sweep offered QPS under
+//! two arrival models:
 //!
 //! * **Closed-loop** — each client submits one request, waits for its
 //!   ticket, then paces to the point's offered rate. The final sweep
@@ -21,7 +23,8 @@
 //! Per sweep point: achieved QPS, p50/p99 end-to-end latency,
 //! deadline-miss rate, mean batch size and overload rejections. Before
 //! any load runs, a deterministic pass asserts the coalesced path is
-//! bit-identical to direct `score_batch` on the same pairs, and the
+//! bit-identical to direct `score_batch` on the same pairs through a
+//! separately published twin snapshot, and the
 //! admission counters are checked to reconcile exactly after every
 //! point.
 //!
@@ -75,7 +78,10 @@ fn config(smoke: bool, seed: u64) -> OnlinePredictorConfig {
         .expect("valid benchmark configuration")
 }
 
-fn fitted_snapshot(smoke: bool, seed: u64) -> ScoringSnapshot {
+/// A fitted predictor; every measured block publishes its own snapshot
+/// from it, because a snapshot memoises the scores it served and a
+/// reused one would time memo lookups instead of extraction.
+fn fitted_predictor(smoke: bool, seed: u64) -> OnlineLinkPredictor {
     let spec = if smoke {
         DatasetSpec::prosper().scaled(0.2)
     } else {
@@ -95,7 +101,7 @@ fn fitted_snapshot(smoke: bool, seed: u64) -> ScoringSnapshot {
         p.observe(u, v, t);
     }
     p.try_refit().expect("benchmark network must support a fit");
-    p.snapshot()
+    p
 }
 
 /// The coalescer configuration every sweep point runs.
@@ -123,15 +129,17 @@ fn pair_for(rng: &mut StdRng, n: NodeId) -> (NodeId, NodeId) {
 }
 
 /// Pre-load bit-identity check: drive the coalescer deterministically
-/// over a fixed pair set and compare with direct `score_batch`.
-fn check_bit_identity(snapshot: &ScoringSnapshot, seed: u64) -> bool {
+/// over a fixed pair set and compare with direct `score_batch` on a
+/// separately published twin, so neither side reads the other's memo.
+fn check_bit_identity(p: &OnlineLinkPredictor, seed: u64) -> bool {
+    let snapshot = p.snapshot();
     let n = snapshot.graph().node_count() as NodeId;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5e55_10aa);
     let pairs: Vec<(NodeId, NodeId)> =
         (0..200).map(|_| pair_for(&mut rng, n)).collect();
-    let direct = snapshot.score_batch(&pairs);
+    let direct = p.snapshot().score_batch(&pairs);
     let c = Coalescer::new(
-        snapshot.clone(),
+        snapshot,
         CoalesceConfig::builder()
             .max_batch(7) // deliberately odd: many batch boundaries
             .worker_threads(2)
@@ -460,25 +468,27 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get);
     println!("{cores} core(s) available");
-    let snapshot = fitted_snapshot(smoke, seed);
+    let p = fitted_predictor(smoke, seed);
     let n_pairs_probe = if smoke { 200 } else { 600 };
 
     // --- Correctness first: coalesced == direct, bit for bit. ---
-    let bit_identical = check_bit_identity(&snapshot, seed);
+    let bit_identical = check_bit_identity(&p, seed);
     assert!(bit_identical, "coalesced scores diverged from score_batch");
     println!("bit-identity: coalesced == score_batch on 200 pairs");
 
     // --- Baselines: serial per-pair and the warm-batch ceiling. ---
-    let n = snapshot.graph().node_count() as NodeId;
+    let n = p.network().node_count() as NodeId;
     let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
     let probe: Vec<(NodeId, NodeId)> =
         (0..n_pairs_probe).map(|_| pair_for(&mut rng, n)).collect();
+    let snapshot = p.snapshot();
     let t0 = Instant::now();
     for &(u, v) in &probe {
         let _ = snapshot.score(u, v);
     }
     let per_pair_qps =
         probe.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
+    let snapshot = p.snapshot();
     let t0 = Instant::now();
     let _ = snapshot.score_batch(&probe);
     let warm_batch_qps =
@@ -509,7 +519,7 @@ fn main() {
             clients,
             arrivals: Arrivals::Closed,
         };
-        let r = run_point(&snapshot, &point, worker_threads, seed);
+        let r = run_point(&p.snapshot(), &point, worker_threads, seed);
         print_point(&r);
         sweep.push(r);
     }
@@ -541,7 +551,7 @@ fn main() {
             clients,
             arrivals,
         };
-        let r = run_point(&snapshot, &point, worker_threads, seed);
+        let r = run_point(&p.snapshot(), &point, worker_threads, seed);
         print_point(&r);
         open_sweep.push(r);
     }

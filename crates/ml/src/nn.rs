@@ -462,19 +462,21 @@ impl NeuralMachine {
     ) {
         let lr = self.config.learning_rate;
         let layer = &mut self.layers[li];
-        // Decoupled weight decay on the weights (never the biases).
-        if self.config.weight_decay > 0.0 {
-            let shrink = 1.0 - lr * self.config.weight_decay;
-            for w in layer.w.as_mut_slice() {
-                *w *= shrink;
-            }
-        }
+        // Decoupled weight decay on the weights (never the biases), fused
+        // into the update loop: each weight is shrunk, then stepped, in
+        // the same per-element order as two separate passes. A shrink of
+        // exactly 1.0 (no decay) is an identity multiply.
+        let shrink = if self.config.weight_decay > 0.0 {
+            1.0 - lr * self.config.weight_decay
+        } else {
+            1.0
+        };
         match self.config.optimizer {
             Optimizer::Sgd => {
                 for (w, g) in
                     layer.w.as_mut_slice().iter_mut().zip(grad_w.as_slice())
                 {
-                    *w -= lr * g;
+                    *w = *w * shrink - lr * g;
                 }
                 for (b, g) in layer.b.iter_mut().zip(grad_b) {
                     *b -= lr * g;
@@ -487,36 +489,31 @@ impl NeuralMachine {
                 let t = step as f64;
                 let corr1 = 1.0 - B1.powf(t);
                 let corr2 = 1.0 - B2.powf(t);
-                let adam = |p: &mut f64, m: &mut f64, v: &mut f64, g: f64| {
-                    *m = B1 * *m + (1.0 - B1) * g;
-                    *v = B2 * *v + (1.0 - B2) * g * g;
-                    let mhat = *m / corr1;
-                    let vhat = *v / corr2;
-                    *p -= lr * mhat / (vhat.sqrt() + EPS);
+                // Plain slices re-sliced to one length, so the bounds
+                // checks hoist out of the loop.
+                let adam = |p: &mut [f64],
+                            m: &mut [f64],
+                            v: &mut [f64],
+                            g: &[f64],
+                            shrink: f64| {
+                    let n = p.len();
+                    let (m, v, g) = (&mut m[..n], &mut v[..n], &g[..n]);
+                    for i in 0..n {
+                        m[i] = B1 * m[i] + (1.0 - B1) * g[i];
+                        v[i] = B2 * v[i] + (1.0 - B2) * g[i] * g[i];
+                        let mhat = m[i] / corr1;
+                        let vhat = v[i] / corr2;
+                        p[i] = p[i] * shrink - lr * mhat / (vhat.sqrt() + EPS);
+                    }
                 };
-                for ((p, m), (v, g)) in layer
-                    .w
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(layer.mw.as_mut_slice())
-                    .zip(
-                        layer
-                            .vw
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(grad_w.as_slice()),
-                    )
-                {
-                    adam(p, m, v, *g);
-                }
-                for ((p, m), (v, g)) in layer
-                    .b
-                    .iter_mut()
-                    .zip(layer.mb.iter_mut())
-                    .zip(layer.vb.iter_mut().zip(grad_b))
-                {
-                    adam(p, m, v, *g);
-                }
+                adam(
+                    layer.w.as_mut_slice(),
+                    layer.mw.as_mut_slice(),
+                    layer.vw.as_mut_slice(),
+                    grad_w.as_slice(),
+                    shrink,
+                );
+                adam(&mut layer.b, &mut layer.mb, &mut layer.vb, grad_b, 1.0);
             }
         }
     }

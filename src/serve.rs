@@ -17,6 +17,12 @@
 //! through the same extraction pipeline, and caches never change values
 //! (`tests/concurrency.rs` proves it under live interleavings).
 //!
+//! Because a snapshot is immutable, a pair's score through it never
+//! changes: each snapshot memoises the model score of every directed
+//! pair it served (bounded at 8192 pairs, dropped with the snapshot), so
+//! a repeated query skips extraction entirely. `None` results and
+//! common-neighbor fallbacks are never memoised.
+//!
 //! This module is also the home of the serving-surface types ([`Health`],
 //! [`StreamStats`], [`Observed`], [`QuarantineReason`]). Import them from
 //! [`crate::prelude`] or the crate root.
@@ -24,11 +30,11 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dyngraph::{DeltaGraph, GraphView, NodeId, OverlayView, Timestamp, Window};
 use obs::{ObsHandle, Snapshot};
-use ssf_core::{ExtractionCache, FrozenCacheView};
+use ssf_core::{ExtractionCache, FrozenCacheView, LruCache};
 use ssf_persist::SnapshotReader;
 
 use crate::durability::{self, PersistedState};
@@ -195,6 +201,11 @@ pub(crate) fn common_neighbor_fallback<G: GraphView + ?Sized>(
 /// time, bit for bit — including the `None` cases and the common-neighbor
 /// degradation.
 ///
+/// A pair the snapshot already scored through the model is answered
+/// from a per-snapshot memo of at most 8192 directed pairs (see
+/// [`ScoringSnapshot::memo_entries`]); the memo lives and dies with the
+/// snapshot, so a later publish always starts cold.
+///
 /// # Example
 ///
 /// ```rust
@@ -240,7 +251,18 @@ struct SnapshotInner {
     /// so one batch never mixes windows.
     window: Option<Window>,
     degraded_scores: AtomicU64,
+    /// Model scores this snapshot has already served, by directed pair.
+    /// Holds only model outputs: never `None` and never a fallback.
+    memo: Mutex<LruCache<(NodeId, NodeId), f64>>,
     obs: ObsHandle,
+}
+
+/// Directed pairs one snapshot's score memo holds — the pair capacity of
+/// [`ExtractionCache::new`], about 0.3 MB per full memo.
+const MEMO_CAPACITY: usize = 8192;
+
+fn empty_memo() -> Mutex<LruCache<(NodeId, NodeId), f64>> {
+    Mutex::new(LruCache::new(MEMO_CAPACITY))
 }
 
 impl ScoringSnapshot {
@@ -262,6 +284,7 @@ impl ScoringSnapshot {
                 window: p.window(),
                 graph,
                 degraded_scores: AtomicU64::new(0),
+                memo: empty_memo(),
                 obs: p.recorder().clone(),
             }),
         }
@@ -310,6 +333,7 @@ impl ScoringSnapshot {
                 present,
                 window: meta.window,
                 degraded_scores: AtomicU64::new(0),
+                memo: empty_memo(),
                 obs: ObsHandle::noop(),
             }),
         })
@@ -373,33 +397,24 @@ impl ScoringSnapshot {
         self.inner.frozen.len()
     }
 
-    /// Scores one candidate pair — same contract and same bits as
-    /// [`OnlineLinkPredictor::score`] at publish time, but through
-    /// `&self`, from any thread.
-    pub fn score(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        let _span = self.inner.obs.span("ssf.serve.score");
-        let inner = &*self.inner;
-        let n = inner.graph.node_count() as NodeId;
-        if u == v || u >= n || v >= n {
-            return None;
-        }
-        let present = inner.present?;
-        let fitted = inner.model.as_deref()?;
-        let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-            fitted.model.try_score(&inner.graph, u, v, present)
-        }));
-        match attempt {
-            Ok(Ok(p)) => Some(p),
-            Ok(Err(_)) | Err(_) => {
-                inner.degraded_scores.fetch_add(1, Ordering::Relaxed);
-                inner.obs.counter("ssf.serve.degraded_scores", 1);
-                Some(common_neighbor_fallback(&inner.graph, u, v))
-            }
-        }
+    /// Directed pairs whose model score this snapshot has memoised
+    /// (at most 8192; the memo is dropped with the snapshot).
+    pub fn memo_entries(&self) -> usize {
+        self.memo().len()
     }
 
-    /// Scores a batch serially against a thread-local cache seeded with
-    /// the snapshot's frozen view — bit-identical to calling
+    /// Scores one candidate pair — same contract and same bits as
+    /// [`OnlineLinkPredictor::score`] at publish time, but through
+    /// `&self`, from any thread. The one-pair case of the batch loop:
+    /// a pair this snapshot already scored is served from its memo.
+    pub fn score(&self, u: NodeId, v: NodeId) -> Option<f64> {
+        let _span = self.inner.obs.span("ssf.serve.score");
+        self.score_chunk(&[(u, v)]).pop().flatten()
+    }
+
+    /// Scores a batch serially: each pair is read from the snapshot's
+    /// memo or, on a miss, extracted against a thread-local cache seeded
+    /// with the snapshot's frozen view — bit-identical to calling
     /// [`Self::score`] per pair, with the warm memos of the publishing
     /// predictor already in place.
     pub fn score_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
@@ -407,8 +422,7 @@ impl ScoringSnapshot {
         self.inner
             .obs
             .counter("ssf.serve.scored", pairs.len() as u64);
-        let mut cache = self.local_cache();
-        self.score_chunk(pairs, &mut cache)
+        self.score_chunk(pairs)
     }
 
     /// Fans a batch out over `threads` scoped worker threads, each with
@@ -444,15 +458,7 @@ impl ScoringSnapshot {
         std::thread::scope(|s| {
             let handles: Vec<_> = pairs
                 .chunks(chunk)
-                .map(|c| {
-                    (
-                        c.len(),
-                        s.spawn(move || {
-                            let mut cache = self.local_cache();
-                            self.score_chunk(c, &mut cache)
-                        }),
-                    )
-                })
+                .map(|c| (c.len(), s.spawn(move || self.score_chunk(c))))
                 .collect();
             for (len, h) in handles {
                 match h.join() {
@@ -466,6 +472,15 @@ impl ScoringSnapshot {
         out
     }
 
+    fn memo(&self) -> MutexGuard<'_, LruCache<(NodeId, NodeId), f64>> {
+        // The memo only holds finished scores, so a panic elsewhere can
+        // never leave it half-written.
+        self.inner
+            .memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A fresh mutable cache seeded with the snapshot's frozen view.
     fn local_cache(&self) -> ExtractionCache {
         let mut cache = ExtractionCache::with_frozen(self.inner.frozen.clone());
@@ -473,14 +488,16 @@ impl ScoringSnapshot {
         cache
     }
 
-    /// The shared serial scoring loop behind both batch paths.
-    fn score_chunk(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-        cache: &mut ExtractionCache,
-    ) -> Vec<Option<f64>> {
+    /// The one serial scoring loop behind every snapshot path: validate,
+    /// read the memo, extract and score the misses against a
+    /// frozen-seeded cache (built on the first miss), degrade to the
+    /// common-neighbor fallback on error or panic.
+    fn score_chunk(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
         let inner = &*self.inner;
-        let n = inner.graph.node_count() as NodeId;
+        let graph = &inner.graph;
+        let n = graph.node_count() as NodeId;
+        let mut cache: Option<ExtractionCache> = None;
+        let (mut hits, mut misses) = (0u64, 0u64);
         let mut out = Vec::with_capacity(pairs.len());
         for &(u, v) in pairs {
             if u == v || u >= n || v >= n {
@@ -493,18 +510,34 @@ impl ScoringSnapshot {
                 out.push(None);
                 continue;
             };
-            let graph = &inner.graph;
+            let memoised = self.memo().get(&(u, v)).copied();
+            if let Some(p) = memoised {
+                hits += 1;
+                out.push(Some(p));
+                continue;
+            }
+            misses += 1;
+            let cache = cache.get_or_insert_with(|| self.local_cache());
             let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
                 fitted.model.try_score_cached(graph, u, v, present, cache)
             }));
             out.push(match attempt {
-                Ok(Ok(p)) => Some(p),
+                Ok(Ok(p)) => {
+                    self.memo().insert((u, v), p);
+                    Some(p)
+                }
                 Ok(Err(_)) | Err(_) => {
                     inner.degraded_scores.fetch_add(1, Ordering::Relaxed);
                     inner.obs.counter("ssf.serve.degraded_scores", 1);
                     Some(common_neighbor_fallback(graph, u, v))
                 }
             });
+        }
+        if hits > 0 {
+            inner.obs.counter("ssf.serve.memo.hits", hits);
+        }
+        if misses > 0 {
+            inner.obs.counter("ssf.serve.memo.misses", misses);
         }
         out
     }
@@ -611,6 +644,58 @@ mod tests {
             "snapshot scores must not move with the live graph"
         );
         assert!(p.network().revision() > epoch);
+    }
+
+    #[test]
+    fn memo_fills_per_snapshot_and_a_new_publish_starts_cold() {
+        let p = fitted_predictor();
+        let snap = p.snapshot();
+        // (3, 3) is a self pair and (0, 1) repeats: three directed pairs.
+        let _ = snap.score_batch(&[(0, 1), (1, 0), (2, 5), (3, 3), (0, 1)]);
+        assert_eq!(snap.memo_entries(), 3);
+        assert_eq!(snap.clone().memo_entries(), 3, "clones share the memo");
+        assert_eq!(p.snapshot().memo_entries(), 0);
+    }
+
+    /// A model whose feature width disagrees with its extractor panics
+    /// inside scoring, so every valid pair degrades to the fallback.
+    fn degrading_predictor() -> OnlineLinkPredictor {
+        let mut p = fitted_predictor();
+        let fitted = p.fitted.clone().unwrap_or_else(|| panic!("fitted"));
+        let mut text = Vec::new();
+        fitted
+            .model
+            .save(&mut text)
+            .unwrap_or_else(|e| panic!("save: {e}"));
+        let text = String::from_utf8(text)
+            .unwrap_or_else(|e| panic!("utf-8: {e}"))
+            .replacen("ssf-config k=", "ssf-config k=3 trained_k=", 1);
+        let model = crate::model::SsfnmModel::load(text.as_bytes())
+            .unwrap_or_else(|e| panic!("load: {e}"));
+        p.fitted = Some(Arc::new(FittedModel {
+            model,
+            epoch: fitted.epoch,
+        }));
+        p
+    }
+
+    #[test]
+    fn degraded_pairs_are_never_memoised() {
+        let snap = degrading_predictor().snapshot();
+        let fallback = common_neighbor_fallback(snap.graph(), 0, 1);
+        for round in 1..=3u64 {
+            assert_eq!(snap.score(0, 1), Some(fallback));
+            assert_eq!(
+                snap.score_batch(&[(0, 1), (0, 1)]),
+                vec![Some(fallback); 2]
+            );
+            assert_eq!(
+                snap.score_batch_parallel(&[(0, 1), (0, 1)], 2).len(),
+                2
+            );
+            assert_eq!(snap.degraded_scores(), 5 * round);
+        }
+        assert_eq!(snap.memo_entries(), 0);
     }
 
     #[test]

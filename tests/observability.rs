@@ -156,6 +156,36 @@ fn cache_gauges_match_cache_stats_after_score_batch() {
     );
 }
 
+/// The snapshot's score memo counts one hit or one miss per
+/// model-scored lookup (self pairs and out-of-range ids never reach
+/// it), and a second pass over the same batch is all hits.
+#[test]
+fn snapshot_memo_counters_cover_every_model_scored_lookup() {
+    let (p, registry) = recorded_run();
+    let n = p.network().node_count() as NodeId;
+    let pairs = [(0, 1), (2, 5), (1, 0), (3, 3), (0, n + 7), (0, 1), (5, 2)];
+    let valid = pairs
+        .iter()
+        .filter(|&&(u, v)| u != v && u < n && v < n)
+        .count() as u64;
+    let memo = || {
+        let snap = registry.snapshot();
+        (
+            snap.counter("ssf.serve.memo.hits"),
+            snap.counter("ssf.serve.memo.misses"),
+        )
+    };
+    assert_eq!(memo(), (0, 0), "writer paths never touch the memo");
+    let snap = p.snapshot();
+    let _ = snap.score_batch(&pairs);
+    let (hits, misses) = memo();
+    assert_eq!(hits + misses, valid);
+    assert_eq!(misses, snap.memo_entries() as u64, "one miss per pair");
+    assert_eq!(hits, 1, "the repeated (0, 1) hits within the pass");
+    let _ = snap.score_batch(&pairs);
+    assert_eq!(memo(), (hits + valid, misses), "second pass is all hits");
+}
+
 /// Refit counters mirror [`StreamStats`] on both the success path and
 /// the backoff/failure path.
 #[test]

@@ -56,12 +56,18 @@ fn fitted_predictor() -> OnlineLinkPredictor {
     p
 }
 
-/// One fitted snapshot shared by the whole suite (fitting is the
-/// expensive part; snapshots are immutable values, so sharing cannot
-/// couple tests).
+/// One fitted predictor shared by the whole suite (fitting is the
+/// expensive part). Tests only publish from it, never mutate it.
+fn shared_predictor() -> &'static OnlineLinkPredictor {
+    static PREDICTOR: OnceLock<OnlineLinkPredictor> = OnceLock::new();
+    PREDICTOR.get_or_init(fitted_predictor)
+}
+
+/// One fitted snapshot shared by the whole suite (snapshots are
+/// immutable values, so sharing cannot couple tests).
 fn shared_snapshot() -> &'static ScoringSnapshot {
     static SNAP: OnceLock<ScoringSnapshot> = OnceLock::new();
-    SNAP.get_or_init(|| fitted_predictor().snapshot())
+    SNAP.get_or_init(|| shared_predictor().snapshot())
 }
 
 fn bits(scores: &[Option<f64>]) -> Vec<Option<u64>> {
@@ -649,6 +655,129 @@ proptest! {
                 stats.submitted);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The per-snapshot score memo
+// ---------------------------------------------------------------------
+
+/// Every pair of `pairs` scored alone, each on its own freshly
+/// published twin of the shared snapshot: every lookup misses a cold
+/// memo and really runs extraction.
+fn cold_twin_scores(pairs: &[(u32, u32)]) -> Vec<Option<u64>> {
+    pairs
+        .iter()
+        .map(|&(u, v)| {
+            let twin = shared_predictor().snapshot();
+            assert_eq!(twin.memo_entries(), 0, "a new publish starts cold");
+            twin.score(u, v).map(f64::to_bits)
+        })
+        .collect()
+}
+
+/// Every pair through a mock-clock coalescer over `snap`, in order.
+#[allow(clippy::expect_used)] // test helper
+fn coalesced(
+    snap: &ScoringSnapshot,
+    pairs: &[(u32, u32)],
+    max_batch: usize,
+    threads: usize,
+) -> Vec<Option<f64>> {
+    let config = CoalesceConfig::builder()
+        .max_batch(max_batch)
+        .worker_threads(threads)
+        .queue_capacity(pairs.len().max(1))
+        .build()
+        .expect("valid");
+    let c = Coalescer::with_clock(
+        snap.clone(),
+        config,
+        Arc::new(MockClock::new()) as Arc<dyn ssf_repro::Clock>,
+    );
+    let tickets: Vec<_> = pairs
+        .iter()
+        .map(|&(u, v)| c.submit(u, v).expect("queue holds every pair"))
+        .collect();
+    while c.flush().remaining > 0 {}
+    tickets
+        .into_iter()
+        .map(|t| t.wait().expect("scored"))
+        .collect()
+}
+
+/// One way of scoring a pair sequence through a snapshot.
+type ScorePath<'a> = dyn Fn(&ScoringSnapshot) -> Vec<Option<f64>> + 'a;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Pair sequences full of repeats, reversed pairs, self pairs and
+    /// out-of-range ids score bit-identically on every snapshot path —
+    /// on a cold snapshot and on one whose memo earlier paths warmed —
+    /// to each pair scored alone on a cold twin.
+    #[test]
+    fn memoised_scores_match_a_cold_twin_on_every_path(
+        picks in prop::collection::vec((0..14u32, 0..14u32), 1..40),
+        threads in 1..5usize,
+        max_batch in 1..6usize,
+    ) {
+        let n = shared_snapshot().graph().node_count() as u32;
+        // Ids 12 and 13 fall outside the graph.
+        let id = |x: u32| match x {
+            12 => n,
+            13 => u32::MAX,
+            x => x,
+        };
+        let pairs: Vec<(u32, u32)> =
+            picks.iter().map(|&(a, b)| (id(a), id(b))).collect();
+        let want = cold_twin_scores(&pairs);
+        let warm = shared_predictor().snapshot();
+        let paths: [(&str, &ScorePath); 4] = [
+            ("score", &|s| pairs.iter().map(|&(u, v)| s.score(u, v)).collect()),
+            ("score_batch", &|s| s.score_batch(&pairs)),
+            ("score_batch_parallel", &|s| s.score_batch_parallel(&pairs, threads)),
+            ("coalescer", &|s| coalesced(s, &pairs, max_batch, threads)),
+        ];
+        for (name, path) in paths {
+            let cold = shared_predictor().snapshot();
+            prop_assert_eq!(&bits(&path(&cold)), &want, "{} on a cold memo", name);
+            prop_assert_eq!(&bits(&path(&warm)), &want, "{} on a warm memo", name);
+        }
+    }
+}
+
+#[test]
+fn memo_stays_bounded_and_exact_past_capacity() {
+    const CAPACITY: usize = 8192;
+    let snap = shared_predictor().snapshot();
+    let n = snap.graph().node_count() as u32;
+    let pairs: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (0..n).filter(move |&v| v != u).map(move |v| (u, v)))
+        .take(CAPACITY + 1024)
+        .collect();
+    assert_eq!(pairs.len(), CAPACITY + 1024, "the graph has enough pairs");
+    let first = snap.score_batch_parallel(&pairs, 2);
+    let held = snap.memo_entries();
+    assert!(
+        (1..=CAPACITY).contains(&held),
+        "memo holds {held} entries, capacity {CAPACITY}"
+    );
+    // The oldest pairs were evicted and recompute; the newest still hit.
+    let probe: Vec<(u32, u32)> = pairs[..256]
+        .iter()
+        .chain(&pairs[pairs.len() - 256..])
+        .copied()
+        .collect();
+    let want = cold_twin_scores(&probe);
+    let again = snap.score_batch(&probe);
+    assert_eq!(bits(&again), want);
+    let first_probe: Vec<_> = first[..256]
+        .iter()
+        .chain(&first[first.len() - 256..])
+        .copied()
+        .collect();
+    assert_eq!(bits(&first_probe), want);
+    assert!(snap.memo_entries() <= CAPACITY);
 }
 
 /// `ssf serve-loop` with open-loop arrivals stamps each completion when
