@@ -30,7 +30,11 @@
 //! dependency set ([`CachedPair::deps`], the merged-ball node set its
 //! pipeline examined). Reverse indexes (node → ball keys / pair keys) make
 //! that O(entries-containing-an-affected-node), proportional to the damage
-//! `d`, never a full flush.
+//! `d`, never a full flush. The indexes are lazy: the first
+//! `sync_affected` builds them from the live entries and every later
+//! insert keeps them current, so caches that never see a footprint (a
+//! snapshot's per-batch cache, fit-extraction caches, an unbounded
+//! writer's cache) never pay for them.
 //!
 //! Cached and uncached extractions are **bit-identical** by construction:
 //! both route through the same canonical-order subgraph assembly and the
@@ -286,6 +290,10 @@ pub struct ExtractionCache {
     config_key: (usize, u32),
     balls: LruCache<(NodeId, u32), CachedBall>,
     pairs: LruCache<(NodeId, NodeId), Arc<CachedPair>>,
+    /// Whether the reverse indexes are maintained: false until the first
+    /// [`ExtractionCache::sync_affected`], which builds them from the
+    /// live entries; inserts keep them current from then on.
+    indexed: bool,
     /// Reverse index: member node → ball keys whose memo contains it.
     /// May hold stale keys for evicted balls (removal is idempotent);
     /// rebuilt from live entries when it outgrows its trigger.
@@ -327,6 +335,7 @@ impl ExtractionCache {
             config_key: (0, 0),
             balls: LruCache::new(balls),
             pairs: LruCache::new(pairs),
+            indexed: false,
             ball_index: HashMap::new(),
             pair_index: HashMap::new(),
             ball_index_slots: 0,
@@ -501,6 +510,11 @@ impl ExtractionCache {
         if rev == self.revision && window == self.window {
             return;
         }
+        if !self.indexed {
+            self.rebuild_ball_index();
+            self.rebuild_pair_index();
+            self.indexed = true;
+        }
         let mut dropped = 0u64;
         for &node in affected {
             if let Some(keys) = self.ball_index.remove(&node) {
@@ -551,47 +565,63 @@ impl ExtractionCache {
 
     /// Records `key` in the ball reverse index under every member of
     /// `members`, compacting the index when stale slots (left behind by
-    /// LRU eviction) outgrow the rebuild trigger.
+    /// LRU eviction) outgrow the rebuild trigger. A no-op until the
+    /// indexes exist.
     fn index_ball(&mut self, key: (NodeId, u32), members: &[(NodeId, u32)]) {
+        if !self.indexed {
+            return;
+        }
         for &(node, _) in members {
             self.ball_index.entry(node).or_default().push(key);
         }
         self.ball_index_slots += members.len();
         if self.ball_index_slots > self.ball_index_trigger {
-            let mut index: HashMap<NodeId, Vec<(NodeId, u32)>> = HashMap::new();
-            let mut slots = 0usize;
-            for (&k, ball) in self.balls.entries() {
-                for &(node, _) in ball.iter() {
-                    index.entry(node).or_default().push(k);
-                    slots += 1;
-                }
-            }
-            self.ball_index = index;
-            self.ball_index_slots = slots;
-            self.ball_index_trigger = (2 * slots).max(INDEX_REBUILD_FLOOR);
+            self.rebuild_ball_index();
         }
     }
 
     /// Pair-side twin of [`ExtractionCache::index_ball`].
     fn index_pair(&mut self, key: (NodeId, NodeId), deps: &[NodeId]) {
+        if !self.indexed {
+            return;
+        }
         for &node in deps {
             self.pair_index.entry(node).or_default().push(key);
         }
         self.pair_index_slots += deps.len();
         if self.pair_index_slots > self.pair_index_trigger {
-            let mut index: HashMap<NodeId, Vec<(NodeId, NodeId)>> =
-                HashMap::new();
-            let mut slots = 0usize;
-            for (&k, pair) in self.pairs.entries() {
-                for &node in &pair.deps {
-                    index.entry(node).or_default().push(k);
-                    slots += 1;
-                }
-            }
-            self.pair_index = index;
-            self.pair_index_slots = slots;
-            self.pair_index_trigger = (2 * slots).max(INDEX_REBUILD_FLOOR);
+            self.rebuild_pair_index();
         }
+    }
+
+    /// Rebuilds the ball reverse index from the live ball memo.
+    fn rebuild_ball_index(&mut self) {
+        let mut index: HashMap<NodeId, Vec<(NodeId, u32)>> = HashMap::new();
+        let mut slots = 0usize;
+        for (&k, ball) in self.balls.entries() {
+            for &(node, _) in ball.iter() {
+                index.entry(node).or_default().push(k);
+                slots += 1;
+            }
+        }
+        self.ball_index = index;
+        self.ball_index_slots = slots;
+        self.ball_index_trigger = (2 * slots).max(INDEX_REBUILD_FLOOR);
+    }
+
+    /// Rebuilds the pair reverse index from the live pair memo.
+    fn rebuild_pair_index(&mut self) {
+        let mut index: HashMap<NodeId, Vec<(NodeId, NodeId)>> = HashMap::new();
+        let mut slots = 0usize;
+        for (&k, pair) in self.pairs.entries() {
+            for &node in &pair.deps {
+                index.entry(node).or_default().push(k);
+                slots += 1;
+            }
+        }
+        self.pair_index = index;
+        self.pair_index_slots = slots;
+        self.pair_index_trigger = (2 * slots).max(INDEX_REBUILD_FLOOR);
     }
 
     /// Memoized bounded BFS ball of `src` at radius `h`.
@@ -681,7 +711,8 @@ impl ExtractionCache {
     }
 
     /// Stores a freshly computed pair result, recording its dependency
-    /// set in the reverse index for selective invalidation.
+    /// set in the reverse index (once it exists) for selective
+    /// invalidation.
     pub(crate) fn insert_pair(
         &mut self,
         a: NodeId,
@@ -695,9 +726,13 @@ impl ExtractionCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use dyngraph::DynamicNetwork;
+    use proptest::prelude::*;
 
     use super::*;
+    use crate::feature::{SsfConfig, SsfExtractor};
 
     #[test]
     fn lru_get_and_insert_round_trip() {
@@ -964,5 +999,113 @@ mod tests {
         assert_eq!(cache.len(), (1, 1));
         cache.sync_config(5, 10);
         assert_eq!(cache.len(), (1, 0));
+    }
+
+    /// Total reverse-index slots, stale ones included.
+    fn index_slots(cache: &ExtractionCache) -> usize {
+        cache.ball_index.values().map(Vec::len).sum::<usize>()
+            + cache.pair_index.values().map(Vec::len).sum::<usize>()
+    }
+
+    type Keys = (BTreeSet<(NodeId, u32)>, BTreeSet<(NodeId, NodeId)>);
+
+    /// The live ball and pair keys of `cache`.
+    fn live_keys(cache: &ExtractionCache) -> Keys {
+        (
+            cache.balls.entries().map(|(k, _)| *k).collect(),
+            cache.pairs.entries().map(|(k, _)| *k).collect(),
+        )
+    }
+
+    /// The keys that must survive a mutation touching `affected`: every
+    /// ball with no affected member and every pair whose dependency set
+    /// holds no affected node.
+    fn oracle_survivors(cache: &ExtractionCache, affected: &[NodeId]) -> Keys {
+        let hit = |n: &NodeId| affected.contains(n);
+        (
+            cache
+                .balls
+                .entries()
+                .filter(|(_, b)| !b.iter().any(|(n, _)| hit(n)))
+                .map(|(k, _)| *k)
+                .collect(),
+            cache
+                .pairs
+                .entries()
+                .filter(|(_, p)| !p.deps.iter().any(hit))
+                .map(|(k, _)| *k)
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn frozen_seeded_cache_keeps_no_reverse_index() {
+        let g: DynamicNetwork = (0..12u32)
+            .map(|i| (i, (i + 1) % 12, i))
+            .chain([(0, 6, 20), (3, 9, 21), (2, 7, 22)])
+            .collect();
+        let ex = SsfExtractor::new(SsfConfig::new(4));
+        let mut warm = ExtractionCache::new();
+        for (a, b) in [(0u32, 1u32), (2, 5)] {
+            ex.try_k_structure_cached(&g, a, b, &mut warm).unwrap();
+        }
+        let mut seeded = ExtractionCache::with_frozen(warm.freeze());
+        let pairs: Vec<(NodeId, NodeId)> =
+            (0..12u32).map(|a| (a, (a + 5) % 12)).collect();
+        for &(a, b) in &pairs {
+            ex.try_k_structure_cached(&g, a, b, &mut seeded).unwrap();
+        }
+        assert_eq!(seeded.len().1, pairs.len(), "every pair memoized");
+        assert!(seeded.stats().ball_hits > 0, "frozen layer served balls");
+        assert_eq!(index_slots(&seeded), 0, "no reverse-index entries");
+        assert!(seeded.ball_index.is_empty() && seeded.pair_index.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A cache filled before its first `sync_affected` (indexes built
+        /// lazily from the live entries) and again after it (indexes kept
+        /// by inserts) drops exactly the entries the oracle names, both
+        /// times.
+        #[test]
+        fn lazy_index_drops_exactly_the_oracle_entries(
+            base in prop::collection::vec((0..14u32, 0..14u32, 1..9u32), 4..40),
+            first in prop::collection::vec((0..14u32, 0..14u32), 1..8),
+            second in prop::collection::vec((0..14u32, 0..14u32), 1..8),
+            mutations in prop::collection::vec(
+                prop::collection::vec((0..16u32, 0..16u32), 1..4),
+                2,
+            ),
+        ) {
+            let mut g: DynamicNetwork = (0..13u32).map(|i| (i, i + 1, 1)).collect();
+            for &(u, v, t) in &base {
+                if u != v {
+                    g.add_link(u, v, t);
+                }
+            }
+            let ex = SsfExtractor::new(SsfConfig::new(4).with_max_h(3));
+            let mut cache = ExtractionCache::new();
+            for (round, targets) in [first, second].iter().enumerate() {
+                for &(a, b) in targets {
+                    let _ = ex.try_k_structure_cached(&g, a, b, &mut cache);
+                }
+                let mut affected = Vec::new();
+                for &(u, v) in &mutations[round] {
+                    if u != v {
+                        g.add_link(u, v, 10 + round as u32);
+                        affected.extend([u, v]);
+                    }
+                }
+                if affected.is_empty() {
+                    // Node growth only: still a revision move.
+                    g.ensure_node(g.node_count() as NodeId);
+                }
+                let want = oracle_survivors(&cache, &affected);
+                cache.sync_affected(&g, None, &affected);
+                prop_assert!(cache.indexed);
+                prop_assert_eq!(live_keys(&cache), want);
+            }
+        }
     }
 }

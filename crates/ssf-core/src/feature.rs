@@ -501,7 +501,7 @@ impl SsfExtractor {
             (0..hop.node_count()).map(|i| hop.global_id(i)).collect();
         deps.sort_unstable();
         CachedPair {
-            ks: KStructureSubgraph::select(&s, &order, k),
+            ks: KStructureSubgraph::select(g, &hop, &s, &order, k),
             h_used: h,
             structure_nodes: node_count,
             deps,

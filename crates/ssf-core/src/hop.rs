@@ -5,13 +5,19 @@
 //! `d(n_i, e_t) = min(|P(n_i, n_a)|, |P(n_i, n_b)|)`) together with all
 //! timestamped links induced among those nodes.
 //!
+//! Extraction is topology-first: Algorithm 1's merge, Palette-WL and
+//! K-selection read only which nodes are linked, so [`HopSubgraph`] keeps
+//! the induced *distinct* links and no timestamps. The timestamps of the
+//! few links that survive into the K-structure subgraph are read from the
+//! graph at selection time ([`crate::KStructureSubgraph::select`]).
+//!
 //! The assembly path is branch-light by design: ball merging, local-id
 //! lookup and membership tests all run over stamped arrays indexed by
 //! global node id (no hashing), and the induced links live in one flat
 //! CSR — `crate::reference` keeps the naive `HashMap` formulation this
 //! module is differentially tested against (`tests/kernels.rs`).
 
-use dyngraph::{GraphView, NodeId, Timestamp};
+use dyngraph::{GraphView, NodeId};
 
 use crate::error::ExtractError;
 
@@ -43,9 +49,9 @@ pub struct HopScratch {
     mlocal: Vec<u32>,
     mepoch: u32,
     rest: Vec<(u32, NodeId)>,
-    edges: Vec<(u32, u32, Timestamp)>,
+    /// `(row, entry)` pairs of the distinct-neighbour CSR being filled.
+    edges: Vec<(u32, u32)>,
     cursor: Vec<usize>,
-    row: Vec<u32>,
 }
 
 impl HopScratch {
@@ -189,23 +195,15 @@ pub struct HopSubgraph {
     global: Vec<NodeId>,
     /// `dist[i]` = hop distance of local node `i` to the target link (Eq. 1).
     dist: Vec<u32>,
-    /// Incidence CSR row bounds: row `i` is
-    /// `inc_offsets[i]..inc_offsets[i + 1]` of `inc`.
-    inc_offsets: Vec<usize>,
-    /// Flat `(neighbor, timestamp)` incidences, one entry per induced link
-    /// per endpoint (mirrored). Local ids are `u32` — a subgraph's node
-    /// count is bounded by the host graph's `u32` id space, and the
-    /// narrow entries halve the footprint of the extraction hot path.
-    inc: Vec<(u32, Timestamp)>,
     /// Distinct-neighbor CSR row bounds: row `i` is
     /// `nbr_offsets[i]..nbr_offsets[i + 1]` of `nbr_ids`.
     nbr_offsets: Vec<usize>,
-    /// Flat distinct local neighbors, sorted ascending per node.
+    /// Flat distinct local neighbors, sorted ascending per node. Local
+    /// ids are `u32` — a subgraph's node count is bounded by the host
+    /// graph's `u32` id space.
     nbr_ids: Vec<u32>,
     /// The hop radius this subgraph was extracted with.
     h: u32,
-    /// Total induced links (each counted once).
-    links: usize,
 }
 
 impl HopSubgraph {
@@ -334,71 +332,42 @@ impl HopSubgraph {
         for (i, &n) in global.iter().enumerate() {
             scratch.mlocal[n as usize] = i as u32;
         }
-        // Induced links, each discovered once via `u < v`; the stamped
-        // membership test replaces the per-link hash lookup.
+        // Distinct induced links as a CSR, filled in local-id order: node
+        // `i` appends itself to the row of each member neighbour `j`, so
+        // every row receives its entries ascending and is born sorted —
+        // no per-row sort or dedup. Neighbour lists are symmetric, so each
+        // row ends up complete. The target pair is the only local pair
+        // with `i + j == 1`; its history is excluded.
+        let n = global.len();
+        let mut nbr_offsets = vec![0usize; n + 1];
         scratch.edges.clear();
         for (i, &u) in global.iter().enumerate() {
-            for (v, t) in g.incident_links(u) {
-                if u < v && scratch.mstamp[v as usize] == epoch {
-                    if (u == a && v == b) || (u == b && v == a) {
-                        continue; // target pair history excluded
+            for &v in g.distinct_neighbors(u) {
+                if scratch.mstamp[v as usize] == epoch {
+                    let j = scratch.mlocal[v as usize];
+                    if i as u32 + j != 1 {
+                        nbr_offsets[j as usize + 1] += 1;
+                        scratch.edges.push((j, i as u32));
                     }
-                    scratch.edges.push((
-                        i as u32,
-                        scratch.mlocal[v as usize],
-                        t,
-                    ));
                 }
             }
         }
-        let links = scratch.edges.len();
-        // Mirrored incidence CSR, rows filled in edge-discovery order —
-        // the same per-row sequence the per-node push formulation yields.
-        let n = global.len();
-        let mut inc_offsets = vec![0usize; n + 1];
-        for &(i, j, _) in &scratch.edges {
-            inc_offsets[i as usize + 1] += 1;
-            inc_offsets[j as usize + 1] += 1;
-        }
         for i in 0..n {
-            inc_offsets[i + 1] += inc_offsets[i];
+            nbr_offsets[i + 1] += nbr_offsets[i];
         }
         scratch.cursor.clear();
-        scratch.cursor.extend_from_slice(&inc_offsets[..n]);
-        let mut inc = vec![(0u32, 0 as Timestamp); 2 * links];
-        for &(i, j, t) in &scratch.edges {
-            inc[scratch.cursor[i as usize]] = (j, t);
-            scratch.cursor[i as usize] += 1;
-            inc[scratch.cursor[j as usize]] = (i, t);
+        scratch.cursor.extend_from_slice(&nbr_offsets[..n]);
+        let mut nbr_ids = vec![0u32; scratch.edges.len()];
+        for &(j, i) in &scratch.edges {
+            nbr_ids[scratch.cursor[j as usize]] = i;
             scratch.cursor[j as usize] += 1;
-        }
-        // Precompute the distinct-neighbor CSR so `neighbors` serves a
-        // slice on the hot extraction path instead of allocating.
-        let mut nbr_offsets = Vec::with_capacity(n + 1);
-        let mut nbr_ids = Vec::with_capacity(2 * links);
-        nbr_offsets.push(0);
-        for i in 0..n {
-            let row = &mut scratch.row;
-            row.clear();
-            row.extend(
-                inc[inc_offsets[i]..inc_offsets[i + 1]]
-                    .iter()
-                    .map(|&(j, _)| j),
-            );
-            row.sort_unstable();
-            row.dedup();
-            nbr_ids.extend_from_slice(row);
-            nbr_offsets.push(nbr_ids.len());
         }
         HopSubgraph {
             global,
             dist,
-            inc_offsets,
-            inc,
             nbr_offsets,
             nbr_ids,
             h,
-            links,
         }
     }
 
@@ -407,10 +376,10 @@ impl HopSubgraph {
         self.global.len()
     }
 
-    /// Number of induced timestamped links (multi-links counted, the target
-    /// pair's history excluded).
+    /// Number of distinct induced links (a multi-link counts once, the
+    /// target pair's history is excluded).
     pub fn link_count(&self) -> usize {
-        self.links
+        self.nbr_ids.len() / 2
     }
 
     /// The hop radius used for extraction.
@@ -436,16 +405,6 @@ impl HopSubgraph {
         self.dist[i]
     }
 
-    /// All `(local neighbor, timestamp)` incidences of local node `i`,
-    /// served from the flat incidence CSR.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn incident_links(&self, i: usize) -> &[(u32, Timestamp)] {
-        &self.inc[self.inc_offsets[i]..self.inc_offsets[i + 1]]
-    }
-
     /// Sorted distinct local neighbors of local node `i`, served from the
     /// precomputed local CSR (no per-call allocation).
     ///
@@ -462,6 +421,7 @@ mod tests {
     use dyngraph::DynamicNetwork;
 
     use super::*;
+    use crate::kstructure::testing::{pipeline, slot_of};
 
     /// A two-triangle "bowtie" with a pendant chain:
     /// 0-1-2-0 (triangle), 2-3, 3-4, plus multi-link 0-1.
@@ -502,7 +462,7 @@ mod tests {
         // 0-1 has two history links; extracting for target (0,1) must skip
         // them but keep everything else.
         let s = HopSubgraph::extract(&g, 0, 1, 2);
-        for &(j, _) in s.incident_links(0) {
+        for &j in s.neighbors(0) {
             assert_ne!(s.global_id(j as usize), 1);
         }
         // other links of the triangle remain
@@ -512,16 +472,14 @@ mod tests {
     #[test]
     fn multi_links_preserved() {
         let g = sample();
-        let s = HopSubgraph::extract(&g, 2, 3, 1);
-        // locals: 0->2, 1->3, then 0,1,4.
-        let zero = (0..s.node_count()).find(|&i| s.global_id(i) == 0).unwrap();
-        let one = (0..s.node_count()).find(|&i| s.global_id(i) == 1).unwrap();
-        let links_01 = s
-            .incident_links(zero)
-            .iter()
-            .filter(|&&(j, _)| j as usize == one)
-            .count();
-        assert_eq!(links_01, 2);
+        // Target (2, 3) at h = 1 holds {2, 3, 0, 1, 4}: five structure
+        // nodes, all selected at K = 5. The hop subgraph keeps one distinct
+        // 0-1 link; both of its timestamps reach the K-structure subgraph.
+        let (hop, s, ks) = pipeline(&g, 2, 3, 1, 5);
+        assert_eq!(hop.node_count(), 5);
+        let zero = slot_of(&hop, &s, &ks, 0);
+        let one = slot_of(&hop, &s, &ks, 1);
+        assert_eq!(ks.timestamps_between(zero, one), &[1, 2]);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! nodes, the remaining slots stay unoccupied and the matrix is zero-padded
 //! (the paper leaves this case unspecified; zero-padding matches WLNM).
 
-use dyngraph::Timestamp;
+use dyngraph::{GraphView, NodeId, Timestamp};
 
+use crate::hop::HopSubgraph;
 use crate::structure::StructureSubgraph;
 
 /// The selected top-`K` structure nodes of a target link, indexed by
@@ -35,16 +36,30 @@ pub struct KStructureSubgraph {
 }
 
 impl KStructureSubgraph {
-    /// Selects the `K` structure nodes with Palette-WL order ≤ `K`.
+    /// Selects the `K` structure nodes with Palette-WL order ≤ `K` and
+    /// gathers the timestamps of the links among them.
     ///
     /// `order[x]` is the 1-based order of structure node `x`, as produced by
-    /// [`crate::palette::palette_wl`].
+    /// [`crate::palette::palette_wl`]; `s` was combined from `hop`, which
+    /// was extracted from `g`. Timestamps enter the pipeline only here
+    /// (Definition 8 needs them for these links alone): every link of `g`
+    /// between members of two selected structure nodes contributes its
+    /// timestamp to their slot pair, except the target pair's own history
+    /// (slots 0 and 1 hold exactly the endpoints). Each link's timestamps
+    /// are sorted ascending — the multiset and order Definition 5 gives
+    /// the structure link.
     ///
     /// # Panics
     ///
     /// Panics if `k < 2`, if `order.len() != s.node_count()`, or if the
     /// endpoints (structure nodes 0 and 1) do not hold orders 1 and 2.
-    pub fn select(s: &StructureSubgraph, order: &[usize], k: usize) -> Self {
+    pub fn select<G: GraphView + ?Sized>(
+        g: &G,
+        hop: &HopSubgraph,
+        s: &StructureSubgraph,
+        order: &[usize],
+        k: usize,
+    ) -> Self {
         assert!(k >= 2, "k must be at least 2 (the two endpoints)");
         assert_eq!(order.len(), s.node_count(), "order length mismatch");
         assert_eq!(order.first(), Some(&1), "endpoint a must have order 1");
@@ -52,34 +67,61 @@ impl KStructureSubgraph {
 
         let mut selected = vec![None; k];
         let mut dist = vec![u32::MAX; k];
-        // slot_of[x] for selected structure nodes, sentinel otherwise.
-        let mut slot_of = vec![usize::MAX; s.node_count()];
+        // (global id, slot) of every member of a selected structure node,
+        // sorted by id for lookup.
+        let mut slot_of: Vec<(NodeId, usize)> = Vec::new();
         for (x, &ord) in order.iter().enumerate() {
             if ord <= k {
                 selected[ord - 1] = Some(x);
                 dist[ord - 1] = s.distance(x);
-                slot_of[x] = ord - 1;
+                slot_of.extend(
+                    s.members(x).iter().map(|&i| (hop.global_id(i), ord - 1)),
+                );
             }
         }
-        // Structure links between selected nodes, re-keyed to slot pairs.
-        // Palette order permutes the node order, so re-sort by slot key.
-        let mut kept: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for (x, y) in s.links() {
-            let (m, n) = (slot_of[x], slot_of[y]);
-            if m != usize::MAX && n != usize::MAX {
-                kept.push((m.min(n), m.max(n), x, y));
+        slot_of.sort_unstable();
+        // Every link among selected members, seen once from its smaller
+        // endpoint, as a (slot pair, timestamp) triple.
+        let mut triples: Vec<(usize, usize, Timestamp)> = Vec::new();
+        for &(u, m) in &slot_of {
+            for (v, t) in g.incident_links(u) {
+                if u >= v {
+                    continue;
+                }
+                if let Ok(p) = slot_of.binary_search_by_key(&v, |&(w, _)| w) {
+                    let key = (m.min(slot_of[p].1), m.max(slot_of[p].1));
+                    if key != (0, 1) {
+                        triples.push((key.0, key.1, t));
+                    }
+                }
             }
         }
-        kept.sort_unstable();
-        let mut link_keys = Vec::with_capacity(kept.len());
-        let mut ts_offsets = Vec::with_capacity(kept.len() + 1);
-        let mut ts = Vec::new();
-        ts_offsets.push(0);
-        for &(m, n, x, y) in &kept {
-            link_keys.push((m, n));
-            ts.extend_from_slice(s.timestamps_between(x, y));
-            ts_offsets.push(ts.len());
+        triples.sort_unstable();
+        let mut link_keys = Vec::new();
+        let mut ts_offsets = Vec::new();
+        let mut ts = Vec::with_capacity(triples.len());
+        for &(m, n, t) in &triples {
+            if link_keys.last() != Some(&(m, n)) {
+                link_keys.push((m, n));
+                ts_offsets.push(ts.len());
+            }
+            ts.push(t);
         }
+        ts_offsets.push(ts.len());
+        debug_assert_eq!(
+            link_keys,
+            {
+                let slot = |x: usize| (order[x] <= k).then(|| order[x] - 1);
+                let mut want: Vec<(usize, usize)> = s
+                    .links()
+                    .filter_map(|(x, y)| Some((slot(x)?, slot(y)?)))
+                    .map(|(m, n)| (m.min(n), m.max(n)))
+                    .collect();
+                want.sort_unstable();
+                want
+            },
+            "g must be the view the structure subgraph was extracted from"
+        );
         KStructureSubgraph {
             k,
             selected,
@@ -162,20 +204,25 @@ impl KStructureSubgraph {
     }
 }
 
+/// Test fixtures shared by the hop, structure and K-structure unit tests:
+/// the pipeline up to selection at a fixed radius.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod testing {
+    use dyngraph::{DynamicNetwork, NodeId};
+
+    use super::KStructureSubgraph;
     use crate::hop::HopSubgraph;
     use crate::palette::palette_wl;
-    use dyngraph::DynamicNetwork;
+    use crate::structure::StructureSubgraph;
 
-    fn pipeline(
+    /// Extracts, combines, ranks and selects target `(a, b)` at radius `h`.
+    pub(crate) fn pipeline(
         g: &DynamicNetwork,
-        a: u32,
-        b: u32,
+        a: NodeId,
+        b: NodeId,
         h: u32,
         k: usize,
-    ) -> (StructureSubgraph, KStructureSubgraph) {
+    ) -> (HopSubgraph, StructureSubgraph, KStructureSubgraph) {
         let hop = HopSubgraph::extract(g, a, b, h);
         let s = StructureSubgraph::combine(&hop);
         let adj: Vec<Vec<usize>> = (0..s.node_count())
@@ -187,9 +234,36 @@ mod tests {
             .map(|x| s.members(x)[0] as u64)
             .collect();
         let order = palette_wl(&adj, &dist, (0, 1), &tiebreak);
-        let ks = KStructureSubgraph::select(&s, &order, k);
-        (s, ks)
+        let ks = KStructureSubgraph::select(g, &hop, &s, &order, k);
+        (hop, s, ks)
     }
+
+    /// The slot holding the structure node that global node `n` merged
+    /// into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a member of a selected structure node.
+    pub(crate) fn slot_of(
+        hop: &HopSubgraph,
+        s: &StructureSubgraph,
+        ks: &KStructureSubgraph,
+        n: NodeId,
+    ) -> usize {
+        (0..ks.k())
+            .find(|&m| {
+                ks.structure_node(m).is_some_and(|x| {
+                    s.members(x).iter().any(|&i| hop.global_id(i) == n)
+                })
+            })
+            .expect("node is in a selected slot")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::pipeline;
+    use dyngraph::DynamicNetwork;
 
     fn bowtie() -> DynamicNetwork {
         // target (0,1); 0-2, 1-2, 0-3, 3-4, pendants 5,6 on 0.
@@ -208,7 +282,7 @@ mod tests {
     #[test]
     fn endpoints_occupy_first_slots() {
         let g = bowtie();
-        let (s, ks) = pipeline(&g, 0, 1, 2, 4);
+        let (_, s, ks) = pipeline(&g, 0, 1, 2, 4);
         assert_eq!(ks.structure_node(0), Some(0));
         assert_eq!(ks.structure_node(1), Some(1));
         assert_eq!(s.members(0), &[0]);
@@ -218,7 +292,7 @@ mod tests {
     #[test]
     fn selection_truncates_to_k() {
         let g = bowtie();
-        let (s, ks) = pipeline(&g, 0, 1, 2, 3);
+        let (_, s, ks) = pipeline(&g, 0, 1, 2, 3);
         assert!(s.node_count() > 3);
         assert_eq!(ks.k(), 3);
         assert_eq!(ks.occupied_count(), 3);
@@ -227,7 +301,7 @@ mod tests {
     #[test]
     fn padding_when_component_small() {
         let g: DynamicNetwork = [(0, 1, 1), (0, 2, 1)].into_iter().collect();
-        let (_, ks) = pipeline(&g, 0, 1, 3, 6);
+        let (_, _, ks) = pipeline(&g, 0, 1, 3, 6);
         assert_eq!(ks.occupied_count(), 3);
         assert!(!ks.is_occupied(5));
         assert_eq!(ks.slot_distance(5), u32::MAX);
@@ -239,7 +313,7 @@ mod tests {
         let g = bowtie();
         // k=3 keeps slots for {0},{1} and one distance-1 structure node; the
         // far node 4 and its link 3-4 must not appear.
-        let (_, ks) = pipeline(&g, 0, 1, 2, 3);
+        let (_, _, ks) = pipeline(&g, 0, 1, 2, 3);
         for (m, n) in ks.links() {
             assert!(m < 3 && n < 3);
         }
@@ -248,7 +322,7 @@ mod tests {
     #[test]
     fn links_iterate_sorted() {
         let g = bowtie();
-        let (_, ks) = pipeline(&g, 0, 1, 2, 5);
+        let (_, _, ks) = pipeline(&g, 0, 1, 2, 5);
         let links: Vec<_> = ks.links().collect();
         assert!(links.windows(2).all(|w| w[0] < w[1]));
         assert!(links.iter().all(|&(m, n)| m < n));
@@ -258,7 +332,7 @@ mod tests {
     fn timestamps_carried_over() {
         let g: DynamicNetwork =
             [(0, 2, 3), (0, 2, 7), (1, 2, 5)].into_iter().collect();
-        let (_, ks) = pipeline(&g, 0, 1, 1, 3);
+        let (_, _, ks) = pipeline(&g, 0, 1, 1, 3);
         assert_eq!(ks.timestamps_between(0, 2), &[3, 7]);
         assert_eq!(ks.timestamps_between(2, 0), &[3, 7]);
         assert_eq!(ks.timestamps_between(1, 2), &[5]);

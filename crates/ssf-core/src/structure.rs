@@ -21,20 +21,20 @@
 //! automatically independent of the graph representation the subgraph was
 //! extracted from ([`dyngraph::GraphView`] — mutable network, frozen CSR,
 //! or overlay): the bit-identity of the whole pipeline across views is
-//! decided at hop extraction, upstream of this module.
-
-use dyngraph::Timestamp;
+//! decided outside this module, at hop extraction and at K-selection
+//! (which reads the link timestamps).
 
 use crate::hop::HopSubgraph;
 
 /// The h-hop *structure subgraph* `G_{S_h→e_t}` of a target link.
 ///
 /// Structure node 0 is always the singleton `{a}` and structure node 1 the
-/// singleton `{b}`. Every structure link keeps the full multiset of
-/// timestamps of the underlying links (Definition 5), which the
-/// [normalized influence](crate::influence) later collapses. All state is
-/// flat CSR — members, adjacency and link timestamps are slices into shared
-/// arrays, so downstream stages read contiguous memory.
+/// singleton `{b}`. The subgraph is topology only: members, distances and
+/// distinct structure links. Definition 5's timestamp multisets are needed
+/// only for the links among the top-K structure nodes, so
+/// [`crate::KStructureSubgraph::select`] gathers them from the graph for
+/// those links alone. All state is flat CSR — members and adjacency are
+/// slices into shared arrays, so downstream stages read contiguous memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructureSubgraph {
     /// Member CSR row bounds: structure node `x` owns
@@ -46,13 +46,6 @@ pub struct StructureSubgraph {
     adj_offsets: Vec<usize>,
     /// Flat sorted distinct structure-node neighbors.
     adj_ids: Vec<usize>,
-    /// Structure links as `(x, y)` with `x < y`, sorted ascending.
-    link_keys: Vec<(usize, usize)>,
-    /// Timestamp CSR row bounds: link `link_keys[e]` owns
-    /// `ts[ts_offsets[e]..ts_offsets[e + 1]]` (sorted ascending).
-    ts_offsets: Vec<usize>,
-    /// Flat timestamps of all underlying links.
-    ts: Vec<Timestamp>,
     /// `dist[x]` = hop distance of structure node `x` to the target link
     /// (all members share it; kept as the minimum for safety).
     dist: Vec<u32>,
@@ -67,18 +60,15 @@ pub struct StructureSubgraph {
 #[derive(Debug, Clone, Default)]
 pub struct StructureScratch {
     group_of: Vec<usize>,
-    /// Flattened `(group, neighbor group)` signature entries, sorted and
-    /// deduplicated each round.
+    /// Flattened `(group, neighbor group)` signature entries.
     pairs: Vec<(u32, u32)>,
-    /// `pairs[sig_off[g]..sig_off[g + 1]]` is group `g`'s neighbor set.
+    /// `flat[sig_off[g]..sig_off[g + 1]]` is group `g`'s neighbor set.
     sig_off: Vec<usize>,
     /// Non-endpoint group ids ordered by signature for run detection.
     order: Vec<u32>,
-    /// Counting-sorted neighbor-group ids, one row per group.
+    /// Sorted, deduplicated neighbor-group ids, one row per group.
     flat: Vec<u32>,
     new_of_group: Vec<usize>,
-    /// Per-link `(x, y, t)` triples accumulated during finalize.
-    triples: Vec<(u32, u32, Timestamp)>,
     cursor: Vec<usize>,
 }
 
@@ -114,7 +104,7 @@ impl StructureSubgraph {
             order,
             flat,
             new_of_group,
-            ..
+            cursor,
         } = scratch;
         group_of.clear();
         group_of.extend(0..n);
@@ -134,14 +124,12 @@ impl StructureSubgraph {
                     new_of_group,
                 )
             } else {
-                // Later rounds: flatten every group's neighbor set into one
-                // (group, neighbor-group) pair list, grouped by a counting
-                // sort on the owning group and sorted + deduplicated per
-                // row — rows are small, so this beats one global sort.
+                // Later rounds: every group's neighbor set is the union of
+                // its members' distinct-neighbor rows, mapped to groups.
                 pairs.clear();
                 for i in 0..n {
                     let gi = group_of[i] as u32;
-                    for &(j, _) in hop.incident_links(i) {
+                    for &j in hop.neighbors(i) {
                         let gj = group_of[j as usize] as u32;
                         debug_assert_ne!(
                             gi, gj,
@@ -150,47 +138,7 @@ impl StructureSubgraph {
                         pairs.push((gi, gj));
                     }
                 }
-                sig_off.clear();
-                sig_off.resize(group_count + 1, 0);
-                for &(gi, _) in pairs.iter() {
-                    sig_off[gi as usize + 1] += 1;
-                }
-                for g in 0..group_count {
-                    sig_off[g + 1] += sig_off[g];
-                }
-                // Bucket placement, reusing new_of_group as the cursor (it
-                // is rebuilt from scratch by merge_round below).
-                new_of_group.clear();
-                new_of_group.extend_from_slice(&sig_off[..group_count]);
-                flat.clear();
-                flat.resize(pairs.len(), 0);
-                for &(gi, gj) in pairs.iter() {
-                    flat[new_of_group[gi as usize]] = gj;
-                    new_of_group[gi as usize] += 1;
-                }
-                // Sort + dedup each group's row, compacting in place.
-                let mut w = 0usize;
-                let mut start = 0usize;
-                for g in 0..group_count {
-                    let end = sig_off[g + 1];
-                    let row = &mut flat[start..end];
-                    row.sort_unstable();
-                    let row_start = w;
-                    let mut prev = u32::MAX;
-                    for idx in start..end {
-                        let v = flat[idx];
-                        if v != prev {
-                            flat[w] = v;
-                            w += 1;
-                            prev = v;
-                        }
-                    }
-                    start = end;
-                    sig_off[g] = row_start;
-                }
-                sig_off[group_count] = w;
-                // sig_off now holds compacted row starts (shifted in the
-                // loop above: sig_off[g] = start of row g).
+                sorted_rows(group_count, pairs, sig_off, flat, cursor);
                 let (ga, gb) = (group_of[0], group_of[1]);
                 merge_round(
                     group_count,
@@ -225,11 +173,11 @@ impl StructureSubgraph {
         let StructureScratch {
             group_of,
             pairs,
+            sig_off,
             order,
+            flat,
             new_of_group,
-            triples,
             cursor,
-            ..
         } = scratch;
         let n = hop.node_count();
         // Member CSR via counting sort: hop ids ascend within each group.
@@ -254,7 +202,7 @@ impl StructureSubgraph {
         // carries its minimum distance — the key is O(1) per group, unique
         // via the first-member component. Keys are staged in the `pairs`
         // buffer so the sort never re-derives them.
-        let keys = pairs;
+        let keys = &mut *pairs;
         keys.clear();
         keys.extend((0..group_count).map(|g| {
             let first = mem_ids[mem_offsets[g]];
@@ -296,92 +244,27 @@ impl StructureSubgraph {
             dist[x] = hop.distance(out_mem_ids[out_mem_offsets[x]]);
         }
 
-        // Structure links: every underlying hop link becomes a timestamped
-        // (x, y) triple, grouped per link with ascending timestamps. The
-        // triples are bucketed by leading slot `x` with a counting pass over
-        // the incidence CSR, then each (small) row is sorted by (y, t) —
-        // the same total order a global sort would produce.
-        cursor.clear();
-        cursor.resize(group_count + 1, 0);
+        // Adjacency CSR: every distinct hop link maps to its (mirrored)
+        // pair of final structure ids; grouping by the first id with
+        // sorted, deduplicated rows yields each row born sorted.
+        pairs.clear();
         for i in 0..n {
-            let x = new_id[group_of[i]];
-            for &(j, _) in hop.incident_links(i) {
-                if i < j as usize {
-                    let y = new_id[group_of[j as usize]];
-                    cursor[x.min(y) + 1] += 1;
-                }
+            let x = new_id[group_of[i]] as u32;
+            for &j in hop.neighbors(i) {
+                pairs.push((x, new_id[group_of[j as usize]] as u32));
             }
         }
-        for g in 0..group_count {
-            cursor[g + 1] += cursor[g];
-        }
-        triples.clear();
-        triples.resize(cursor[group_count], (0, 0, 0));
-        for i in 0..n {
-            let x = new_id[group_of[i]];
-            for &(j, t) in hop.incident_links(i) {
-                if i < j as usize {
-                    let y = new_id[group_of[j as usize]];
-                    let lo = x.min(y);
-                    triples[cursor[lo]] = (lo as u32, x.max(y) as u32, t);
-                    cursor[lo] += 1;
-                }
-            }
-        }
-        // cursor[g] now bounds the end of row g (and the start of row g+1
-        // was its pre-pass value, i.e. cursor[g - 1] after the fill).
-        let mut row_start = 0;
-        for g in 0..group_count {
-            triples[row_start..cursor[g]].sort_unstable();
-            row_start = cursor[g];
-        }
-        let mut link_keys = Vec::new();
-        let mut ts_offsets = Vec::new();
-        let mut ts = Vec::with_capacity(triples.len());
-        for &(x, y, t) in triples.iter() {
-            let key = (x as usize, y as usize);
-            if link_keys.last() != Some(&key) {
-                link_keys.push(key);
-                ts_offsets.push(ts.len());
-            }
-            ts.push(t);
-        }
-        ts_offsets.push(ts.len());
-        // Adjacency CSR from the distinct link keys, mirrored and
-        // counting-sorted into rows. Keys ascend by (x, y), so node g's row
-        // receives its smaller neighbors first (from keys (x, g), ascending
-        // in x, all processed before any (g, y)) and then its larger
-        // neighbors ascending in y — each row is born sorted.
-        let mut adj_offsets = vec![0usize; group_count + 1];
-        for &(x, y) in &link_keys {
-            adj_offsets[x + 1] += 1;
-            adj_offsets[y + 1] += 1;
-        }
-        for g in 0..group_count {
-            adj_offsets[g + 1] += adj_offsets[g];
-        }
-        cursor.clear();
-        cursor.extend_from_slice(&adj_offsets[..group_count]);
-        let mut adj_ids = vec![0usize; 2 * link_keys.len()];
-        for &(x, y) in &link_keys {
-            adj_ids[cursor[x]] = y;
-            cursor[x] += 1;
-            adj_ids[cursor[y]] = x;
-            cursor[y] += 1;
-        }
-        debug_assert!((0..group_count).all(|g| {
-            adj_ids[adj_offsets[g]..adj_offsets[g + 1]]
-                .windows(2)
-                .all(|w| w[0] < w[1])
-        }));
+        sorted_rows(group_count, pairs, sig_off, flat, cursor);
+        let adj_offsets = sig_off.clone();
+        let adj_ids = flat[..sig_off[group_count]]
+            .iter()
+            .map(|&y| y as usize)
+            .collect();
         StructureSubgraph {
             mem_offsets: out_mem_offsets,
             mem_ids: out_mem_ids,
             adj_offsets,
             adj_ids,
-            link_keys,
-            ts_offsets,
-            ts,
             dist,
         }
     }
@@ -393,7 +276,7 @@ impl StructureSubgraph {
 
     /// Number of structure links `|E_S|`.
     pub fn link_count(&self) -> usize {
-        self.link_keys.len()
+        self.adj_ids.len() / 2
     }
 
     /// Sorted hop-local node ids merged into structure node `x`.
@@ -423,21 +306,65 @@ impl StructureSubgraph {
         self.dist[x]
     }
 
-    /// Sorted timestamps of all underlying links between `x` and `y`
-    /// (empty if no structure link exists).
-    pub fn timestamps_between(&self, x: usize, y: usize) -> &[Timestamp] {
-        let key = (x.min(y), x.max(y));
-        match self.link_keys.binary_search(&key) {
-            Ok(e) => &self.ts[self.ts_offsets[e]..self.ts_offsets[e + 1]],
-            Err(_) => &[],
-        }
-    }
-
     /// Iterates structure links once as `(x, y)` with `x < y`, in ascending
     /// order.
     pub fn links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.link_keys.iter().copied()
+        (0..self.node_count()).flat_map(move |x| {
+            self.neighbors(x)
+                .iter()
+                .filter(move |&&y| x < y)
+                .map(move |&y| (x, y))
+        })
     }
+}
+
+/// Groups `pairs` by their first component into `rows` sorted,
+/// deduplicated rows of second components: row `r` is
+/// `flat[off[r]..off[r + 1]]`. A counting sort buckets the rows, then
+/// each (small) row is sorted and compacted in place — rows are small, so
+/// this beats one global sort.
+fn sorted_rows(
+    rows: usize,
+    pairs: &[(u32, u32)],
+    off: &mut Vec<usize>,
+    flat: &mut Vec<u32>,
+    cursor: &mut Vec<usize>,
+) {
+    off.clear();
+    off.resize(rows + 1, 0);
+    for &(r, _) in pairs {
+        off[r as usize + 1] += 1;
+    }
+    for r in 0..rows {
+        off[r + 1] += off[r];
+    }
+    cursor.clear();
+    cursor.extend_from_slice(&off[..rows]);
+    flat.clear();
+    flat.resize(pairs.len(), 0);
+    for &(r, v) in pairs {
+        flat[cursor[r as usize]] = v;
+        cursor[r as usize] += 1;
+    }
+    let mut w = 0usize;
+    let mut start = 0usize;
+    for r in 0..rows {
+        let end = off[r + 1];
+        flat[start..end].sort_unstable();
+        let row_start = w;
+        let mut prev = u32::MAX;
+        for idx in start..end {
+            let v = flat[idx];
+            if v != prev {
+                flat[w] = v;
+                w += 1;
+                prev = v;
+            }
+        }
+        start = end;
+        off[r] = row_start;
+    }
+    off[rows] = w;
 }
 
 /// One merge round of Algorithm 1: groups whose signature slices compare
@@ -496,6 +423,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kstructure::testing::{pipeline, slot_of};
     use dyngraph::DynamicNetwork;
 
     fn structure_of(
@@ -604,15 +532,19 @@ mod tests {
     fn structure_links_aggregate_timestamps() {
         // pendants 2,3 on node 0 with different timestamps merge; their
         // structure link to {0} carries both timestamps.
+        // The multiset reaches the K-structure subgraph, which reads it
+        // from the graph at selection time.
         let g: DynamicNetwork =
             [(0, 2, 5), (0, 3, 9), (0, 1, 1)].into_iter().collect();
-        let s = structure_of(&g, 0, 1, 1);
+        let (hop, s, ks) = pipeline(&g, 0, 1, 1, 3);
         // nodes: {0}, {1}, {2,3}
         assert_eq!(s.node_count(), 3);
-        assert_eq!(s.timestamps_between(0, 2), &[5, 9]);
+        let fan = slot_of(&hop, &s, &ks, 2);
+        assert_eq!(fan, slot_of(&hop, &s, &ks, 3));
+        assert_eq!(ks.timestamps_between(0, fan), &[5, 9]);
         // The 0-1 history link is the target pair: excluded by extraction.
-        assert_eq!(s.timestamps_between(0, 1), &[] as &[u32]);
-        assert_eq!(s.timestamps_between(1, 2), &[] as &[u32]);
+        assert_eq!(ks.timestamps_between(0, 1), &[] as &[u32]);
+        assert_eq!(ks.timestamps_between(1, fan), &[] as &[u32]);
     }
 
     #[test]
@@ -620,8 +552,10 @@ mod tests {
         let g: DynamicNetwork = [(0, 2, 1), (0, 2, 3), (0, 2, 3), (0, 1, 1)]
             .into_iter()
             .collect();
-        let s = structure_of(&g, 0, 1, 1);
-        assert_eq!(s.timestamps_between(0, 2), &[1, 3, 3]);
+        let (hop, s, ks) = pipeline(&g, 0, 1, 1, 3);
+        assert_eq!(s.link_count(), 1, "one distinct structure link");
+        let two = slot_of(&hop, &s, &ks, 2);
+        assert_eq!(ks.timestamps_between(0, two), &[1, 3, 3]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn main() {
     println!("\nSSF pipeline for A-B:");
     let hop = HopSubgraph::extract(&g, a, b, 1);
     println!(
-        "  1-hop subgraph: {} nodes, {} links",
+        "  1-hop subgraph: {} nodes, {} distinct links",
         hop.node_count(),
         hop.link_count()
     );

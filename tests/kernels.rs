@@ -8,11 +8,19 @@
 //! reordering of float operations, any divergence in tie-breaking, or
 //! any cache-reuse leak shows up as a failed `to_bits` comparison.
 //! Coverage axes: all six [`EntryEncoding`]s, `K ∈ {3..6}`, uncached vs
-//! cached (fresh and warm-reused caches), and the multi-threaded
-//! `extract_batch` at 1/2/8 workers.
+//! cached (fresh and warm-reused caches), the multi-threaded
+//! `extract_batch` at 1/2/8 workers, and every graph view (mutable,
+//! frozen CSR, windowed copy-on-write overlay) — K-selection reads link
+//! timestamps from the view itself, so each view must serve them exactly
+//! as the balls saw the topology.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use ssf_repro::dyngraph::{DynamicNetwork, NodeId, Timestamp};
+use ssf_repro::dyngraph::{
+    DeltaGraph, DynamicNetwork, FrozenGraph, GraphView, NodeId, Timestamp,
+    WindowedView,
+};
 use ssf_repro::methods::{Method, MethodOptions};
 use ssf_repro::ssf_core::{
     reference, EntryEncoding, ExtractionCache, SsfConfig, SsfExtractor,
@@ -57,8 +65,8 @@ fn network(
 /// Asserts the optimized uncached and cached paths both reproduce the
 /// reference pipeline bit for bit on one target pair.
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test helper
-fn assert_matches_reference(
-    g: &DynamicNetwork,
+fn assert_matches_reference<G: GraphView + ?Sized>(
+    g: &G,
     a: NodeId,
     b: NodeId,
     l_t: Timestamp,
@@ -144,6 +152,99 @@ fn reciprocal_distance_disconnected_matches_reference() {
     let mut cache = ExtractionCache::new();
     for (a, b) in [(0, 1), (4, 7), (0, 8), (8, 6)] {
         assert_matches_reference(&g, a, b, 9, &config, &mut cache);
+    }
+}
+
+/// Strategy: a hub-heavy multigraph. Hub 0 carries `fans` ≥ 30 fans,
+/// every listed pair repeats 1–5 times at its own timestamps, and fans 1
+/// and 2 stay pendants of the hub, so the target `(1, 2)` has only three
+/// structure nodes at h = 1 and must grow to h ≥ 2 for any `K ≥ 4`.
+fn hub_multigraph() -> impl Strategy<Value = Vec<(NodeId, NodeId, Timestamp)>> {
+    let multi = || prop::collection::vec(1..40u32, 1..6);
+    (
+        30..40u32,
+        prop::collection::vec(multi(), 40),
+        prop::collection::vec((3..48u32, 3..48u32, multi()), 0..40),
+    )
+        .prop_map(|(fans, spokes, extra)| {
+            let mut events = Vec::new();
+            for (f, ts) in (1..=fans).zip(spokes) {
+                events.extend(ts.into_iter().map(|t| (0, f, t)));
+            }
+            for (u, v, ts) in extra {
+                if u != v {
+                    events.extend(ts.into_iter().map(|t| (u, v, t)));
+                }
+            }
+            events.sort_by_key(|&(_, _, t)| t);
+            events
+        })
+}
+
+/// Replays time-ordered `events` into a windowed authority and its
+/// copy-on-write mirror the way a windowed writer does — expiries
+/// mirrored, sorted inserts, one rebase halfway so the published overlay
+/// serves base rows, delta rows and expired rows at once.
+#[allow(clippy::unwrap_used)] // test helper
+fn windowed_overlay(
+    events: &[(NodeId, NodeId, Timestamp)],
+    width: Timestamp,
+) -> (WindowedView, DeltaGraph) {
+    let mut wv = WindowedView::with_width(width);
+    let mut delta = DeltaGraph::new(Arc::new(FrozenGraph::empty()));
+    for (i, &(u, v, t)) in events.iter().enumerate() {
+        if let Some(r) = wv.try_add_link(u, v, t).unwrap() {
+            delta.expire_links_below(r.cutoff, &r.affected, r.min_timestamp);
+        }
+        delta.try_add_link_sorted(u, v, t).unwrap();
+        if i == events.len() / 2 {
+            delta.rebase();
+        }
+    }
+    (wv, delta)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Hub-heavy multigraphs through every view: the mutable network, its
+    /// frozen CSR, and a published windowed overlay (checked against the
+    /// windowed authority it mirrors, too). Every encoding must be
+    /// bit-identical to the reference on each view.
+    #[test]
+    fn hub_multigraph_matches_reference_on_every_view(
+        events in hub_multigraph(),
+        k in 4..8usize,
+        extra_targets in prop::collection::vec((0..45u32, 0..45u32), 1..5),
+    ) {
+        let g: DynamicNetwork = events.iter().copied().collect();
+        let frozen = FrozenGraph::from_view(&g);
+        let (wv, delta) = windowed_overlay(&events, 12);
+        let overlay = delta.publish();
+        let mut targets = vec![(1u32, 2u32), (0, 1), (2, 0)];
+        targets.extend(extra_targets);
+        let config = SsfConfig::new(k).with_theta(0.5);
+        let grown = reference::try_extract(&g, 1, 2, 41, &config)
+            .map_or(0, |(_, h, _)| h);
+        prop_assert!(grown >= 2, "target (1, 2) must grow, got h {}", grown);
+        for encoding in ENCODINGS {
+            let config = config.with_encoding(encoding);
+            let ex = SsfExtractor::new(config);
+            let mut caches: [ExtractionCache; 4] = Default::default();
+            for &(a, b) in &targets {
+                let [c0, c1, c2, c3] = &mut caches;
+                assert_matches_reference(&g, a, b, 41, &config, c0);
+                assert_matches_reference(&frozen, a, b, 41, &config, c1);
+                assert_matches_reference(&overlay, a, b, 41, &config, c2);
+                assert_matches_reference(wv.network(), a, b, 41, &config, c3);
+                let on_overlay = ex.try_extract(&overlay, a, b, 41);
+                let on_window = ex.try_extract(wv.network(), a, b, 41);
+                prop_assert_eq!(
+                    on_overlay.map(|f| bits(f.values())),
+                    on_window.map(|f| bits(f.values()))
+                );
+            }
+        }
     }
 }
 
