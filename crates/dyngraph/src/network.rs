@@ -430,6 +430,18 @@ impl DynamicNetwork {
         if self.node_count() > 0 {
             g.ensure_node(self.node_count() as NodeId - 1);
         }
+        // Size every row once, so the copy does not regrow them link by
+        // link.
+        for (row, (copy, distinct)) in self
+            .adj
+            .iter()
+            .zip(g.adj.iter_mut().zip(g.distinct.iter_mut()))
+        {
+            let kept =
+                row.iter().filter(|&&(_, t)| t >= t_p && t < t_q).count();
+            copy.reserve_exact(kept);
+            distinct.reserve_exact(kept);
+        }
         for link in self.links() {
             if link.t >= t_p && link.t < t_q {
                 g.add_link(link.u, link.v, link.t);

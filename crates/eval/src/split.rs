@@ -98,6 +98,53 @@ pub struct Split {
     pub test: Vec<LinkSample>,
 }
 
+/// A split's samples and prediction window, decided on the full network
+/// without copying its history. [`Split::new`] is a plan plus one
+/// [`Plan::into_split`].
+struct Plan {
+    t_min: Timestamp,
+    window_start: Timestamp,
+    l_t: Timestamp,
+    positives: usize,
+    train: Vec<LinkSample>,
+    test: Vec<LinkSample>,
+}
+
+impl Plan {
+    /// Copies the history `G_{[t_min, window_start)}` out of `g`, the
+    /// network the plan was made on.
+    fn into_split(self, g: &DynamicNetwork) -> Result<Split, SplitError> {
+        // `window_start > t_min` makes the period non-empty; a failure
+        // would be an internal invariant break, surfaced as NoPositives
+        // rather than a panic on the serving path.
+        let history = g
+            .period(self.t_min, self.window_start)
+            .map_err(|_| SplitError::NoPositives)?;
+        Ok(Split {
+            history,
+            l_t: self.l_t,
+            train: self.train,
+            test: self.test,
+        })
+    }
+}
+
+/// `true` if `u` and `v` share a link older than `t`, i.e. a link of the
+/// history `G_{[t_min, t)}`, read off the shorter incidence row of `g`.
+fn linked_before(
+    g: &DynamicNetwork,
+    u: NodeId,
+    v: NodeId,
+    t: Timestamp,
+) -> bool {
+    let (a, b) = if g.multi_degree(u) <= g.multi_degree(v) {
+        (u, v)
+    } else {
+        (v, u)
+    };
+    g.incident_links(a).iter().any(|&(w, s)| w == b && s < t)
+}
+
 impl Split {
     /// Builds the split.
     ///
@@ -118,6 +165,15 @@ impl Split {
         g: &DynamicNetwork,
         config: &SplitConfig,
     ) -> Result<Self, SplitError> {
+        Self::plan(g, config)?.into_split(g)
+    }
+
+    /// Everything [`Split::new`] decides, with the same RNG draws and
+    /// errors, minus the history copy.
+    fn plan(
+        g: &DynamicNetwork,
+        config: &SplitConfig,
+    ) -> Result<Plan, SplitError> {
         let l_t = g.max_timestamp().ok_or(SplitError::EmptyNetwork)?;
         let t_min = g.min_timestamp().ok_or(SplitError::EmptyNetwork)?;
         let window = config.window.max(1);
@@ -126,19 +182,13 @@ impl Split {
             // The window must leave some history.
             return Err(SplitError::NoPositives);
         }
-        // `window_start > t_min` makes the period non-empty; a failure
-        // would be an internal invariant break, surfaced as NoPositives
-        // rather than a panic on the serving path.
-        let history = g
-            .period(t_min, window_start)
-            .map_err(|_| SplitError::NoPositives)?;
 
         // Distinct new pairs in the window.
         let mut positives: Vec<(NodeId, NodeId)> = Vec::new();
         let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
         for link in g.links() {
             if link.t >= window_start
-                && !history.has_link(link.u, link.v)
+                && !linked_before(g, link.u, link.v, window_start)
                 && seen.insert((link.u, link.v))
             {
                 positives.push((link.u, link.v));
@@ -208,9 +258,11 @@ impl Split {
         if test.iter().all(|s| !s.label) || test.is_empty() {
             return Err(SplitError::NoPositives);
         }
-        Ok(Split {
-            history,
+        Ok(Plan {
+            t_min,
+            window_start,
             l_t,
+            positives: positives.len(),
             train,
             test,
         })
@@ -227,6 +279,9 @@ impl Split {
     /// # Errors
     ///
     /// Same as [`Split::new`], when even the widest window fails.
+    ///
+    /// Each window tried is only planned; the history is copied once, for
+    /// the window returned.
     pub fn with_min_positives(
         g: &DynamicNetwork,
         config: &SplitConfig,
@@ -240,16 +295,10 @@ impl Split {
         let mut last_err = SplitError::NoPositives;
         // Keep at least half the span as history.
         while window <= span / 2 {
-            match Split::new(g, &SplitConfig { window, ..*config }) {
-                Ok(split) => {
-                    let positives = split
-                        .train
-                        .iter()
-                        .chain(&split.test)
-                        .filter(|s| s.label)
-                        .count();
-                    if positives >= min_positives {
-                        return Ok(split);
+            match Split::plan(g, &SplitConfig { window, ..*config }) {
+                Ok(plan) => {
+                    if plan.positives >= min_positives {
+                        return plan.into_split(g);
                     }
                     last_err = SplitError::NoPositives;
                 }

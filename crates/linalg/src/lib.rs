@@ -3,10 +3,10 @@
 //! A deliberately small, dependency-free linear-algebra layer sized for this
 //! reproduction's needs: the non-negative matrix factorization baseline,
 //! closed-form ridge regression (normal equations via Cholesky), and the
-//! "neural machine" MLP's forward/backward passes.
+//! "neural machine" MLP's weights and row kernels.
 //!
 //! * [`Matrix`] — row-major `f64` matrix with the usual arithmetic, matmul
-//!   (plus transposed variants for backprop), and elementwise maps.
+//!   (plus transposed variants), and elementwise maps.
 //! * [`solve`] — Cholesky factorization and SPD linear solves.
 //! * [`vector`] — slice helpers: dot products, norms, softmax, argmax.
 //!

@@ -15,18 +15,6 @@ pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// `y += alpha * x` in place.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Numerically stable softmax (subtracts the max before exponentiating).
 ///
 /// Returns an empty vector for empty input.
@@ -85,13 +73,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn dot_checks_lengths() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, 3.0], &mut y);
-        assert_eq!(y, vec![3.0, 7.0]);
     }
 
     #[test]

@@ -75,15 +75,12 @@ impl Default for MlpConfig {
     }
 }
 
-/// One dense layer plus its Adam moment buffers.
+/// One dense layer: all a served model keeps of it. Optimizer state lives
+/// in the training [`Workspace`] and is dropped with it.
 #[derive(Debug, Clone, PartialEq)]
 struct Dense {
     w: Matrix, // in × out
     b: Vec<f64>,
-    mw: Matrix,
-    vw: Matrix,
-    mb: Vec<f64>,
-    vb: Vec<f64>,
 }
 
 impl Dense {
@@ -94,22 +91,132 @@ impl Dense {
             rng.gen_range(-1.0..1.0) * scale
         });
         Dense {
-            mw: Matrix::zeros(inputs, outputs),
-            vw: Matrix::zeros(inputs, outputs),
-            mb: vec![0.0; outputs],
-            vb: vec![0.0; outputs],
             b: vec![0.0; outputs],
             w,
         }
     }
 
-    /// `x (B×in) → x·W + b (B×out)`.
-    fn forward(&self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul(&self.w);
-        for i in 0..z.rows() {
-            vector::axpy(1.0, &self.b, z.row_mut(i));
+    fn width(&self) -> usize {
+        self.b.len()
+    }
+
+    /// `z = x·W + b` for one row, in `Matrix::matmul`'s order: `z` starts
+    /// at +0.0, zero inputs are skipped, rows of `W` are accumulated in
+    /// input order, and the bias is added after the sum. With `relu`,
+    /// the bias pass also writes `max(z, 0)` there.
+    fn affine(&self, x: &[f64], z: &mut [f64], relu: Option<&mut [f64]>) {
+        z.fill(0.0);
+        for (&a, wrow) in x.iter().zip(self.w.as_slice().chunks_exact(z.len()))
+        {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &r) in z.iter_mut().zip(wrow) {
+                *o += a * r;
+            }
         }
-        z
+        match relu {
+            Some(act) => {
+                for ((o, a), &b) in z.iter_mut().zip(act).zip(&self.b) {
+                    *o += b;
+                    *a = o.max(0.0);
+                }
+            }
+            None => {
+                for (o, &b) in z.iter_mut().zip(&self.b) {
+                    *o += b;
+                }
+            }
+        }
+    }
+}
+
+/// Length of one [`forward_row`] buffer: a `Z` and an `A` block per hidden
+/// layer, then the logits.
+fn row_len(layers: &[Dense]) -> usize {
+    layers.iter().map(|l| 2 * l.width()).sum::<usize>()
+        - layers.last().map_or(0, Dense::width)
+}
+
+/// Runs one input row through every layer into `row`, laid out as
+/// `[Z₁ A₁ Z₂ A₂ … Z_L]`: each hidden layer's pre-activation and its ReLU,
+/// then the raw logits last. Each layer reads the block just before its
+/// own.
+fn forward_row(layers: &[Dense], x: &[f64], row: &mut [f64]) {
+    let mut start = 0; // where this layer's Z block begins
+    let mut input_at = None; // where the previous A block begins
+    for (li, layer) in layers.iter().enumerate() {
+        let (done, rest) = row.split_at_mut(start);
+        let input = input_at.map_or(x, |at| &done[at..]);
+        let width = layer.width();
+        let (z, rest) = rest.split_at_mut(width);
+        if li + 1 == layers.len() {
+            layer.affine(input, z, None);
+        } else {
+            layer.affine(input, z, Some(&mut rest[..width]));
+            input_at = Some(start + width);
+            start += 2 * width;
+        }
+    }
+}
+
+/// Adam's first and second moments for one layer.
+struct Moments {
+    mw: Vec<f64>,
+    vw: Vec<f64>,
+    mb: Vec<f64>,
+    vb: Vec<f64>,
+}
+
+/// Every buffer one `train` call needs, allocated once up front: a
+/// [`forward_row`] row per batch slot, the δ rows of the current and
+/// previous layer, one layer's gradients, and the optimizer moments.
+struct Workspace {
+    rows: Vec<f64>,
+    stride: usize,
+    /// Start of each layer's `Z` block within a row (`A` follows it).
+    z_at: Vec<usize>,
+    delta: Vec<f64>,
+    prev: Vec<f64>,
+    grad_w: Vec<f64>,
+    grad_b: Vec<f64>,
+    moments: Vec<Moments>,
+}
+
+impl Workspace {
+    fn new(layers: &[Dense], batch: usize) -> Self {
+        let stride = row_len(layers);
+        let z_at = layers
+            .iter()
+            .scan(0, |at, l| {
+                let here = *at;
+                *at += 2 * l.width();
+                Some(here)
+            })
+            .collect();
+        // δ rows span one layer's outputs; the previous layer's δ spans
+        // its inputs, which are the outputs of the layer before.
+        let width = layers.iter().map(Dense::width).max().unwrap_or(0);
+        let weights = layers.iter().map(|l| l.w.as_slice().len()).max();
+        let moments = layers
+            .iter()
+            .map(|l| Moments {
+                mw: vec![0.0; l.w.as_slice().len()],
+                vw: vec![0.0; l.w.as_slice().len()],
+                mb: vec![0.0; l.width()],
+                vb: vec![0.0; l.width()],
+            })
+            .collect();
+        Workspace {
+            rows: vec![0.0; batch * stride],
+            stride,
+            z_at,
+            delta: vec![0.0; batch * width],
+            prev: vec![0.0; batch * width],
+            grad_w: vec![0.0; weights.unwrap_or(0)],
+            grad_b: vec![0.0; width],
+            moments,
+        }
     }
 }
 
@@ -144,7 +251,7 @@ impl NeuralMachine {
     /// # Panics
     ///
     /// Panics if `x` is empty, lengths mismatch, a label is out of range,
-    /// or `config` has a zero batch size / learning rate.
+    /// or `config` has a zero batch size / learning rate / hidden width.
     pub fn train(x: &Matrix, y: &[usize], config: MlpConfig) -> Self {
         Self::train_observed(x, y, config, &ObsHandle::noop())
     }
@@ -174,6 +281,10 @@ impl NeuralMachine {
         assert!(config.learning_rate > 0.0, "learning rate must be positive");
         assert!(config.classes >= 2, "need at least two classes");
         assert!(
+            config.hidden.iter().all(|&h| h > 0),
+            "hidden widths must be positive"
+        );
+        assert!(
             y.iter().all(|&c| c < config.classes),
             "labels must be < classes"
         );
@@ -197,8 +308,10 @@ impl NeuralMachine {
             (0.0..0.9).contains(&vf),
             "validation_fraction must be in [0, 0.9)"
         );
-        let val_len = if vf > 0.0 {
-            ((n as f64 * vf) as usize).clamp(1, n.saturating_sub(2))
+        // Fewer than three rows cannot spare a holdout and still train:
+        // such sets train on every row, as with no early stopping.
+        let val_len = if vf > 0.0 && n >= 3 {
+            ((n as f64 * vf) as usize).clamp(1, n - 2)
         } else {
             0
         };
@@ -206,6 +319,7 @@ impl NeuralMachine {
         let val_idx = val_idx.to_vec();
         let mut index: Vec<usize> = train_idx.to_vec();
 
+        let mut ws = Workspace::new(&nm.layers, nm.config.batch_size.min(n));
         let mut step = 0u64;
         let mut best: Option<(f64, Vec<Dense>)> = None;
         let mut since_best = 0u32;
@@ -215,7 +329,7 @@ impl NeuralMachine {
             index.shuffle(&mut rng);
             for batch in index.chunks(nm.config.batch_size) {
                 step += 1;
-                nm.train_batch(x, y, batch, step);
+                nm.train_batch(&mut ws, x, y, batch, step);
             }
             if val_len > 0 {
                 let loss = nm.subset_cross_entropy(x, y, &val_idx);
@@ -276,7 +390,13 @@ impl NeuralMachine {
     /// # Errors
     ///
     /// `InvalidData` on version/shape mismatches, plus reader I/O errors.
+    /// The shapes must describe a network that can run: at least two
+    /// classes, one layer per `hidden` width plus the output layer, each
+    /// layer's input width equal to the previous layer's output width,
+    /// and the output width equal to `classes`.
     pub fn read_from<R: BufRead>(mut r: R) -> io::Result<Self> {
+        let invalid =
+            |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg);
         persist::expect_line(&mut r, "ssf-nm v1")?;
         let hidden = persist::read_usizes(&mut r, "hidden")?;
         let classes = persist::read_usizes(&mut r, "classes")?;
@@ -284,33 +404,31 @@ impl NeuralMachine {
         let (Some(&classes), Some(&nlayers)) =
             (classes.first(), nlayers.first())
         else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "missing classes/layers counts",
-            ));
+            return Err(invalid("missing classes/layers counts"));
         };
-        let mut layers = Vec::with_capacity(nlayers);
-        for _ in 0..nlayers {
+        if classes < 2 {
+            return Err(invalid("need at least two classes"));
+        }
+        if nlayers != hidden.len() + 1 {
+            return Err(invalid("layer count disagrees with hidden widths"));
+        }
+        let mut layers: Vec<Dense> = Vec::with_capacity(nlayers);
+        for li in 0..nlayers {
             let dims = persist::read_usizes(&mut r, "dims")?;
             let (Some(&rows), Some(&cols)) = (dims.first(), dims.get(1)) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bad layer dims",
-                ));
+                return Err(invalid("bad layer dims"));
             };
+            let want_cols = hidden.get(li).copied().unwrap_or(classes);
+            let chained = layers.last().is_none_or(|p| p.width() == rows);
+            if rows == 0 || cols != want_cols || !chained {
+                return Err(invalid("layer dims do not chain"));
+            }
             let w = persist::read_floats(&mut r, "w")?;
             let b = persist::read_floats(&mut r, "b")?;
-            if w.len() != rows * cols || b.len() != cols {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "layer shape mismatch",
-                ));
+            if Some(w.len()) != rows.checked_mul(cols) || b.len() != cols {
+                return Err(invalid("layer shape mismatch"));
             }
             layers.push(Dense {
-                mw: Matrix::zeros(rows, cols),
-                vw: Matrix::zeros(rows, cols),
-                mb: vec![0.0; cols],
-                vb: vec![0.0; cols],
                 w: Matrix::from_vec(rows, cols, w),
                 b,
             });
@@ -346,11 +464,15 @@ impl NeuralMachine {
     ///
     /// Panics if `x.len()` differs from the training dimension.
     pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let xm = Matrix::from_vec(1, x.len(), x.to_vec());
-        let (activations, _) = self.forward(&xm);
-        #[allow(clippy::expect_used)] // structural invariant: ≥1 layer
-        let logits = activations.last().expect("network has layers");
-        vector::softmax(logits.row(0))
+        assert_eq!(x.len(), self.input_dim(), "feature dimension mismatch");
+        let mut row = vec![0.0; row_len(&self.layers)];
+        forward_row(&self.layers, x, &mut row);
+        vector::softmax(&row[row.len() - self.config.classes..])
+    }
+
+    /// Width of the feature rows the network takes.
+    pub fn input_dim(&self) -> usize {
+        self.layers.first().map_or(0, |l| l.w.rows())
     }
 
     /// Probability of class 1 — the link score.
@@ -383,80 +505,109 @@ impl NeuralMachine {
         loss / x.rows() as f64
     }
 
-    /// Forward pass over a batch; returns per-layer pre-softmax activations
-    /// `[A1 … AL]` (post-ReLU for hidden layers, raw logits for the last)
-    /// and the pre-activation values `[Z1 … ZL]`.
-    fn forward(&self, x: &Matrix) -> (Vec<Matrix>, Vec<Matrix>) {
-        let mut activations = Vec::with_capacity(self.layers.len());
-        let mut zs = Vec::with_capacity(self.layers.len());
-        let mut a = x.clone();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(&a);
-            let is_last = li + 1 == self.layers.len();
-            a = if is_last {
-                z.clone()
-            } else {
-                z.map(|v| v.max(0.0))
-            };
-            zs.push(z);
-            activations.push(a.clone());
-        }
-        (activations, zs)
-    }
-
+    /// One minibatch step: the forward rows of `batch`, the softmax +
+    /// cross-entropy gradient `(P − Y)/B` at the logits, then backward
+    /// through the layers, updating each after its δ has been passed on.
+    /// Every sum runs in the order of the `Matrix` product it stands for
+    /// (`matmul`, `t_matmul`, `matmul_t`), so the weights match that
+    /// formulation bit for bit (`tests/golden.rs`).
     fn train_batch(
         &mut self,
+        ws: &mut Workspace,
         x: &Matrix,
         y: &[usize],
         batch: &[usize],
         step: u64,
     ) {
         let bsz = batch.len();
-        let xb = Matrix::from_fn(bsz, x.cols(), |i, j| x[(batch[i], j)]);
-        let (activations, zs) = self.forward(&xb);
+        let stride = ws.stride;
+        let classes = self.config.classes;
+        for (row, &r) in ws.rows.chunks_exact_mut(stride).zip(batch) {
+            forward_row(&self.layers, x.row(r), row);
+        }
 
-        // Softmax + cross-entropy gradient at the logits: (P − Y)/B.
-        #[allow(clippy::expect_used)] // structural invariant: ≥1 layer
-        let logits = activations.last().expect("network has layers");
-        let mut delta = Matrix::zeros(bsz, self.config.classes);
-        for i in 0..bsz {
-            let p = vector::softmax(logits.row(i));
-            for c in 0..self.config.classes {
-                let t = if y[batch[i]] == c { 1.0 } else { 0.0 };
-                delta[(i, c)] = (p[c] - t) / bsz as f64;
+        // `vector::softmax`'s arithmetic, written straight into δ.
+        for ((d, row), &r) in ws
+            .delta
+            .chunks_exact_mut(classes)
+            .zip(ws.rows.chunks_exact(stride))
+            .zip(batch)
+        {
+            let logits = &row[stride - classes..];
+            let max = logits.iter().copied().reduce(f64::max).unwrap_or(0.0);
+            for (e, &v) in d.iter_mut().zip(logits) {
+                *e = (v - max).exp();
+            }
+            let sum: f64 = d.iter().sum();
+            for (c, e) in d.iter_mut().enumerate() {
+                let t = if y[r] == c { 1.0 } else { 0.0 };
+                *e = (*e / sum - t) / bsz as f64;
             }
         }
 
-        // Backward through the layers.
         for li in (0..self.layers.len()).rev() {
-            let a_prev = if li == 0 { &xb } else { &activations[li - 1] };
-            let grad_w = a_prev.t_matmul(&delta);
-            let grad_b: Vec<f64> = (0..delta.cols())
-                .map(|c| (0..delta.rows()).map(|r| delta[(r, c)]).sum())
-                .collect();
-            if li > 0 {
-                // δ_{l-1} = (δ_l · W_lᵀ) ∘ ReLU'(Z_{l-1})
-                let mut prev = delta.matmul_t(&self.layers[li].w);
-                let z_prev = &zs[li - 1];
-                for i in 0..prev.rows() {
-                    for j in 0..prev.cols() {
-                        if z_prev[(i, j)] <= 0.0 {
-                            prev[(i, j)] = 0.0;
-                        }
+            let (inputs, width) =
+                (self.layers[li].w.rows(), self.layers[li].width());
+            let delta = &ws.delta[..bsz * width];
+            // grad_W = A_{l-1}ᵀ · δ
+            let grad_w = &mut ws.grad_w[..inputs * width];
+            grad_w.fill(0.0);
+            for (slot, d) in delta.chunks_exact(width).enumerate() {
+                let a_prev = if li == 0 {
+                    x.row(batch[slot])
+                } else {
+                    let at = slot * stride + ws.z_at[li - 1] + inputs;
+                    &ws.rows[at..at + inputs]
+                };
+                for (&l, grow) in
+                    a_prev.iter().zip(grad_w.chunks_exact_mut(width))
+                {
+                    if l == 0.0 {
+                        continue;
+                    }
+                    for (g, &dv) in grow.iter_mut().zip(d) {
+                        *g += l * dv;
                     }
                 }
-                self.apply_update(li, &grad_w, &grad_b, step);
-                delta = prev;
-            } else {
-                self.apply_update(li, &grad_w, &grad_b, step);
             }
+            let grad_b = &mut ws.grad_b[..width];
+            for (c, g) in grad_b.iter_mut().enumerate() {
+                *g = (0..bsz).map(|r| delta[r * width + c]).sum();
+            }
+            if li > 0 {
+                // δ_{l-1} = (δ_l · W_lᵀ) ∘ ReLU'(Z_{l-1})
+                let w = self.layers[li].w.as_slice();
+                for (slot, (p, d)) in ws
+                    .prev
+                    .chunks_exact_mut(inputs)
+                    .zip(delta.chunks_exact(width))
+                    .enumerate()
+                {
+                    let at = slot * stride + ws.z_at[li - 1];
+                    let z_prev = &ws.rows[at..at + inputs];
+                    for ((p, &z), wrow) in
+                        p.iter_mut().zip(z_prev).zip(w.chunks_exact(width))
+                    {
+                        *p = if z <= 0.0 { 0.0 } else { vector::dot(d, wrow) };
+                    }
+                }
+            }
+            self.apply_update(
+                li,
+                &mut ws.moments[li],
+                &ws.grad_w[..inputs * width],
+                &ws.grad_b[..width],
+                step,
+            );
+            std::mem::swap(&mut ws.delta, &mut ws.prev);
         }
     }
 
     fn apply_update(
         &mut self,
         li: usize,
-        grad_w: &Matrix,
+        moments: &mut Moments,
+        grad_w: &[f64],
         grad_b: &[f64],
         step: u64,
     ) {
@@ -473,9 +624,7 @@ impl NeuralMachine {
         };
         match self.config.optimizer {
             Optimizer::Sgd => {
-                for (w, g) in
-                    layer.w.as_mut_slice().iter_mut().zip(grad_w.as_slice())
-                {
+                for (w, g) in layer.w.as_mut_slice().iter_mut().zip(grad_w) {
                     *w = *w * shrink - lr * g;
                 }
                 for (b, g) in layer.b.iter_mut().zip(grad_b) {
@@ -508,12 +657,18 @@ impl NeuralMachine {
                 };
                 adam(
                     layer.w.as_mut_slice(),
-                    layer.mw.as_mut_slice(),
-                    layer.vw.as_mut_slice(),
-                    grad_w.as_slice(),
+                    &mut moments.mw,
+                    &mut moments.vw,
+                    grad_w,
                     shrink,
                 );
-                adam(&mut layer.b, &mut layer.mb, &mut layer.vb, grad_b, 1.0);
+                adam(
+                    &mut layer.b,
+                    &mut moments.mb,
+                    &mut moments.vb,
+                    grad_b,
+                    1.0,
+                );
             }
         }
     }
@@ -691,6 +846,98 @@ mod tests {
         buf.truncate(buf.len() / 2);
         assert!(NeuralMachine::read_from(buf.as_slice()).is_err());
         assert!(NeuralMachine::read_from(&b"not a model\n"[..]).is_err());
+    }
+
+    fn serialized(nm: &NeuralMachine) -> String {
+        let mut buf = Vec::new();
+        nm.write_to(&mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    #[test]
+    fn tiny_sets_train_without_a_holdout() {
+        for n in 1..=2 {
+            let x = Matrix::from_fn(n, 2, |i, j| (i + j) as f64 - 0.5);
+            let y: Vec<usize> = (0..n).map(|i| i % 2).collect();
+            let plain = NeuralMachine::train(&x, &y, quick_cfg());
+            let es = NeuralMachine::train(
+                &x,
+                &y,
+                MlpConfig {
+                    validation_fraction: 0.5,
+                    patience: 1,
+                    ..quick_cfg()
+                },
+            );
+            assert_eq!(serialized(&es), serialized(&plain), "{n} rows");
+        }
+    }
+
+    /// Rewrites lines of a serialized model.
+    fn edited(nm: &NeuralMachine, edits: &[(usize, &str)]) -> Vec<u8> {
+        let text = serialized(nm);
+        let mut lines: Vec<&str> = text.lines().collect();
+        for &(line, with) in edits {
+            lines[line] = with;
+        }
+        (lines.join("\n") + "\n").into_bytes()
+    }
+
+    #[test]
+    fn shape_inconsistent_models_rejected() {
+        let (x, y) = blobs(5);
+        let nm = NeuralMachine::train(
+            &x,
+            &y,
+            MlpConfig {
+                epochs: 1,
+                ..quick_cfg()
+            },
+        );
+        // Layout: magic, hidden, classes, layers, then dims/w/b per layer.
+        let text = serialized(&nm);
+        assert_eq!(text.lines().nth(1), Some("hidden 8 8"));
+        let out = 4 + 3 * 2;
+        let zeros = |n: usize| {
+            std::iter::once("w")
+                .chain(std::iter::repeat_n("0000000000000000", n))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let (w8, w56) = (zeros(8), zeros(56));
+        let cases: [&[(usize, &str)]; 6] = [
+            // A self-consistent output layer one class wide.
+            &[
+                (out, "dims 8 1"),
+                (out + 1, &w8),
+                (out + 2, "b 0000000000000000"),
+            ],
+            // Second layer's inputs disagree with the first's outputs.
+            &[(4 + 3, "dims 7 8"), (4 + 4, &w56)],
+            // `hidden` disagrees with the layers.
+            &[(1, "hidden 8 9")],
+            &[(1, "hidden 8")],
+            &[(2, "classes 1")],
+            &[(3, "layers 2")],
+        ];
+        for edits in cases {
+            let bytes = edited(&nm, edits);
+            let err = NeuralMachine::read_from(bytes.as_slice())
+                .expect_err(edits[0].1);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{edits:?}");
+        }
+        // The untouched file still loads.
+        assert!(NeuralMachine::read_from(text.as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn loaded_model_has_no_optimizer_state() {
+        let (x, y) = blobs(5);
+        let nm = NeuralMachine::train(&x, &y, quick_cfg());
+        let loaded =
+            NeuralMachine::read_from(serialized(&nm).as_bytes()).unwrap();
+        assert_eq!(loaded.layers, nm.layers);
+        assert_eq!(loaded.input_dim(), 2);
     }
 
     #[test]

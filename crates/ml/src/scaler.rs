@@ -88,6 +88,11 @@ impl StandardScaler {
         (t, scaler)
     }
 
+    /// Number of feature columns the scaler was fitted on.
+    pub fn dim(&self) -> usize {
+        self.mean.len()
+    }
+
     /// Persists the fitted statistics (exact bit round-trip).
     ///
     /// # Errors

@@ -108,3 +108,121 @@ fn early_stopping_run_matches_fixture() {
         "adam + early stopping",
     );
 }
+
+/// The shape the SSFNM model trains at: 88 features into `[32, 32, 16]`.
+/// 103 rows, so the last minibatch of 10 is ragged, and a lattice of
+/// exact zeros (plus one all-zero row) so the zero-input skips of the
+/// forward and weight-gradient products are exercised.
+fn production_data() -> (Matrix, Vec<usize>) {
+    let (rows, cols) = (103, 88);
+    let x = Matrix::from_fn(rows, cols, |i, j| {
+        if i == 41 || (i * 7 + j * 3) % 5 == 0 {
+            return 0.0;
+        }
+        let (i, j) = (i as f64, j as f64);
+        (0.11 * i + 0.7 * j).sin() * 1.5 + 0.2 * (0.05 * i * j).cos()
+    });
+    let y = (0..rows)
+        .map(|i| {
+            let r = x.row(i);
+            let score = r[0] * r[5] - r[17] + 0.5 * r[40].abs() - r[87] * r[3];
+            usize::from(score > 0.1)
+        })
+        .collect();
+    (x, y)
+}
+
+fn production_model() -> NeuralMachine {
+    let (x, y) = production_data();
+    NeuralMachine::train(
+        &x,
+        &y,
+        MlpConfig {
+            hidden: vec![32, 32, 16],
+            epochs: 40,
+            seed: 5,
+            ..MlpConfig::default()
+        },
+    )
+}
+
+/// Probe rows for the inference fixture: training rows (one of them
+/// all-zero), rows with scattered zeros, negative and large inputs.
+fn probes() -> Vec<Vec<f64>> {
+    let (x, _) = production_data();
+    let mut rows: Vec<Vec<f64>> = [0, 41, 57, 102]
+        .iter()
+        .map(|&i| x.row(i).to_vec())
+        .collect();
+    rows.push(
+        (0..88)
+            .map(|j| if j % 4 == 0 { 0.0 } else { 1.0 })
+            .collect(),
+    );
+    rows.push((0..88).map(|j| -0.25 * j as f64 / 88.0).collect());
+    rows.push((0..88).map(|j| 40.0 * (j as f64).cos()).collect());
+    rows.push((0..88).map(|j| if j == 17 { -3.0 } else { 0.0 }).collect());
+    rows
+}
+
+#[test]
+fn production_shape_matches_fixture() {
+    let nm = production_model();
+    let mut out = Vec::new();
+    nm.write_to(&mut out)
+        .unwrap_or_else(|e| panic!("write_to: {e}"));
+    let got = String::from_utf8(out).unwrap_or_else(|e| panic!("utf-8: {e}"));
+    assert_golden(
+        &got,
+        include_str!("fixtures/nm_production.txt"),
+        "production shape",
+    );
+}
+
+#[test]
+fn production_predict_proba_matches_fixture() {
+    let nm = production_model();
+    let got: String = probes()
+        .iter()
+        .map(|row| {
+            let p = nm.predict_proba(row);
+            let bits: Vec<String> =
+                p.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+            bits.join(" ") + "\n"
+        })
+        .collect();
+    assert_golden(
+        &got,
+        include_str!("fixtures/nm_production_proba.txt"),
+        "predict_proba",
+    );
+}
+
+/// One full-batch step starts from zero biases, so the all-zero row 41
+/// reaches every hidden unit with `Z` exactly 0.0: the ReLU mask must
+/// treat that as inactive (`Z <= 0`), exactly as the fixture's writer did.
+#[test]
+fn full_batch_exact_zero_activations_match_fixture() {
+    let (x, y) = production_data();
+    let narrow = Matrix::from_fn(x.rows(), 6, |i, j| x[(i, j)]);
+    let nm = NeuralMachine::train(
+        &narrow,
+        &y,
+        MlpConfig {
+            hidden: vec![5, 4],
+            epochs: 5,
+            batch_size: x.rows(),
+            seed: 5,
+            ..MlpConfig::default()
+        },
+    );
+    let mut out = Vec::new();
+    nm.write_to(&mut out)
+        .unwrap_or_else(|e| panic!("write_to: {e}"));
+    let got = String::from_utf8(out).unwrap_or_else(|e| panic!("utf-8: {e}"));
+    assert_golden(
+        &got,
+        include_str!("fixtures/nm_full_batch_zero_row.txt"),
+        "full batch, exact-zero activations",
+    );
+}

@@ -168,6 +168,15 @@ impl SsfnmModel {
         self.extractor.config()
     }
 
+    /// The same scaler and network behind another extractor
+    /// configuration. [`SsfnmModel::load`] refuses a model whose feature
+    /// widths disagree; tests build one to drive the scoring fallback.
+    #[cfg(test)]
+    pub(crate) fn with_config(mut self, cfg: SsfConfig) -> Self {
+        self.extractor = SsfExtractor::new(cfg);
+        self
+    }
+
     /// Persists the complete predictor — extractor configuration, feature
     /// scaler and network — to one plain-text stream (see
     /// [`ssf_ml::persist`] for the format guarantees).
@@ -194,17 +203,22 @@ impl SsfnmModel {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on version/format mismatches, plus reader errors.
+    /// `InvalidData` on version/format mismatches, on an extractor
+    /// configuration [`SsfConfig`] would refuse, and when the scaler or
+    /// the network's first layer is not [`SsfConfig::feature_dim`] wide,
+    /// plus reader errors.
     pub fn load<R: BufRead>(mut r: R) -> io::Result<Self> {
+        let invalid =
+            |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg);
         persist::expect_line(&mut r, "ssf-model v1")?;
         let line = persist::read_line(&mut r)?;
-        let mut k = None;
+        let mut k: Option<usize> = None;
         let mut encoding = None;
-        let mut max_h = None;
+        let mut max_h: Option<u32> = None;
         for field in line.split_whitespace().skip(1) {
-            let (key, value) = field.split_once('=').ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "bad config field")
-            })?;
+            let (key, value) = field
+                .split_once('=')
+                .ok_or_else(|| invalid("bad config field"))?;
             match key {
                 "k" => k = value.parse().ok(),
                 "encoding" => encoding = EntryEncoding::parse(value),
@@ -214,21 +228,27 @@ impl SsfnmModel {
         }
         let (Some(k), Some(encoding), Some(max_h)) = (k, encoding, max_h)
         else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "incomplete ssf-config line",
-            ));
+            return Err(invalid("incomplete ssf-config line"));
         };
         let theta = persist::read_floats(&mut r, "theta")?;
-        let theta = *theta.first().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "missing theta")
-        })?;
+        let theta = *theta.first().ok_or_else(|| invalid("missing theta"))?;
+        // The bounds `SsfConfig` asserts, checked instead of panicking.
+        if k < 3 || k.checked_mul(k - 1).is_none() || max_h < 1 {
+            return Err(invalid("ssf-config k or max_h out of range"));
+        }
+        if !(theta > 0.0 && theta.is_finite()) {
+            return Err(invalid("theta must be positive and finite"));
+        }
         let scaler = StandardScaler::read_from(&mut r)?;
         let model = NeuralMachine::read_from(&mut r)?;
         let cfg = SsfConfig::new(k)
             .with_theta(theta)
             .with_encoding(encoding)
             .with_max_h(max_h);
+        let dim = cfg.feature_dim();
+        if scaler.dim() != dim || model.input_dim() != dim {
+            return Err(invalid("model width disagrees with the feature size"));
+        }
         Ok(SsfnmModel {
             extractor: SsfExtractor::new(cfg),
             scaler,
@@ -301,6 +321,51 @@ mod tests {
         assert_eq!(loaded.config().k, opts.k);
         // Corruption is rejected, not mis-loaded.
         assert!(SsfnmModel::load(&b"garbage\n"[..]).is_err());
+    }
+
+    #[test]
+    fn load_refuses_configs_and_widths_that_disagree() {
+        let g = triadic_network();
+        let split = Split::new(&g, &SplitConfig::default()).unwrap();
+        let opts = MethodOptions {
+            nm_epochs: 2,
+            ..MethodOptions::default()
+        };
+        let model = SsfnmModel::try_fit(&split, &[], &opts).unwrap();
+        let mut buf = Vec::new();
+        model.save(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        // Layout: magic, ssf-config, theta, scaler magic, mean, std, network.
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[1].starts_with("ssf-config k=10 "), "{}", lines[1]);
+        let k9 = lines[1].replace("k=10", "k=9");
+        let k2 = lines[1].replace("k=10", "k=2");
+        let h0 = lines[1].replace("max_h=10", "max_h=0");
+        assert_ne!(h0, lines[1]);
+        let truncate = |line: &str| {
+            // K = 9 features are 35 wide, K = 10 ones 44.
+            line.split(' ').take(1 + 35).collect::<Vec<_>>().join(" ")
+        };
+        let (mean35, std35) = (truncate(lines[4]), truncate(lines[5]));
+        let cases: [&[(usize, &str)]; 5] = [
+            // Scaler and network both 44 wide for a 35-wide feature.
+            &[(1, &k9)],
+            // Scaler fixed up; the network's first layer still 44 wide.
+            &[(1, &k9), (4, &mean35), (5, &std35)],
+            // Configs `SsfConfig` would refuse with a panic.
+            &[(1, &k2)],
+            &[(1, &h0)],
+            &[(2, "theta 0000000000000000")],
+        ];
+        for edits in cases {
+            let mut edited = lines.clone();
+            for &(line, with) in edits {
+                edited[line] = with;
+            }
+            let bytes = edited.join("\n") + "\n";
+            let err = SsfnmModel::load(bytes.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{edits:?}");
+        }
     }
 
     #[test]

@@ -662,18 +662,12 @@ mod tests {
     fn degrading_predictor() -> OnlineLinkPredictor {
         let mut p = fitted_predictor();
         let fitted = p.fitted.clone().unwrap_or_else(|| panic!("fitted"));
-        let mut text = Vec::new();
-        fitted
-            .model
-            .save(&mut text)
-            .unwrap_or_else(|e| panic!("save: {e}"));
-        let text = String::from_utf8(text)
-            .unwrap_or_else(|e| panic!("utf-8: {e}"))
-            .replacen("ssf-config k=", "ssf-config k=3 trained_k=", 1);
-        let model = crate::model::SsfnmModel::load(text.as_bytes())
-            .unwrap_or_else(|e| panic!("load: {e}"));
+        let narrow = ssf_core::SsfConfig {
+            k: 3,
+            ..*fitted.model.config()
+        };
         p.fitted = Some(Arc::new(FittedModel {
-            model,
+            model: fitted.model.clone().with_config(narrow),
             epoch: fitted.epoch,
         }));
         p

@@ -220,3 +220,60 @@ fn cli_fatal_errors_use_the_error_contract() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!stderr.contains("RUST_BACKTRACE"), "{stderr}");
 }
+
+/// A model file whose output layer is self-consistent but one class wide
+/// is refused at load time through the `error:` contract, never reaching
+/// scoring.
+#[test]
+fn cli_predict_refuses_shape_inconsistent_model() {
+    let (_, edges) = clean_edge_list();
+    let net = temp_file("shape-net.txt", &edges);
+    let model = std::env::temp_dir()
+        .join(format!("ssf-chaos-{}-shape-model.txt", std::process::id()));
+    let trained = Command::new(env!("CARGO_BIN_EXE_ssf"))
+        .arg("train")
+        .arg(&net)
+        .arg("--out")
+        .arg(&model)
+        .args(["--epochs", "2"])
+        .output()
+        .expect("run ssf train");
+    assert!(
+        trained.status.success(),
+        "{}",
+        String::from_utf8_lossy(&trained.stderr)
+    );
+    let text = std::fs::read_to_string(&model).expect("read model");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let last = lines
+        .iter()
+        .rposition(|l| l.starts_with("dims "))
+        .expect("a dims line");
+    let inputs: usize = lines[last]
+        .split(' ')
+        .nth(1)
+        .and_then(|v| v.parse().ok())
+        .expect("dims inputs");
+    lines[last] = format!("dims {inputs} 1");
+    lines[last + 1] = std::iter::once("w")
+        .chain(std::iter::repeat_n("0000000000000000", inputs))
+        .collect::<Vec<_>>()
+        .join(" ");
+    lines[last + 2] = "b 0000000000000000".to_owned();
+    let bad = temp_file("shape-bad.txt", (lines.join("\n") + "\n").as_bytes());
+
+    let out = Command::new(env!("CARGO_BIN_EXE_ssf"))
+        .arg("predict")
+        .arg(&net)
+        .arg(&bad)
+        .args(["3", "17"])
+        .output()
+        .expect("run ssf predict");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for path in [net, model, bad] {
+        let _ = std::fs::remove_file(path);
+    }
+}
