@@ -124,8 +124,8 @@ fn run_tier(
     );
     p.try_refit().expect("tier stream must support a fit");
 
-    // Recommendation-shaped pairs: focal nodes × candidates with
-    // repeats, the same shape the batch_scoring bench uses.
+    // Recommendation-shaped pairs: each focal node takes 16
+    // candidates, and every 4th pair repeats an earlier one.
     let n = p.network().node_count() as NodeId;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(n_pairs);

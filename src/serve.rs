@@ -617,7 +617,7 @@ mod tests {
 
     #[test]
     fn republish_without_observes_reuses_the_frozen_base() {
-        let p = fitted_predictor();
+        let mut p = fitted_predictor();
         let s1 = p.snapshot();
         let s2 = p.snapshot();
         assert_eq!(s1.epoch(), s2.epoch());
@@ -626,6 +626,21 @@ mod tests {
             Arc::ptr_eq(s1.graph().base(), s2.graph().base()),
             "publish without new observes must not rebuild the CSR base"
         );
+        // k accepted links below the compaction threshold: the next
+        // publish carries exactly those k more delta links on the same
+        // frozen base.
+        let k = 3;
+        let t = p.network().max_timestamp().unwrap_or(0);
+        for i in 0..k as NodeId {
+            assert!(p.observe(i, i + 7, t).is_accepted());
+        }
+        let s3 = p.snapshot();
+        assert!(
+            Arc::ptr_eq(s1.graph().base(), s3.graph().base()),
+            "publish after a small delta must not rebuild the CSR base"
+        );
+        assert_eq!(s3.delta_links(), p.delta_link_count());
+        assert_eq!(s3.delta_links(), s1.delta_links() + k);
     }
 
     #[test]

@@ -1662,7 +1662,21 @@ mod tests {
         }
         assert!(p.is_fitted());
         let pairs: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 2), (1, 2), (2, 5)];
+        let cold = p.cache_stats();
         let first = p.score_batch(&pairs);
+        // Pairs sharing a focal endpoint reuse its ball inside one cold
+        // batch, and the reuse moves no score bit.
+        assert!(
+            p.cache_stats().ball_hits > cold.ball_hits,
+            "a cold batch must reuse shared endpoint balls, got {:?}",
+            p.cache_stats()
+        );
+        let bits = |s: &[Option<f64>]| -> Vec<Option<u64>> {
+            s.iter().map(|s| s.map(f64::to_bits)).collect()
+        };
+        let per_pair: Vec<_> =
+            pairs.iter().map(|&(u, v)| p.score(u, v)).collect();
+        assert_eq!(bits(&first), bits(&per_pair));
         let again = p.score_batch(&pairs);
         assert_eq!(first, again, "warm batch must reproduce cold batch");
         let stats = p.cache_stats();
