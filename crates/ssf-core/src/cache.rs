@@ -62,7 +62,7 @@ use crate::structure::StructureScratch;
 pub struct ExtractScratch {
     /// BFS + ball-merge buffers.
     pub hop: HopScratch,
-    /// Algorithm 1 fixpoint buffers.
+    /// Algorithm 1 merge buffers.
     pub structure: StructureScratch,
     /// Palette-WL buffers (notably the prime/log tables).
     pub wl: WlScratch,

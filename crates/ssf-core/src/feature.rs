@@ -419,6 +419,7 @@ impl SsfExtractor {
         let mut h = 1;
         let ball_a = cache.ball(g, a, h);
         let ball_b = cache.ball(g, b, h);
+        let hop_span = cache.recorder().span("ssf.core.hop");
         let mut hop = HopSubgraph::from_balls(
             g,
             a,
@@ -428,6 +429,7 @@ impl SsfExtractor {
             ball_b.as_slice(),
             &mut cache.scratch.hop,
         );
+        hop_span.finish();
         let structure_span = cache.recorder().span("ssf.core.structure");
         let mut s = StructureSubgraph::combine_with_scratch(
             &hop,
@@ -439,6 +441,7 @@ impl SsfExtractor {
             cache.recorder().counter("ssf.core.kgrowth_rounds", 1);
             let ball_a = cache.ball(g, a, h);
             let ball_b = cache.ball(g, b, h);
+            let hop_span = cache.recorder().span("ssf.core.hop");
             let grown = HopSubgraph::from_balls(
                 g,
                 a,
@@ -448,6 +451,7 @@ impl SsfExtractor {
                 ball_b.as_slice(),
                 &mut cache.scratch.hop,
             );
+            hop_span.finish();
             if grown.node_count() == hop.node_count() {
                 break; // component exhausted
             }
@@ -500,8 +504,11 @@ impl SsfExtractor {
         let mut deps: Vec<NodeId> =
             (0..hop.node_count()).map(|i| hop.global_id(i)).collect();
         deps.sort_unstable();
+        let select_span = cache.recorder().span("ssf.core.select");
+        let ks = KStructureSubgraph::select(g, &hop, &s, &order, k);
+        select_span.finish();
         CachedPair {
-            ks: KStructureSubgraph::select(g, &hop, &s, &order, k),
+            ks,
             h_used: h,
             structure_nodes: node_count,
             deps,

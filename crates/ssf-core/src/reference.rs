@@ -123,6 +123,9 @@ struct RefStructure {
     dist: Vec<u32>,
 }
 
+/// Algorithm 1 as written: merge twins, then repeat until a round merges
+/// nothing. The optimized kernel runs one round, which is the same
+/// partition (see [`crate::structure`]); this loop is the check.
 fn combine(hop: &RefHop) -> RefStructure {
     let n = hop.node_count;
     assert!(n >= 2, "hop subgraph must contain both target endpoints");
@@ -494,6 +497,34 @@ pub fn try_extract<G: GraphView + ?Sized>(
         }
     }
     Ok((values, h, s.members.len()))
+}
+
+/// Algorithm 1 alone on the h-hop subgraph of `(a, b)`: each structure
+/// node's hop-local members, its sorted neighbor row and its distance, in
+/// canonical structure-node order. This is the stage-level oracle for
+/// [`StructureSubgraph::combine`](crate::StructureSubgraph::combine).
+///
+/// # Panics
+///
+/// Panics if `a == b` or either endpoint is outside `g`.
+pub fn structure<G: GraphView + ?Sized>(
+    g: &G,
+    a: NodeId,
+    b: NodeId,
+    h: u32,
+) -> Vec<(Vec<usize>, Vec<usize>, u32)> {
+    assert!(a != b, "degenerate target ({a}, {b})");
+    assert!(
+        (a.max(b) as usize) < g.node_count(),
+        "endpoint outside the graph"
+    );
+    let s = combine(&hop_subgraph(g, a, b, h));
+    s.members
+        .into_iter()
+        .zip(s.adj)
+        .zip(s.dist)
+        .map(|((m, adj), d)| (m, adj, d))
+        .collect()
 }
 
 /// Panicking wrapper over [`try_extract`] for tests and tools.

@@ -1,21 +1,30 @@
 //! Structure combination (Definition 4–6, Algorithm 1 of the paper).
 //!
-//! Nodes of the h-hop subgraph that have *identical neighbor sets* play the
-//! same topological role and are merged into a single *structure node*. The
-//! merge is repeated on the resulting graph until no two structure nodes
-//! share a neighbor set (Algorithm 1's fixpoint loop: merging can expose new
-//! identical neighborhoods — e.g. two pendant nodes whose distinct anchors
-//! were themselves merged). The two endpoints of the target link are always
-//! kept as singleton structure nodes (Definition 4).
+//! Nodes of the h-hop subgraph that have *identical neighbor sets* (twins)
+//! play the same topological role and are merged into a single *structure
+//! node*. The two endpoints of the target link are always kept as
+//! singleton structure nodes (Definition 4).
 //!
-//! The merge is branch-light: each round flattens every group's neighbor
-//! set into one sorted, deduplicated pair list, groups equal signatures by
-//! sorting group ids with a slice comparator, and assigns dense new ids per
-//! run — no per-round hash maps or per-group `Vec`s. Intermediate group
-//! numbering differs from the naive formulation, but signature-equality
-//! classes are invariant under any bijective renumbering and
-//! `finalize` renumbers canonically, so the final subgraph is bit-identical
-//! to `crate::reference` (proven by `tests/kernels.rs`).
+//! Algorithm 1 repeats the merge until no two structure nodes share a
+//! neighbor set. Under strict Γ-equality the first merge already reaches
+//! that fixpoint: merging twins leaves a graph with no twins. Take
+//! non-endpoint `x`, `y` in different classes and `p ∈ N(x) \ N(y)`. If
+//! `N(x)` and `N(y)` mapped to the same set of classes, some `p′ ≠ p` in
+//! `N(y)` would share `p`'s class, so `N(p′) = N(p)` (endpoints are
+//! singleton classes, so neither is `p`); then `y ∈ N(p′)` gives
+//! `p ∈ N(y)`, a contradiction. Graphs reject self-loops, so twins are
+//! never adjacent and no structure node links to itself.
+//! `crate::reference` keeps the literal repeat loop, and
+//! `tests/kernels.rs` pins the equivalence.
+//!
+//! The kernel is therefore one pass. Non-endpoint hop nodes are sorted by
+//! their distinct-neighbor CSR row; equal runs are the twin classes. Each
+//! class's adjacency row is its first member's row mapped to class ids
+//! (twins share the row, so one member's row is the whole class's row),
+//! then sorted and deduplicated. Classes are numbered by smallest member,
+//! which is the canonical `(distance, smallest member)` order because
+//! hop-local ids are sorted by distance, so the output is bit-identical to
+//! `crate::reference`.
 //!
 //! This stage consumes only the re-indexed [`HopSubgraph`], so it is
 //! automatically independent of the graph representation the subgraph was
@@ -47,28 +56,23 @@ pub struct StructureSubgraph {
     /// Flat sorted distinct structure-node neighbors.
     adj_ids: Vec<usize>,
     /// `dist[x]` = hop distance of structure node `x` to the target link
-    /// (all members share it; kept as the minimum for safety).
+    /// (the distance of its smallest member, which all members share).
     dist: Vec<u32>,
 }
 
-/// Reusable buffers for Algorithm 1's fixpoint merge: the flattened
-/// signature pair list, the per-group signature bounds and the partition
-/// maps.
+/// Reusable buffers for Algorithm 1's merge: the twin-class map and the
+/// order that finds the classes. One round is the whole merge (see the
+/// module docs for why a second round never merges anything).
 ///
 /// Like [`crate::HopScratch`], reuse never changes output: a fresh scratch
 /// and a warm one produce identical structure subgraphs.
 #[derive(Debug, Clone, Default)]
 pub struct StructureScratch {
+    /// Structure node of each hop node.
     group_of: Vec<usize>,
-    /// Flattened `(group, neighbor group)` signature entries.
-    pairs: Vec<(u32, u32)>,
-    /// `flat[sig_off[g]..sig_off[g + 1]]` is group `g`'s neighbor set.
-    sig_off: Vec<usize>,
-    /// Non-endpoint group ids ordered by signature for run detection.
+    /// Non-endpoint hop nodes ordered by neighbor row for run detection.
     order: Vec<u32>,
-    /// Sorted, deduplicated neighbor-group ids, one row per group.
-    flat: Vec<u32>,
-    new_of_group: Vec<usize>,
+    /// Member-CSR fill positions, one per structure node.
     cursor: Vec<usize>,
 }
 
@@ -94,179 +98,79 @@ impl StructureSubgraph {
     ) -> Self {
         let n = hop.node_count();
         assert!(n >= 2, "hop subgraph must contain both target endpoints");
-
-        // group_of[hop node] -> current structure node id. Start from
-        // singletons and iterate Algorithm 1's merge to a fixpoint.
         let StructureScratch {
             group_of,
-            pairs,
-            sig_off,
             order,
-            flat,
-            new_of_group,
             cursor,
         } = scratch;
-        group_of.clear();
-        group_of.extend(0..n);
-        let mut group_count = n;
-        let mut round = 0usize;
-        loop {
-            round += 1;
-            let merged = if round == 1 {
-                // Singleton round: a node's neighbor set over singleton
-                // group ids IS the hop subgraph's sorted distinct-neighbor
-                // CSR row — no per-round signature build at all.
-                merge_round(
-                    group_count,
-                    (0, 1),
-                    |g| hop.neighbors(g),
-                    order,
-                    new_of_group,
-                )
-            } else {
-                // Later rounds: every group's neighbor set is the union of
-                // its members' distinct-neighbor rows, mapped to groups.
-                pairs.clear();
-                for i in 0..n {
-                    let gi = group_of[i] as u32;
-                    for &j in hop.neighbors(i) {
-                        let gj = group_of[j as usize] as u32;
-                        debug_assert_ne!(
-                            gi, gj,
-                            "structure nodes never self-link"
-                        );
-                        pairs.push((gi, gj));
-                    }
-                }
-                sorted_rows(group_count, pairs, sig_off, flat, cursor);
-                let (ga, gb) = (group_of[0], group_of[1]);
-                merge_round(
-                    group_count,
-                    (ga, gb),
-                    |g| &flat[sig_off[g]..sig_off[g + 1]],
-                    order,
-                    new_of_group,
-                )
-            };
-            let Some(next) = merged else {
-                break; // fixpoint: nothing merged
-            };
-            for g in group_of.iter_mut() {
-                *g = new_of_group[*g];
-            }
-            group_count = next;
-        }
+        let count = merge_round(hop, order, group_of);
 
-        Self::finalize(hop, scratch, group_count)
-    }
-
-    /// Builds the final structure subgraph from a converged partition,
-    /// renumbering so the endpoints are structure nodes 0 and 1 and the rest
-    /// follow in (distance, smallest member) order. This canonical
-    /// renumbering is what makes the intermediate group ids (which differ
-    /// from the naive first-occurrence numbering) output-invisible.
-    fn finalize(
-        hop: &HopSubgraph,
-        scratch: &mut StructureScratch,
-        group_count: usize,
-    ) -> Self {
-        let StructureScratch {
-            group_of,
-            pairs,
-            sig_off,
-            order,
-            flat,
-            new_of_group,
-            cursor,
-        } = scratch;
-        let n = hop.node_count();
-        // Member CSR via counting sort: hop ids ascend within each group.
-        let mut mem_offsets = vec![0usize; group_count + 1];
-        for &g in group_of.iter() {
-            mem_offsets[g + 1] += 1;
+        // Member CSR via counting sort: hop ids ascend within each group,
+        // so a group's first member is its smallest.
+        let mut mem_offsets = vec![0usize; count + 1];
+        for &x in group_of.iter() {
+            mem_offsets[x + 1] += 1;
         }
-        for g in 0..group_count {
-            mem_offsets[g + 1] += mem_offsets[g];
+        for x in 0..count {
+            mem_offsets[x + 1] += mem_offsets[x];
         }
         cursor.clear();
-        cursor.extend_from_slice(&mem_offsets[..group_count]);
+        cursor.extend_from_slice(&mem_offsets[..count]);
         let mut mem_ids = vec![0usize; n];
-        for (i, &g) in group_of.iter().enumerate() {
-            mem_ids[cursor[g]] = i;
-            cursor[g] += 1;
+        for (i, &x) in group_of.iter().enumerate() {
+            mem_ids[cursor[x]] = i;
+            cursor[x] += 1;
         }
-        // Deterministic renumbering: endpoint groups first, then by
-        // (distance, smallest member id). Hop-local ids beyond the two
-        // endpoints are sorted by (distance, global id), so distance is
-        // monotone in local id and each group's first (smallest) member
-        // carries its minimum distance — the key is O(1) per group, unique
-        // via the first-member component. Keys are staged in the `pairs`
-        // buffer so the sort never re-derives them.
-        let keys = &mut *pairs;
-        keys.clear();
-        keys.extend((0..group_count).map(|g| {
-            let first = mem_ids[mem_offsets[g]];
-            (hop.distance(first), first as u32)
-        }));
-        order.clear();
-        order.extend(0..group_count as u32);
-        order.sort_unstable_by_key(|&g| keys[g as usize]);
-        debug_assert_eq!(
-            mem_ids[mem_offsets[order[0] as usize]], 0,
-            "endpoint a first"
+        let first = |x: usize| mem_ids[mem_offsets[x]];
+        let dist: Vec<u32> =
+            (0..count).map(|x| hop.distance(first(x))).collect();
+        debug_assert!(
+            dist.windows(2).all(|w| w[0] <= w[1]),
+            "smallest-member order is (distance, smallest member) order"
         );
-        debug_assert_eq!(
-            mem_ids[mem_offsets[order[1] as usize]], 1,
-            "endpoint b second"
-        );
-        let new_id = new_of_group;
-        new_id.clear();
-        new_id.resize(group_count, usize::MAX);
-        for (rank, &g) in order.iter().enumerate() {
-            new_id[g as usize] = rank;
-        }
 
-        // Re-lay the member CSR in final rank order and record distances.
-        let mut out_mem_offsets = Vec::with_capacity(group_count + 1);
-        let mut out_mem_ids = Vec::with_capacity(n);
-        let mut dist = vec![u32::MAX; group_count];
-        out_mem_offsets.push(0);
-        for &g in order.iter() {
-            let m =
-                &mem_ids[mem_offsets[g as usize]..mem_offsets[g as usize + 1]];
-            out_mem_ids.extend_from_slice(m);
-            out_mem_offsets.push(out_mem_ids.len());
-        }
-        for x in 0..group_count {
-            // Partition rows are non-empty and their first member is the
-            // group minimum, which carries the minimum distance (see the
-            // renumbering key above).
-            dist[x] = hop.distance(out_mem_ids[out_mem_offsets[x]]);
-        }
-
-        // Adjacency CSR: every distinct hop link maps to its (mirrored)
-        // pair of final structure ids; grouping by the first id with
-        // sorted, deduplicated rows yields each row born sorted.
-        pairs.clear();
-        for i in 0..n {
-            let x = new_id[group_of[i]] as u32;
-            for &j in hop.neighbors(i) {
-                pairs.push((x, new_id[group_of[j as usize]] as u32));
+        // Adjacency CSR: twins share their neighbor row, so a group's row
+        // is its first member's row mapped to group ids, sorted and
+        // deduplicated (twins of one another collapse to one entry).
+        let mut adj_offsets = Vec::with_capacity(count + 1);
+        let mut adj_ids = Vec::with_capacity(2 * hop.link_count());
+        adj_offsets.push(0);
+        for x in 0..count {
+            let start = adj_ids.len();
+            adj_ids.extend(
+                hop.neighbors(first(x))
+                    .iter()
+                    .map(|&j| group_of[j as usize]),
+            );
+            adj_ids[start..].sort_unstable();
+            let mut w = start;
+            for r in start..adj_ids.len() {
+                if w == start || adj_ids[w - 1] != adj_ids[r] {
+                    adj_ids[w] = adj_ids[r];
+                    w += 1;
+                }
             }
+            adj_ids.truncate(w);
+            adj_offsets.push(w);
         }
-        sorted_rows(group_count, pairs, sig_off, flat, cursor);
-        let adj_offsets = sig_off.clone();
-        let adj_ids = flat[..sig_off[group_count]]
-            .iter()
-            .map(|&y| y as usize)
-            .collect();
-        StructureSubgraph {
-            mem_offsets: out_mem_offsets,
-            mem_ids: out_mem_ids,
+        let s = StructureSubgraph {
+            mem_offsets,
+            mem_ids,
             adj_offsets,
             adj_ids,
             dist,
-        }
+        };
+        debug_assert!(s.is_twin_free(), "one merge round reaches the fixpoint");
+        s
+    }
+
+    /// Algorithm 1's stopping condition: no two non-endpoint structure
+    /// nodes have equal neighbor rows.
+    fn is_twin_free(&self) -> bool {
+        let mut rows: Vec<&[usize]> =
+            (2..self.node_count()).map(|x| self.neighbors(x)).collect();
+        rows.sort_unstable();
+        rows.windows(2).all(|w| w[0] != w[1])
     }
 
     /// Number of structure nodes `|V_S|`.
@@ -318,106 +222,42 @@ impl StructureSubgraph {
     }
 }
 
-/// Groups `pairs` by their first component into `rows` sorted,
-/// deduplicated rows of second components: row `r` is
-/// `flat[off[r]..off[r + 1]]`. A counting sort buckets the rows, then
-/// each (small) row is sorted and compacted in place — rows are small, so
-/// this beats one global sort.
-fn sorted_rows(
-    rows: usize,
-    pairs: &[(u32, u32)],
-    off: &mut Vec<usize>,
-    flat: &mut Vec<u32>,
-    cursor: &mut Vec<usize>,
-) {
-    off.clear();
-    off.resize(rows + 1, 0);
-    for &(r, _) in pairs {
-        off[r as usize + 1] += 1;
-    }
-    for r in 0..rows {
-        off[r + 1] += off[r];
-    }
-    cursor.clear();
-    cursor.extend_from_slice(&off[..rows]);
-    flat.clear();
-    flat.resize(pairs.len(), 0);
-    for &(r, v) in pairs {
-        flat[cursor[r as usize]] = v;
-        cursor[r as usize] += 1;
-    }
-    let mut w = 0usize;
-    let mut start = 0usize;
-    for r in 0..rows {
-        let end = off[r + 1];
-        flat[start..end].sort_unstable();
-        let row_start = w;
-        let mut prev = u32::MAX;
-        for idx in start..end {
-            let v = flat[idx];
-            if v != prev {
-                flat[w] = v;
-                w += 1;
-                prev = v;
-            }
-        }
-        start = end;
-        off[r] = row_start;
-    }
-    off[rows] = w;
-}
-
-/// One merge round of Algorithm 1: groups whose signature slices compare
-/// equal collapse to one new id (endpoints pinned to ids 0 and 1), filling
-/// `new_of_group`. Returns the new group count, or `None` at the fixpoint.
-///
-/// Only signature *equality* affects the partition, so any total order over
-/// signatures works for run detection; the resulting intermediate numbering
-/// is one bijection among many, made canonical by `finalize`.
-fn merge_round<'a, T, F>(
-    group_count: usize,
-    pinned: (usize, usize),
-    sig: F,
+/// Algorithm 1's merge, done once: non-endpoint hop nodes with equal
+/// distinct-neighbor rows form one group. Fills `group_of` with each hop
+/// node's group, numbered by smallest member (the endpoints are groups 0
+/// and 1), and returns the group count.
+fn merge_round(
+    hop: &HopSubgraph,
     order: &mut Vec<u32>,
-    new_of_group: &mut Vec<usize>,
-) -> Option<usize>
-where
-    T: Ord + 'a,
-    F: Fn(usize) -> &'a [T],
-{
-    let (ga, gb) = pinned;
+    group_of: &mut Vec<usize>,
+) -> usize {
+    let n = hop.node_count();
+    let row = |i: u32| hop.neighbors(i as usize);
     order.clear();
-    order.extend(
-        (0..group_count as u32)
-            .filter(|&g| g as usize != ga && g as usize != gb),
-    );
-    order.sort_unstable_by(|&x, &y| {
-        sig(x as usize).cmp(sig(y as usize)).then(x.cmp(&y))
-    });
-    new_of_group.clear();
-    new_of_group.resize(group_count, usize::MAX);
-    new_of_group[ga] = 0;
-    new_of_group[gb] = 1;
-    let mut next = 2;
-    let mut r = 0;
-    while r < order.len() {
-        let mut e = r + 1;
-        while e < order.len()
-            && sig(order[r] as usize) == sig(order[e] as usize)
-        {
-            e += 1;
+    order.extend(2..n as u32);
+    // Ties broken by id, so each run of equal rows starts at its smallest
+    // member.
+    order.sort_unstable_by(|&x, &y| row(x).cmp(row(y)).then(x.cmp(&y)));
+    group_of.clear();
+    group_of.extend(0..n);
+    for run in order.chunk_by(|&x, &y| row(x) == row(y)) {
+        for &i in run {
+            group_of[i as usize] = run[0] as usize;
         }
-        for &g in &order[r..e] {
-            new_of_group[g as usize] = next;
-        }
-        next += 1;
-        r = e;
     }
-    if next == group_count {
-        None // fixpoint: nothing merged
-    } else {
-        Some(next)
+    // Number the groups by smallest member. A group's smallest member
+    // precedes the others, so its id is assigned before they look it up.
+    let mut count = 0;
+    for i in 0..n {
+        let leader = group_of[i];
+        group_of[i] = if leader == i {
+            count += 1;
+            count - 1
+        } else {
+            group_of[leader]
+        };
     }
+    count
 }
 
 #[cfg(test)]
@@ -477,20 +317,55 @@ mod tests {
         assert_eq!(s.node_count(), 4);
     }
 
+    /// Each structure node's members as global ids, and its neighbor
+    /// row, in structure-node order.
+    fn partition(
+        g: &DynamicNetwork,
+        a: u32,
+        b: u32,
+        h: u32,
+    ) -> (Vec<Vec<u32>>, Vec<Vec<usize>>) {
+        let hop = HopSubgraph::extract(g, a, b, h);
+        let s = StructureSubgraph::combine(&hop);
+        (0..s.node_count())
+            .map(|x| {
+                let members =
+                    s.members(x).iter().map(|&i| hop.global_id(i)).collect();
+                (members, s.neighbors(x).to_vec())
+            })
+            .unzip()
+    }
+
     #[test]
-    fn second_round_merge_happens() {
-        // Chain pendants: p1-x, p2-y with x,y twins over {a, b}:
-        //   a-x, b-x, a-y, b-y, x-p1, y-p2 — wait, then x,y have different
-        // neighbor sets ({a,b,p1} vs {a,b,p2}) until p1,p2 merge, and p1,p2
-        // have different sets ({x} vs {y}) until x,y merge: a genuine
-        // fixpoint case needing two rounds… which strict Γ-equality can never
-        // trigger in one direction. Instead test the simple realizable case:
-        // u,v pendants of merged anchors.
-        //   a-x, b-x, a-y, b-y (x,y twins) ; u-x, v-y.
-        // Round 1: x,y do NOT merge (sets {a,b,u} vs {a,b,v}); u,v do not
-        // merge ({x} vs {y}). No merge at all — the fixpoint is immediate and
-        // every node is singleton. This documents that strict neighbor-set
-        // equality is conservative.
+    fn twins_of_twins_need_one_round() {
+        // x=2 and y=3 both link a, b, w1=4 and w2=5, so they are twins;
+        // w1 and w2 both link exactly {x, y}, so they are twins too. Both
+        // classes form in the first merge. The merged graph has rows
+        // {xy}, {xy}, {a, b, w}, {xy}: no two non-endpoint rows are equal,
+        // so a second round would merge nothing.
+        let g: DynamicNetwork = [
+            (0, 2, 1),
+            (1, 2, 1),
+            (0, 3, 1),
+            (1, 3, 1),
+            (2, 4, 2),
+            (3, 4, 2),
+            (2, 5, 2),
+            (3, 5, 2),
+        ]
+        .into_iter()
+        .collect();
+        let (members, rows) = partition(&g, 0, 1, 2);
+        assert_eq!(members, vec![vec![0], vec![1], vec![2, 3], vec![4, 5]]);
+        assert_eq!(rows, vec![vec![2], vec![2], vec![0, 1, 3], vec![2]]);
+    }
+
+    #[test]
+    fn pendants_keep_their_anchors_apart() {
+        // x=2 and y=3 both link a and b, but x carries pendant u=4 and y
+        // carries pendant v=5: Γ(x) = {a, b, u} and Γ(y) = {a, b, v}
+        // differ, and so do Γ(u) = {x} and Γ(v) = {y}. Strict Γ-equality
+        // merges nothing, and every node stays a singleton.
         let g: DynamicNetwork = [
             (0, 2, 1),
             (1, 2, 1),
@@ -501,31 +376,34 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let s = structure_of(&g, 0, 1, 2);
-        assert_eq!(s.node_count(), 6);
+        let (members, rows) = partition(&g, 0, 1, 2);
+        assert_eq!(
+            members,
+            vec![vec![0], vec![1], vec![2], vec![3], vec![4], vec![5]]
+        );
+        assert_eq!(
+            rows,
+            vec![
+                vec![2, 3],
+                vec![2, 3],
+                vec![0, 1, 4],
+                vec![0, 1, 5],
+                vec![2],
+                vec![3],
+            ]
+        );
     }
 
     #[test]
-    fn cascading_merge_converges() {
-        // x,y twins over {a}; pendants u on x and v on y merge only AFTER
-        // x,y merge: needs the fixpoint loop.
-        //   a-x, a-y, x-u, y-v, b somewhere: b-a.
-        // Γx = {a,u}, Γy = {a,v}: not equal, so x,y singletons; u ({x}) and
-        // v ({y}) differ too. One round: nothing merges… strict equality
-        // again conservative. The genuinely cascading case is pendant fans:
-        // u1,u2 on x AND v1,v2 on y with Γx=Γy impossible while pendants
-        // differ. Conclusion: with strict sets the combination converges in
-        // one round; we assert the loop terminates and is stable.
-        let g: DynamicNetwork =
-            [(0, 1, 1), (0, 2, 1), (0, 3, 1), (2, 4, 2), (3, 5, 2)]
-                .into_iter()
-                .collect();
-        let s = structure_of(&g, 0, 1, 3);
-        // Stability: re-running combination on the result's node count.
-        assert!(s.node_count() <= 6);
-        let total: usize =
-            (0..s.node_count()).map(|x| s.members(x).len()).sum();
-        assert_eq!(total, 6);
+    fn endpoint_twin_stays_singleton() {
+        // a=0, b=1, c=2 and d=3 all link only the hub z=4: all four are
+        // twins. The endpoints stay singletons; c and d merge.
+        let g: DynamicNetwork = [(0, 4, 1), (1, 4, 1), (2, 4, 2), (3, 4, 3)]
+            .into_iter()
+            .collect();
+        let (members, rows) = partition(&g, 0, 1, 2);
+        assert_eq!(members, vec![vec![0], vec![1], vec![4], vec![2, 3]]);
+        assert_eq!(rows, vec![vec![2], vec![2], vec![0, 1, 3], vec![2]]);
     }
 
     #[test]

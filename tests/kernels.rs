@@ -17,13 +17,15 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use ssf_repro::dyngraph::{
     DeltaGraph, DynamicNetwork, FrozenGraph, GraphView, NodeId, Timestamp,
     WindowedView,
 };
 use ssf_repro::methods::{Method, MethodOptions};
 use ssf_repro::ssf_core::{
-    reference, EntryEncoding, ExtractionCache, SsfConfig, SsfExtractor,
+    reference, EntryEncoding, ExtractionCache, HopSubgraph, SsfConfig,
+    SsfExtractor, StructureSubgraph,
 };
 use ssf_repro::ssf_eval::{LinkSample, Split, SplitConfig};
 
@@ -204,6 +206,100 @@ fn windowed_overlay(
     (wv, delta)
 }
 
+/// Asserts that Algorithm 1's one-round merge on the h-hop subgraph of
+/// `(a, b)` reached the fixpoint — no two non-endpoint structure nodes
+/// have equal neighbor rows — and that its members, rows and distances
+/// equal the reference's looping merge.
+fn assert_twin_free_and_matches_reference(
+    g: &DynamicNetwork,
+    a: NodeId,
+    b: NodeId,
+    h: u32,
+) -> Result<(), TestCaseError> {
+    let s = StructureSubgraph::combine(&HopSubgraph::extract(g, a, b, h));
+    let mut rows: Vec<&[usize]> =
+        (2..s.node_count()).map(|x| s.neighbors(x)).collect();
+    rows.sort_unstable();
+    prop_assert!(
+        rows.windows(2).all(|w| w[0] != w[1]),
+        "twins left after the merge for ({}, {}) at h {}",
+        a,
+        b,
+        h
+    );
+    let got: Vec<(Vec<usize>, Vec<usize>, u32)> = (0..s.node_count())
+        .map(|x| {
+            (
+                s.members(x).to_vec(),
+                s.neighbors(x).to_vec(),
+                s.distance(x),
+            )
+        })
+        .collect();
+    prop_assert_eq!(got, reference::structure(g, a, b, h));
+    Ok(())
+}
+
+/// Strategy: a twin-rich graph with target endpoints 0 and 1, built from
+/// - complete bipartite blocks, left side linked to 0 and right side to 1,
+///   so each side is one twin class;
+/// - twin anchors linked to both endpoints, each carrying the same number
+///   of pendant fans (an anchor's fans are twins; anchors are twins only
+///   without fans);
+/// - endpoint twins, linked to exactly endpoint 0's neighbors, which must
+///   merge with each other but never with 0;
+/// - a few random links that break some of those twins.
+fn twin_rich_network() -> impl Strategy<Value = DynamicNetwork> {
+    (
+        prop::collection::vec((1..4u32, 1..4u32), 0..3),
+        (2..4u32, 0..3u32),
+        0..3u32,
+        prop::collection::vec((0..40u32, 0..40u32, 1..20u32), 0..4),
+    )
+        .prop_map(|(blocks, (anchors, fans), endpoint_twins, noise)| {
+            let mut links: Vec<(NodeId, NodeId)> = Vec::new();
+            let mut next: NodeId = 2;
+            for (p, q) in blocks {
+                let (left, right) = (next..next + p, next + p..next + p + q);
+                next += p + q;
+                for l in left.clone() {
+                    links.push((0, l));
+                    links.extend(right.clone().map(|r| (l, r)));
+                }
+                links.extend(right.map(|r| (r, 1)));
+            }
+            for _ in 0..anchors {
+                let anchor = next;
+                links.push((0, anchor));
+                links.push((1, anchor));
+                links.extend((1..=fans).map(|f| (anchor, anchor + f)));
+                next += 1 + fans;
+            }
+            let of_a: Vec<NodeId> = links
+                .iter()
+                .filter_map(|&(u, v)| match (u, v) {
+                    (0, w) | (w, 0) if w != 1 => Some(w),
+                    _ => None,
+                })
+                .collect();
+            for _ in 0..endpoint_twins {
+                links.extend(of_a.iter().map(|&w| (next, w)));
+                next += 1;
+            }
+            let mut g = DynamicNetwork::new();
+            for (i, &(u, v)) in links.iter().enumerate() {
+                g.add_link(u, v, 1 + i as Timestamp % 7);
+            }
+            for (u, v, t) in noise {
+                let (u, v) = (u % next, v % next);
+                if u != v {
+                    g.add_link(u, v, t);
+                }
+            }
+            g
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -345,6 +441,58 @@ proptest! {
                     i, threads
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One merge round leaves no twins on hub-heavy multigraphs, whose
+    /// hub fans are one large twin class at every radius.
+    #[test]
+    fn hub_multigraph_merge_is_twin_free(
+        events in hub_multigraph(),
+        extra_targets in prop::collection::vec((0..45u32, 0..45u32), 1..5),
+    ) {
+        let g: DynamicNetwork = events.iter().copied().collect();
+        let mut targets = vec![(1u32, 2u32), (0, 1), (2, 0)];
+        targets.extend(extra_targets);
+        for (a, b) in targets {
+            if a == b || a.max(b) as usize >= g.node_count() {
+                continue;
+            }
+            for h in 1..=3 {
+                assert_twin_free_and_matches_reference(&g, a, b, h)?;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One merge round leaves no twins on twin-rich graphs (bipartite
+    /// blocks, pendant fans on twin anchors, endpoint twins), and the
+    /// whole feature stays bit-identical to the reference.
+    #[test]
+    fn twin_rich_merge_is_twin_free_and_matches_reference(
+        g in twin_rich_network(),
+        k in 3..8usize,
+        extra_targets in prop::collection::vec((0..30u32, 0..30u32), 0..3),
+    ) {
+        let mut targets = vec![(0u32, 1u32), (1, 0)];
+        targets.extend(extra_targets);
+        let config = SsfConfig::new(k).with_theta(0.5);
+        let mut cache = ExtractionCache::new();
+        for (a, b) in targets {
+            if a == b || a.max(b) as usize >= g.node_count() {
+                continue;
+            }
+            for h in 1..=3 {
+                assert_twin_free_and_matches_reference(&g, a, b, h)?;
+            }
+            assert_matches_reference(&g, a, b, 21, &config, &mut cache);
         }
     }
 }

@@ -102,7 +102,9 @@ fn stage_histograms_are_present_and_internally_consistent() {
         "ssf.core.pair",
         "ssf.core.ball",
         "ssf.core.wl",
+        "ssf.core.hop",
         "ssf.core.structure",
+        "ssf.core.select",
         "ssf.core.encode",
     ] {
         let h = snap
