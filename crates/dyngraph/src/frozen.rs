@@ -23,6 +23,7 @@
 //! (property-tested in `crates/dyngraph/tests/frozen_prop.rs`).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::view::{GraphView, IncidentLinks};
@@ -424,9 +425,9 @@ pub struct OverlayView {
     base: Arc<FrozenGraph>,
     /// Replacement incident-link rows for touched nodes (base row copy
     /// plus the delta's appends, insertion order preserved).
-    links: Arc<HashMap<NodeId, Vec<(NodeId, Timestamp)>>>,
+    links: Arc<RowMap<Vec<(NodeId, Timestamp)>>>,
     /// Replacement distinct-neighbor rows, sorted ascending.
-    distinct: Arc<HashMap<NodeId, Vec<NodeId>>>,
+    distinct: Arc<RowMap<Vec<NodeId>>>,
     node_count: usize,
     num_links: usize,
     min_ts: Timestamp,
@@ -555,8 +556,8 @@ impl DeltaGraph {
             max_ts: base.max_timestamp().unwrap_or(0),
             revision: base.revision(),
             delta_links: 0,
-            links: Arc::new(HashMap::new()),
-            distinct: Arc::new(HashMap::new()),
+            links: Arc::new(RowMap::default()),
+            distinct: Arc::new(RowMap::default()),
             base,
         };
         DeltaGraph { view }
@@ -795,6 +796,44 @@ impl GraphView for DeltaGraph {
 
     fn multi_degree(&self, u: NodeId) -> usize {
         self.view.multi_degree(u)
+    }
+}
+
+/// Overlay rows keyed by node id. Every row read on a published
+/// overlay probes one of these maps, so they hash with [`NodeIdHasher`]
+/// instead of the default SipHash.
+type RowMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
+
+/// A fixed, seedless hasher for node ids: every written word is folded
+/// into the state, and [`Hasher::finish`] applies the splitmix64
+/// finalizer, so the low bits the table indexes by depend on every id
+/// bit. Ids are dense in `0..node_count`, so forcing collisions would
+/// need ids spread far beyond the table size, which grows the node count
+/// itself; DESIGN.md §10 has the argument.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 =
+            (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 }
 

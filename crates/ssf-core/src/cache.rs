@@ -51,13 +51,13 @@ use obs::ObsHandle;
 
 use crate::feature::DijkstraScratch;
 use crate::hop::{ball, ball_extend, HopScratch};
-use crate::kstructure::KStructureSubgraph;
+use crate::kstructure::{KStructureSubgraph, SelectScratch};
 use crate::palette::WlScratch;
 use crate::structure::StructureScratch;
 
 /// Reusable buffers for the whole extraction pipeline, threaded through
-/// hop extraction, structure combination, Palette-WL refinement, and the
-/// reciprocal-distance encoding.
+/// hop extraction, structure combination, Palette-WL refinement,
+/// K-selection and the reciprocal-distance encoding.
 #[derive(Debug, Clone, Default)]
 pub struct ExtractScratch {
     /// BFS + ball-merge buffers.
@@ -66,6 +66,8 @@ pub struct ExtractScratch {
     pub structure: StructureScratch,
     /// Palette-WL buffers (notably the prime/log tables).
     pub wl: WlScratch,
+    /// K-selection buffers (slot and owner maps, timestamp triples).
+    pub select: SelectScratch,
     /// Bounded-Dijkstra buffers for the reciprocal-distance encoding.
     pub dijkstra: DijkstraScratch,
 }
@@ -135,9 +137,10 @@ impl<K: Eq + Hash, V> LruCache<K, V> {
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             let mut stamps: Vec<u64> =
                 self.map.values().map(|&(s, _)| s).collect();
-            stamps.sort_unstable();
-            // Keep the newer half: drop stamps up to the lower median.
-            let cutoff = stamps[(stamps.len() - 1) / 2];
+            // Keep the newer half: drop stamps up to the lower median,
+            // found by selection rather than a full sort.
+            let mid = (stamps.len() - 1) / 2;
+            let cutoff = *stamps.select_nth_unstable(mid).1;
             self.map.retain(|_, &mut (s, _)| s > cutoff);
         }
         self.tick += 1;
@@ -156,7 +159,8 @@ pub struct CachedPair {
     /// `|V_S|` of the final structure subgraph.
     pub structure_nodes: usize,
     /// Invalidation footprint: the merged-ball node set the pipeline
-    /// examined, sorted ascending. A graph mutation leaves this result
+    /// examined, in canonical local order (the final hop subgraph's
+    /// global ids). A graph mutation leaves this result
     /// bit-identical unless it touches one of these nodes — the basis of
     /// [`ExtractionCache::sync_affected`]'s selective invalidation.
     pub deps: Vec<NodeId>,
@@ -763,6 +767,35 @@ mod tests {
         assert_eq!(c.get(&4), Some(&4));
         assert_eq!(c.get(&2), None);
         assert_eq!(c.get(&3), None);
+    }
+
+    #[test]
+    fn lru_eviction_keeps_the_sorted_cutoff_survivors() {
+        for capacity in [2usize, 5, 8, 33] {
+            let mut c: LruCache<u32, u32> = LruCache::new(capacity);
+            for i in 0..capacity as u32 {
+                c.insert(i, i);
+            }
+            // Refresh a scattered subset so stamps interleave with keys.
+            for i in (0..capacity as u32).filter(|i| i % 3 == 1) {
+                assert!(c.get(&i).is_some());
+            }
+            let mut stamps: Vec<(u64, u32)> =
+                c.map.iter().map(|(&k, &(s, _))| (s, k)).collect();
+            stamps.sort_unstable();
+            let cutoff = stamps[(stamps.len() - 1) / 2].0;
+            let mut want: Vec<u32> = stamps
+                .iter()
+                .filter(|&&(s, _)| s > cutoff)
+                .map(|&(_, k)| k)
+                .chain([1000])
+                .collect();
+            want.sort_unstable();
+            c.insert(1000, 0);
+            let mut got: Vec<u32> = c.map.keys().copied().collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "capacity {capacity}");
+        }
     }
 
     #[test]

@@ -496,22 +496,25 @@ impl SsfExtractor {
             &mut cache.scratch.wl,
         );
         wl_span.finish();
-        let node_count = s.node_count();
-        // Invalidation footprint: the merged-ball node set the growth
-        // loop examined. A mutation touching none of these nodes leaves
-        // every ball at every examined radius — and therefore this whole
-        // result — bit-identical.
-        let mut deps: Vec<NodeId> =
-            (0..hop.node_count()).map(|i| hop.global_id(i)).collect();
-        deps.sort_unstable();
         let select_span = cache.recorder().span("ssf.core.select");
-        let ks = KStructureSubgraph::select(g, &hop, &s, &order, k);
+        let ks = KStructureSubgraph::select_with_scratch(
+            g,
+            &hop,
+            &s,
+            &order,
+            k,
+            &mut cache.scratch.select,
+        );
         select_span.finish();
         CachedPair {
             ks,
             h_used: h,
-            structure_nodes: node_count,
-            deps,
+            structure_nodes: s.node_count(),
+            // Invalidation footprint: the merged-ball node set the growth
+            // loop examined. A mutation touching none of these nodes leaves
+            // every ball at every examined radius — and therefore this
+            // whole result — bit-identical.
+            deps: hop.into_nodes(),
         }
     }
 

@@ -35,6 +35,27 @@ pub struct KStructureSubgraph {
     dist: Vec<u32>,
 }
 
+/// Slot marker of a hop node whose structure node was not selected.
+const UNSELECTED: usize = usize::MAX;
+
+/// Reusable buffers for K-selection: the slot and owner key of every hop
+/// node, one member's owned partners, and the `(slot, slot, t)` triples.
+///
+/// Like [`crate::HopScratch`], reuse never changes output: a fresh scratch
+/// and a warm one select identical subgraphs.
+#[derive(Debug, Clone, Default)]
+pub struct SelectScratch {
+    /// Slot of each hop node, `UNSELECTED` outside the top `K`.
+    slot: Vec<usize>,
+    /// `(multi-degree, global id)` of each selected hop node: of two
+    /// linked members, the smaller key owns the link.
+    owner_key: Vec<(usize, NodeId)>,
+    /// `(global id, slot)` of the partners one member owns, sorted by id.
+    owned: Vec<(NodeId, usize)>,
+    /// `(slot, slot, timestamp)` of every link among selected members.
+    triples: Vec<(usize, usize, Timestamp)>,
+}
+
 impl KStructureSubgraph {
     /// Selects the `K` structure nodes with Palette-WL order ≤ `K` and
     /// gathers the timestamps of the links among them.
@@ -60,38 +81,87 @@ impl KStructureSubgraph {
         order: &[usize],
         k: usize,
     ) -> Self {
+        Self::select_with_scratch(
+            g,
+            hop,
+            s,
+            order,
+            k,
+            &mut SelectScratch::default(),
+        )
+    }
+
+    /// [`KStructureSubgraph::select`] with caller-provided reusable
+    /// buffers; identical output, amortized allocations.
+    ///
+    /// The hop subgraph's local CSR already says which selected members
+    /// are linked, so only those pairs' timestamps are read from `g`, each
+    /// from the link's *owner*: the endpoint with the smaller
+    /// `(multi-degree, global id)`. A member's incident links are scanned
+    /// only if it owns a link, and each is matched against its short owned
+    /// list, so a hub is scanned only when it owns a link to a member of
+    /// even higher multi-degree.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`KStructureSubgraph::select`].
+    pub fn select_with_scratch<G: GraphView + ?Sized>(
+        g: &G,
+        hop: &HopSubgraph,
+        s: &StructureSubgraph,
+        order: &[usize],
+        k: usize,
+        scratch: &mut SelectScratch,
+    ) -> Self {
         assert!(k >= 2, "k must be at least 2 (the two endpoints)");
         assert_eq!(order.len(), s.node_count(), "order length mismatch");
         assert_eq!(order.first(), Some(&1), "endpoint a must have order 1");
         assert_eq!(order.get(1), Some(&2), "endpoint b must have order 2");
+        let SelectScratch {
+            slot,
+            owner_key,
+            owned,
+            triples,
+        } = scratch;
 
         let mut selected = vec![None; k];
         let mut dist = vec![u32::MAX; k];
-        // (global id, slot) of every member of a selected structure node,
-        // sorted by id for lookup.
-        let mut slot_of: Vec<(NodeId, usize)> = Vec::new();
+        slot.clear();
+        slot.resize(hop.node_count(), UNSELECTED);
+        owner_key.resize(hop.node_count(), (0, 0));
         for (x, &ord) in order.iter().enumerate() {
             if ord <= k {
                 selected[ord - 1] = Some(x);
                 dist[ord - 1] = s.distance(x);
-                slot_of.extend(
-                    s.members(x).iter().map(|&i| (hop.global_id(i), ord - 1)),
-                );
+                for &i in s.members(x) {
+                    let u = hop.global_id(i);
+                    slot[i] = ord - 1;
+                    owner_key[i] = (g.multi_degree(u), u);
+                }
             }
         }
-        slot_of.sort_unstable();
-        // Every link among selected members, seen once from its smaller
-        // endpoint, as a (slot pair, timestamp) triple.
-        let mut triples: Vec<(usize, usize, Timestamp)> = Vec::new();
-        for &(u, m) in &slot_of {
-            for (v, t) in g.incident_links(u) {
-                if u >= v {
+        // Every link among selected members, read once from its owner's
+        // incident links as a (slot pair, timestamp) triple. The hop CSR
+        // excludes the target pair, the one pair with slots (0, 1).
+        triples.clear();
+        for &x in selected.iter().flatten() {
+            for &i in s.members(x) {
+                owned.clear();
+                for &j in hop.neighbors(i) {
+                    let j = j as usize;
+                    if slot[j] != UNSELECTED && owner_key[i] < owner_key[j] {
+                        owned.push((owner_key[j].1, slot[j]));
+                    }
+                }
+                if owned.is_empty() {
                     continue;
                 }
-                if let Ok(p) = slot_of.binary_search_by_key(&v, |&(w, _)| w) {
-                    let key = (m.min(slot_of[p].1), m.max(slot_of[p].1));
-                    if key != (0, 1) {
-                        triples.push((key.0, key.1, t));
+                owned.sort_unstable();
+                let m = slot[i];
+                for (v, t) in g.incident_links(owner_key[i].1) {
+                    if let Ok(p) = owned.binary_search_by_key(&v, |&(w, _)| w) {
+                        let n = owned[p].1;
+                        triples.push((m.min(n), m.max(n), t));
                     }
                 }
             }
@@ -100,7 +170,7 @@ impl KStructureSubgraph {
         let mut link_keys = Vec::new();
         let mut ts_offsets = Vec::new();
         let mut ts = Vec::with_capacity(triples.len());
-        for &(m, n, t) in &triples {
+        for &(m, n, t) in triples.iter() {
             if link_keys.last() != Some(&(m, n)) {
                 link_keys.push((m, n));
                 ts_offsets.push(ts.len());
@@ -262,8 +332,37 @@ pub(crate) mod testing {
 
 #[cfg(test)]
 mod tests {
-    use super::testing::pipeline;
-    use dyngraph::DynamicNetwork;
+    use super::testing::{pipeline, slot_of};
+    use super::KStructureSubgraph;
+    use crate::hop::HopSubgraph;
+    use crate::reference;
+    use crate::structure::StructureSubgraph;
+    use dyngraph::{DynamicNetwork, Timestamp};
+
+    type SlotLinks = Vec<((usize, usize), Vec<Timestamp>)>;
+
+    /// The selected links with their timestamps, as the oracle lists them.
+    fn gathered(ks: &KStructureSubgraph) -> SlotLinks {
+        ks.links()
+            .map(|(m, n)| ((m, n), ks.timestamps_between(m, n).to_vec()))
+            .collect()
+    }
+
+    /// The per-member incident scan over the same selection.
+    fn oracle(
+        g: &DynamicNetwork,
+        hop: &HopSubgraph,
+        s: &StructureSubgraph,
+        ks: &KStructureSubgraph,
+    ) -> SlotLinks {
+        let mut order = vec![ks.k() + 1; s.node_count()];
+        for m in 0..ks.k() {
+            if let Some(x) = ks.structure_node(m) {
+                order[x] = m + 1;
+            }
+        }
+        reference::select_links(g, hop, s, &order, ks.k())
+    }
 
     fn bowtie() -> DynamicNetwork {
         // target (0,1); 0-2, 1-2, 0-3, 3-4, pendants 5,6 on 0.
@@ -337,6 +436,73 @@ mod tests {
         assert_eq!(ks.timestamps_between(2, 0), &[3, 7]);
         assert_eq!(ks.timestamps_between(1, 2), &[5]);
         assert!(!ks.has_link(0, 1)); // target slot pair has no history here
+    }
+
+    #[test]
+    fn equal_multi_degrees_owner_decided_by_id() {
+        // Target (0, 1); 2 and 3 both have multi-degree 3, so the smaller
+        // id owns their double link. Swapping the labels of 2 and 3 moves
+        // the ownership and must not move a timestamp.
+        for (p, q) in [(2, 3), (3, 2)] {
+            let g: DynamicNetwork =
+                [(0, p, 1), (1, q, 2), (p, q, 5), (q, p, 6)]
+                    .into_iter()
+                    .collect();
+            assert_eq!(g.multi_degree(p), g.multi_degree(q));
+            let (hop, s, ks) = pipeline(&g, 0, 1, 1, 4);
+            assert_eq!(ks.occupied_count(), 4);
+            let (sp, sq) =
+                (slot_of(&hop, &s, &ks, p), slot_of(&hop, &s, &ks, q));
+            assert_eq!(ks.timestamps_between(sp, sq), &[5, 6]);
+            assert_eq!(ks.timestamps_between(0, sp), &[1]);
+            assert_eq!(ks.timestamps_between(1, sq), &[2]);
+            assert_eq!(gathered(&ks), oracle(&g, &hop, &s, &ks));
+        }
+    }
+
+    #[test]
+    fn multi_links_on_a_hub_endpoint() {
+        // Hub 0 is endpoint a: a triple link to the common neighbour 2,
+        // and a double link to each of eight pendant fans, which merge
+        // into one structure node. The hub owns none of these links; each
+        // is read from the fan or from 2.
+        let mut links = vec![(0, 2, 5), (0, 2, 3), (1, 2, 9), (0, 2, 4)];
+        for f in 3..11 {
+            links.extend([(0, f, f), (f, 0, 20 + f)]);
+        }
+        let g: DynamicNetwork = links.into_iter().collect();
+        let (hop, s, ks) = pipeline(&g, 0, 1, 1, 4);
+        let common = slot_of(&hop, &s, &ks, 2);
+        let fans = slot_of(&hop, &s, &ks, 3);
+        assert_eq!(ks.timestamps_between(0, common), &[3, 4, 5]);
+        assert_eq!(ks.timestamps_between(1, common), &[9]);
+        let mut want: Vec<Timestamp> = (3..11).chain(23..31).collect();
+        want.sort_unstable();
+        assert_eq!(ks.timestamps_between(0, fans), want.as_slice());
+        assert_eq!(gathered(&ks), oracle(&g, &hop, &s, &ks));
+    }
+
+    #[test]
+    fn target_pair_history_stays_excluded() {
+        // The endpoints share a double link and have the smallest
+        // multi-degrees, so either would own it if it were selectable.
+        let g: DynamicNetwork = [
+            (0, 1, 1),
+            (0, 1, 2),
+            (0, 2, 3),
+            (1, 2, 4),
+            (2, 3, 5),
+            (2, 4, 6),
+            (2, 5, 7),
+        ]
+        .into_iter()
+        .collect();
+        let (hop, s, ks) = pipeline(&g, 0, 1, 2, 4);
+        assert!(!ks.has_link(0, 1));
+        assert!(ks.timestamps_between(1, 0).is_empty());
+        let common = slot_of(&hop, &s, &ks, 2);
+        assert_eq!(ks.timestamps_between(0, common), &[3]);
+        assert_eq!(gathered(&ks), oracle(&g, &hop, &s, &ks));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use feature::{
 };
 pub use hop::{HopScratch, HopSubgraph};
 pub use influence::{normalized_influence, ExponentialDecay};
-pub use kstructure::KStructureSubgraph;
+pub use kstructure::{KStructureSubgraph, SelectScratch};
 pub use pattern::{PatternMiner, PatternSignature};
 pub use roles::{NodeRole, RoleAnalysis};
 pub use structure::{StructureScratch, StructureSubgraph};

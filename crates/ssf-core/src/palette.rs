@@ -36,7 +36,14 @@
 /// structure subgraphs produce.
 pub fn first_primes(n: usize) -> Vec<u64> {
     let mut primes: Vec<u64> = Vec::with_capacity(n);
-    let mut cand = 2u64;
+    extend_primes(&mut primes, n);
+    primes
+}
+
+/// Grows `primes`, which must hold the first `primes.len()` primes, to the
+/// first `n`, continuing the trial division after the last known prime.
+fn extend_primes(primes: &mut Vec<u64>, n: usize) {
+    let mut cand = primes.last().map_or(2, |&p| p + 1);
     while primes.len() < n {
         if primes
             .iter()
@@ -47,7 +54,6 @@ pub fn first_primes(n: usize) -> Vec<u64> {
         }
         cand += 1;
     }
-    primes
 }
 
 /// Reusable Palette-WL buffers: the trial-division prime table with its
@@ -74,10 +80,14 @@ pub struct WlScratch {
 }
 
 impl WlScratch {
+    /// Extends the prime table and its logarithms to at least `n` entries;
+    /// a larger subgraph only adds the missing primes.
     fn ensure_primes(&mut self, n: usize) {
-        if self.primes.len() < n {
-            self.primes = first_primes(n);
-            self.lnp = self.primes.iter().map(|&p| (p as f64).ln()).collect();
+        let known = self.primes.len();
+        if known < n {
+            extend_primes(&mut self.primes, n);
+            self.lnp
+                .extend(self.primes[known..].iter().map(|&p| (p as f64).ln()));
         }
     }
 }
@@ -333,6 +343,24 @@ mod tests {
     fn primes_start_correctly() {
         assert_eq!(first_primes(8), vec![2, 3, 5, 7, 11, 13, 17, 19]);
         assert!(first_primes(0).is_empty());
+    }
+
+    #[test]
+    fn prime_table_grows_to_the_rebuilt_table() {
+        let bits =
+            |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = WlScratch::default();
+        for n in [1, 7, 40, 41, 300] {
+            scratch.ensure_primes(n);
+            let want = first_primes(n);
+            let want_ln: Vec<f64> =
+                want.iter().map(|&p| (p as f64).ln()).collect();
+            assert_eq!(scratch.primes, want, "primes at n = {n}");
+            assert_eq!(bits(&scratch.lnp), bits(&want_ln), "logs at n = {n}");
+        }
+        // A smaller subgraph keeps the larger table.
+        scratch.ensure_primes(40);
+        assert_eq!(scratch.primes, first_primes(300));
     }
 
     #[test]

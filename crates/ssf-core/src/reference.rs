@@ -26,6 +26,8 @@ use dyngraph::{traversal, GraphView, NodeId, Timestamp};
 
 use crate::error::ExtractError;
 use crate::feature::{EntryEncoding, SsfConfig};
+use crate::hop::HopSubgraph;
+use crate::structure::StructureSubgraph;
 
 /// Bounded BFS ball of `src`: `(node, distance)` in breadth-first
 /// discovery order, the source first at distance 0.
@@ -525,6 +527,57 @@ pub fn structure<G: GraphView + ?Sized>(
         .zip(s.dist)
         .map(|((m, adj), d)| (m, adj, d))
         .collect()
+}
+
+/// K-selection's timestamp gathering by the literal per-member scan: every
+/// incident link of every member of a selected structure node, kept once
+/// from its smaller endpoint when the other end is a selected member too,
+/// minus the target slot pair (0, 1). Returns each slot pair `(m, n)`,
+/// `m < n`, ascending, with its sorted timestamps. This is the
+/// stage-level oracle for
+/// [`KStructureSubgraph::select`](crate::KStructureSubgraph::select),
+/// which reads each link from one owning endpoint instead.
+///
+/// `hop`, `s` and `order` are the optimized pipeline's stages on `g`, as
+/// `select` takes them.
+pub fn select_links<G: GraphView + ?Sized>(
+    g: &G,
+    hop: &HopSubgraph,
+    s: &StructureSubgraph,
+    order: &[usize],
+    k: usize,
+) -> Vec<((usize, usize), Vec<Timestamp>)> {
+    let mut slot_of: HashMap<NodeId, usize> = HashMap::new();
+    for (x, &ord) in order.iter().enumerate() {
+        if ord <= k {
+            for &i in s.members(x) {
+                slot_of.insert(hop.global_id(i), ord - 1);
+            }
+        }
+    }
+    let mut links: HashMap<(usize, usize), Vec<Timestamp>> = HashMap::new();
+    for (&u, &m) in &slot_of {
+        for (v, t) in g.incident_links(u) {
+            if u >= v {
+                continue;
+            }
+            if let Some(&n) = slot_of.get(&v) {
+                let key = (m.min(n), m.max(n));
+                if key != (0, 1) {
+                    links.entry(key).or_default().push(t);
+                }
+            }
+        }
+    }
+    let mut out: Vec<((usize, usize), Vec<Timestamp>)> = links
+        .into_iter()
+        .map(|(key, mut ts)| {
+            ts.sort_unstable();
+            (key, ts)
+        })
+        .collect();
+    out.sort_unstable();
+    out
 }
 
 /// Panicking wrapper over [`try_extract`] for tests and tools.

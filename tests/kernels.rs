@@ -23,9 +23,10 @@ use ssf_repro::dyngraph::{
     WindowedView,
 };
 use ssf_repro::methods::{Method, MethodOptions};
+use ssf_repro::ssf_core::palette::palette_wl;
 use ssf_repro::ssf_core::{
-    reference, EntryEncoding, ExtractionCache, HopSubgraph, SsfConfig,
-    SsfExtractor, StructureSubgraph,
+    reference, EntryEncoding, ExtractionCache, HopSubgraph, KStructureSubgraph,
+    SelectScratch, SsfConfig, SsfExtractor, StructureSubgraph,
 };
 use ssf_repro::ssf_eval::{LinkSample, Split, SplitConfig};
 
@@ -240,6 +241,45 @@ fn assert_twin_free_and_matches_reference(
     Ok(())
 }
 
+/// Asserts that K-selection on `view` gathers the same slot pairs and
+/// timestamps as the reference's per-member incident scan, both with a
+/// fresh scratch and with the warm `scratch` shared across calls.
+fn assert_select_matches_reference<G: GraphView + ?Sized>(
+    view: &G,
+    a: NodeId,
+    b: NodeId,
+    h: u32,
+    k: usize,
+    scratch: &mut SelectScratch,
+) -> Result<(), TestCaseError> {
+    let hop = HopSubgraph::extract(view, a, b, h);
+    let s = StructureSubgraph::combine(&hop);
+    let n = s.node_count();
+    let adj: Vec<Vec<usize>> =
+        (0..n).map(|x| s.neighbors(x).to_vec()).collect();
+    let dist: Vec<u32> = (0..n).map(|x| s.distance(x)).collect();
+    let tiebreak: Vec<u64> = (0..n).map(|x| s.members(x)[0] as u64).collect();
+    let order = palette_wl(&adj, &dist, (0, 1), &tiebreak);
+    let ks = KStructureSubgraph::select(view, &hop, &s, &order, k);
+    let got: Vec<((usize, usize), Vec<Timestamp>)> = ks
+        .links()
+        .map(|(m, n)| ((m, n), ks.timestamps_between(m, n).to_vec()))
+        .collect();
+    prop_assert_eq!(
+        &got,
+        &reference::select_links(view, &hop, &s, &order, k),
+        "target ({}, {}) at h {}",
+        a,
+        b,
+        h
+    );
+    let warm = KStructureSubgraph::select_with_scratch(
+        view, &hop, &s, &order, k, scratch,
+    );
+    prop_assert_eq!(warm, ks);
+    Ok(())
+}
+
 /// Strategy: a twin-rich graph with target endpoints 0 and 1, built from
 /// - complete bipartite blocks, left side linked to 0 and right side to 1,
 ///   so each side is one twin class;
@@ -447,6 +487,37 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Owner-side K-selection gathers exactly the per-member scan's links
+    /// and timestamps on hub-heavy multigraphs, through the mutable
+    /// network, its frozen CSR, a published windowed overlay and the
+    /// windowed authority it mirrors.
+    #[test]
+    fn hub_multigraph_selection_matches_reference_on_every_view(
+        events in hub_multigraph(),
+        k in 4..8usize,
+        extra_targets in prop::collection::vec((0..45u32, 0..45u32), 1..5),
+    ) {
+        let g: DynamicNetwork = events.iter().copied().collect();
+        let frozen = FrozenGraph::from_view(&g);
+        let (wv, delta) = windowed_overlay(&events, 12);
+        let overlay = delta.publish();
+        let mut targets = vec![(1u32, 2u32), (0, 1), (2, 0)];
+        targets.extend(extra_targets);
+        let mut scratch = SelectScratch::default();
+        for (a, b) in targets {
+            for h in 1..=3 {
+                if a != b && (a.max(b) as usize) < g.node_count() {
+                    assert_select_matches_reference(&g, a, b, h, k, &mut scratch)?;
+                    assert_select_matches_reference(&frozen, a, b, h, k, &mut scratch)?;
+                }
+                if a != b && (a.max(b) as usize) < overlay.node_count() {
+                    assert_select_matches_reference(&overlay, a, b, h, k, &mut scratch)?;
+                    assert_select_matches_reference(wv.network(), a, b, h, k, &mut scratch)?;
+                }
+            }
+        }
+    }
 
     /// One merge round leaves no twins on hub-heavy multigraphs, whose
     /// hub fans are one large twin class at every radius.
