@@ -64,7 +64,7 @@ pub struct ExtractScratch {
     pub hop: HopScratch,
     /// Algorithm 1 merge buffers.
     pub structure: StructureScratch,
-    /// Palette-WL buffers (notably the prime/log tables).
+    /// Palette-WL per-round buffers.
     pub wl: WlScratch,
     /// K-selection buffers (slot and owner maps, timestamp triples).
     pub select: SelectScratch,

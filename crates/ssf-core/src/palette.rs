@@ -24,11 +24,19 @@
 //! ranking, so the output is bit-identical to `crate::reference` either way
 //! (proven by `tests/kernels.rs`).
 //!
+//! The converged colors are dense `1..=C`, so the final order is one more
+//! counting sort by color; only classes with several members are sorted,
+//! by `(tiebreak, index)`. The prime logarithms come from one
+//! process-wide table that grows to the largest subgraph refined, so a
+//! fresh scratch never rebuilds it.
+//!
 //! Refinement runs on the structure subgraph's local adjacency, never on
 //! the source graph, so the ordering is identical for every
 //! [`dyngraph::GraphView`] representation upstream (mutable network, frozen
 //! CSR, delta overlay) — the canonical local ids fixed at hop extraction
 //! carry the determinism through.
+
+use std::sync::{Arc, LazyLock, PoisonError, RwLock};
 
 /// Returns the first `n` primes (`P(1) = 2`).
 ///
@@ -56,18 +64,62 @@ fn extend_primes(primes: &mut Vec<u64>, n: usize) {
     }
 }
 
-/// Reusable Palette-WL buffers: the trial-division prime table with its
-/// cached logarithms (the dominant per-call cost when thousands of
-/// subgraphs are refined in a batch) plus every per-round working array, so
-/// a warm refinement allocates only the two color vectors.
+/// The first primes and their logarithms, shared by every refinement in
+/// the process through [`prime_table`].
+#[derive(Debug, Default)]
+struct PrimeTable {
+    primes: Vec<u64>,
+    /// `lnp[c - 1] = ln P(c)`.
+    lnp: Vec<f64>,
+}
+
+/// Primes in the table the first refinement builds: every subgraph up to
+/// this many structure nodes refines without growing it.
+const FIRST_ALLOCATION: usize = 1024;
+
+/// The process-wide prime table. It only grows, and a grown table is a
+/// new `Arc`, so a snapshot a refinement holds never changes under it.
+static PRIMES: LazyLock<RwLock<Arc<PrimeTable>>> =
+    LazyLock::new(Default::default);
+
+/// A snapshot of the shared prime table holding at least the first `n`
+/// primes. The table grows under the write lock only when `n` exceeds it,
+/// to at least twice its size, so it holds at most twice the largest
+/// subgraph refined so far (16 B per prime). The primes come from
+/// [`first_primes`]'s trial division and the logs from `f64::ln`, so every
+/// entry is bit-equal to a per-call rebuild.
+fn prime_table(n: usize) -> Arc<PrimeTable> {
+    {
+        let table = PRIMES.read().unwrap_or_else(PoisonError::into_inner);
+        if table.primes.len() >= n {
+            return Arc::clone(&table);
+        }
+    }
+    // A poisoned lock still holds a whole table: it is replaced only by
+    // assigning a finished `Arc`.
+    let mut table = PRIMES.write().unwrap_or_else(PoisonError::into_inner);
+    let known = table.primes.len();
+    if known < n {
+        let len = n.max(2 * known).max(FIRST_ALLOCATION);
+        let mut primes = Vec::with_capacity(len);
+        primes.extend_from_slice(&table.primes);
+        extend_primes(&mut primes, len);
+        let mut lnp = Vec::with_capacity(len);
+        lnp.extend_from_slice(&table.lnp);
+        lnp.extend(primes[known..].iter().map(|&p| (p as f64).ln()));
+        *table = Arc::new(PrimeTable { primes, lnp });
+    }
+    Arc::clone(&table)
+}
+
+/// Reusable Palette-WL buffers: every per-round working array, so a warm
+/// refinement allocates only the two color vectors and the order. The
+/// prime logarithms live in one process-wide table, not here.
 ///
 /// Like [`crate::HopScratch`], reuse never changes output: a fresh scratch
 /// and a warm one produce bit-identical orders.
 #[derive(Debug, Clone, Default)]
 pub struct WlScratch {
-    primes: Vec<u64>,
-    /// `lnp[c - 1] = ln P(c)`, cached alongside the primes.
-    lnp: Vec<f64>,
     /// Neighbor-color log-sum accumulator of the current round.
     acc: Vec<f64>,
     /// Hash values of the current refinement round.
@@ -79,17 +131,61 @@ pub struct WlScratch {
     cursor: Vec<usize>,
 }
 
-impl WlScratch {
-    /// Extends the prime table and its logarithms to at least `n` entries;
-    /// a larger subgraph only adds the missing primes.
-    fn ensure_primes(&mut self, n: usize) {
-        let known = self.primes.len();
-        if known < n {
-            extend_primes(&mut self.primes, n);
-            self.lnp
-                .extend(self.primes[known..].iter().map(|&p| (p as f64).ln()));
+/// Counting-sorts nodes `0..colors.len()` by their dense 1-based color:
+/// color `c`'s nodes land in `by_color[starts[c]..starts[c + 1]]`, in
+/// ascending index order.
+fn bucket_by_color(
+    colors: &[usize],
+    num_classes: usize,
+    starts: &mut Vec<usize>,
+    cursor: &mut Vec<usize>,
+    by_color: &mut Vec<u32>,
+) {
+    starts.clear();
+    starts.resize(num_classes + 2, 0);
+    for &c in colors {
+        starts[c + 1] += 1;
+    }
+    for c in 1..starts.len() {
+        starts[c] += starts[c - 1];
+    }
+    cursor.clear();
+    cursor.extend_from_slice(starts);
+    by_color.resize(colors.len(), 0);
+    for (i, &c) in colors.iter().enumerate() {
+        by_color[cursor[c]] = i as u32;
+        cursor[c] += 1;
+    }
+}
+
+/// The unique 1-based order of converged dense colors `1..=num_classes`:
+/// by color, then `tiebreak`, then index. Buckets come out of the
+/// counting sort in index order, so only classes with several members are
+/// sorted. Equal to [`crate::reference::order_by_color`] for every input.
+fn order_by_color(
+    colors: &[usize],
+    num_classes: usize,
+    tiebreak: &[u64],
+    scratch: &mut WlScratch,
+) -> Vec<usize> {
+    let WlScratch {
+        by_color,
+        starts,
+        cursor,
+        ..
+    } = scratch;
+    bucket_by_color(colors, num_classes, starts, cursor, by_color);
+    let mut order = vec![0usize; colors.len()];
+    for c in 1..=num_classes {
+        let class = &mut by_color[starts[c]..starts[c + 1]];
+        if class.len() > 1 {
+            class.sort_unstable_by_key(|&i| (tiebreak[i as usize], i));
+        }
+        for (pos, &i) in class.iter().enumerate() {
+            order[i as usize] = starts[c] + pos + 1;
         }
     }
+    order
 }
 
 /// Runs Palette-WL color refinement and returns a unique 1-based order per
@@ -184,16 +280,15 @@ where
     let mut new_colors = vec![0usize; n];
     let mut num_classes = colors.iter().copied().max().unwrap_or(0);
 
-    scratch.ensure_primes(n);
+    let primes = prime_table(n);
+    let lnp = primes.lnp.as_slice();
     let WlScratch {
-        lnp,
         acc,
         hash,
         by_color,
         starts,
         cursor,
-        ..
-    } = scratch;
+    } = &mut *scratch;
 
     // Refine until stable. Each non-trivial round strictly splits at least
     // one color class, so n rounds suffice; the cap guards regressions.
@@ -201,23 +296,8 @@ where
         // Global normalizer, summed in node-index order (the reference
         // addition sequence).
         let total: f64 = (0..n).map(|i| lnp[colors[i] - 1]).sum::<f64>().abs();
-        // Bucket nodes by current color (counting sort, colors are 1-based
-        // dense ids).
-        starts.clear();
-        starts.resize(num_classes + 2, 0);
-        for &c in colors.iter() {
-            starts[c + 1] += 1;
-        }
-        for c in 1..starts.len() {
-            starts[c] += starts[c - 1];
-        }
-        cursor.clear();
-        cursor.extend_from_slice(starts);
-        by_color.resize(n, 0);
-        for (i, &c) in colors.iter().enumerate() {
-            by_color[cursor[c]] = i as u32;
-            cursor[c] += 1;
-        }
+        // Bucket nodes by current color (colors are 1-based dense ids).
+        bucket_by_color(&colors, num_classes, starts, cursor, by_color);
         // Neighbor log-sum accumulation in ascending-color order: for every
         // node `i`, the values landing in `acc[i]` arrive exactly as if its
         // neighbor colors had been sorted ascending and summed — equal
@@ -303,13 +383,7 @@ where
     }
 
     // Unique total order: converged color, then caller tiebreak, then index.
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by_key(|&i| (colors[i], tiebreak[i], i));
-    let mut order = vec![0usize; n];
-    for (rank, &i) in idx.iter().enumerate() {
-        order[i] = rank + 1;
-    }
-    order
+    order_by_color(&colors, num_classes, tiebreak, scratch)
 }
 
 /// Dense ranking (1-based): equal elements share a rank, the next distinct
@@ -345,22 +419,48 @@ mod tests {
         assert!(first_primes(0).is_empty());
     }
 
-    #[test]
-    fn prime_table_grows_to_the_rebuilt_table() {
+    /// Asserts that `table` holds at least `n` primes and that every
+    /// prime and log is bit-equal to a rebuild of its length.
+    fn assert_rebuilt(table: &PrimeTable, n: usize) {
         let bits =
             |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut scratch = WlScratch::default();
-        for n in [1, 7, 40, 41, 300] {
-            scratch.ensure_primes(n);
-            let want = first_primes(n);
-            let want_ln: Vec<f64> =
-                want.iter().map(|&p| (p as f64).ln()).collect();
-            assert_eq!(scratch.primes, want, "primes at n = {n}");
-            assert_eq!(bits(&scratch.lnp), bits(&want_ln), "logs at n = {n}");
+        let len = table.primes.len();
+        assert!(len >= n, "table of {len} primes serves n = {n}");
+        let want = first_primes(len);
+        let want_ln: Vec<f64> = want.iter().map(|&p| (p as f64).ln()).collect();
+        assert_eq!(table.primes, want, "primes at n = {n}");
+        assert_eq!(bits(&table.lnp), bits(&want_ln), "logs at n = {n}");
+    }
+
+    #[test]
+    fn prime_table_grows_to_the_rebuilt_table() {
+        let past_first = 3 * FIRST_ALLOCATION + 1;
+        for n in [1, 7, 40, 41, 300, past_first] {
+            assert_rebuilt(&prime_table(n), n);
         }
         // A smaller subgraph keeps the larger table.
-        scratch.ensure_primes(40);
-        assert_eq!(scratch.primes, first_primes(300));
+        assert!(prime_table(40).primes.len() >= past_first);
+    }
+
+    #[test]
+    fn concurrent_growth_reads_identical_prefixes() {
+        let sizes = [5_000, 9_000, 7_000, 12_000];
+        let want = first_primes(12_000);
+        std::thread::scope(|scope| {
+            for &n in &sizes {
+                let want = &want;
+                scope.spawn(move || {
+                    for m in [n / 4, n / 2, n] {
+                        let table = prime_table(m);
+                        assert!(table.primes.len() >= m);
+                        let k = table.primes.len().min(want.len());
+                        assert_eq!(table.primes[..k], want[..k]);
+                        assert_eq!(table.lnp.len(), table.primes.len());
+                    }
+                });
+            }
+        });
+        assert_rebuilt(&prime_table(12_000), 12_000);
     }
 
     #[test]

@@ -261,8 +261,10 @@ fn dense_rank_by(
 }
 
 /// Naive Palette-WL: per-round float hash `color + Σ ln P(neighbor colors)
-/// (sorted ascending) / |Σ ln P(all colors)|`, global re-sort every round.
-fn palette_wl(
+/// (sorted ascending) / |Σ ln P(all colors)|`, global re-sort every round,
+/// and the converged colors ordered by [`order_by_color`]. This is the
+/// oracle for [`crate::palette::palette_wl`], with the same arguments.
+pub fn palette_wl(
     adj: &[Vec<usize>],
     init_key: &[u32],
     pinned: (usize, usize),
@@ -314,9 +316,20 @@ fn palette_wl(
         }
         colors = new_colors;
     }
-    let mut idx: Vec<usize> = (0..n).collect();
+    order_by_color(&colors, tiebreak)
+}
+
+/// The unique 1-based order of converged Palette-WL colors by one global
+/// sort on `(color, tiebreak, index)`: the oracle for the kernel's
+/// bucketed output order.
+///
+/// # Panics
+///
+/// Panics if `tiebreak` is shorter than `colors`.
+pub fn order_by_color(colors: &[usize], tiebreak: &[u64]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..colors.len()).collect();
     idx.sort_by_key(|&i| (colors[i], tiebreak[i], i));
-    let mut order = vec![0usize; n];
+    let mut order = vec![0usize; colors.len()];
     for (rank, &i) in idx.iter().enumerate() {
         order[i] = rank + 1;
     }

@@ -17,14 +17,18 @@
 //! `crate::reference` keeps the literal repeat loop, and
 //! `tests/kernels.rs` pins the equivalence.
 //!
-//! The kernel is therefore one pass. Non-endpoint hop nodes are sorted by
-//! their distinct-neighbor CSR row; equal runs are the twin classes. Each
-//! class's adjacency row is its first member's row mapped to class ids
-//! (twins share the row, so one member's row is the whole class's row),
-//! then sorted and deduplicated. Classes are numbered by smallest member,
-//! which is the canonical `(distance, smallest member)` order because
-//! hop-local ids are sorted by distance, so the output is bit-identical to
-//! `crate::reference`.
+//! The kernel is therefore one pass. Non-endpoint hop nodes are keyed by
+//! a fixed 64-bit hash of their distinct-neighbor CSR row and sorted by
+//! `(hash, id)`; twins hash equal, so every twin class lies inside one run
+//! of equal hashes. Only a run longer than one compares rows: it splits by
+//! row equality, so a hash collision costs comparisons, never a wrong
+//! merge. Each class's adjacency row is its first member's row mapped to
+//! class ids (twins share the row, so one member's row is the whole
+//! class's row), sorted and deduplicated only when the mapped ids are not
+//! already strictly increasing (a row with no merged neighbor never needs
+//! it). Classes are numbered by smallest member, which is the canonical
+//! `(distance, smallest member)` order because hop-local ids are sorted by
+//! distance, so the output is bit-identical to `crate::reference`.
 //!
 //! This stage consumes only the re-indexed [`HopSubgraph`], so it is
 //! automatically independent of the graph representation the subgraph was
@@ -61,8 +65,8 @@ pub struct StructureSubgraph {
 }
 
 /// Reusable buffers for Algorithm 1's merge: the twin-class map and the
-/// order that finds the classes. One round is the whole merge (see the
-/// module docs for why a second round never merges anything).
+/// row-hash keys that find the classes. One round is the whole merge (see
+/// the module docs for why a second round never merges anything).
 ///
 /// Like [`crate::HopScratch`], reuse never changes output: a fresh scratch
 /// and a warm one produce identical structure subgraphs.
@@ -70,8 +74,9 @@ pub struct StructureSubgraph {
 pub struct StructureScratch {
     /// Structure node of each hop node.
     group_of: Vec<usize>,
-    /// Non-endpoint hop nodes ordered by neighbor row for run detection.
-    order: Vec<u32>,
+    /// `(row hash, hop id)` of every non-endpoint hop node, sorted so
+    /// that twins form runs.
+    keys: Vec<(u64, u32)>,
     /// Member-CSR fill positions, one per structure node.
     cursor: Vec<usize>,
 }
@@ -96,14 +101,31 @@ impl StructureSubgraph {
         hop: &HopSubgraph,
         scratch: &mut StructureScratch,
     ) -> Self {
+        Self::combine_with_row_key(hop, scratch, row_hash)
+    }
+
+    /// [`StructureSubgraph::combine_with_scratch`] with the row hash that
+    /// keys the twin merge replaced by `key`. The output does not depend
+    /// on `key`: a constant key makes every row collide, which runs the
+    /// full row comparison. Not API — a seam for the collision tests.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`StructureSubgraph::combine`].
+    #[doc(hidden)]
+    pub fn combine_with_row_key(
+        hop: &HopSubgraph,
+        scratch: &mut StructureScratch,
+        key: impl Fn(&[u32]) -> u64,
+    ) -> Self {
         let n = hop.node_count();
         assert!(n >= 2, "hop subgraph must contain both target endpoints");
         let StructureScratch {
             group_of,
-            order,
+            keys,
             cursor,
         } = scratch;
-        let count = merge_round(hop, order, group_of);
+        let count = merge_round(hop, keys, group_of, key);
 
         // Member CSR via counting sort: hop ids ascend within each group,
         // so a group's first member is its smallest.
@@ -130,8 +152,10 @@ impl StructureSubgraph {
         );
 
         // Adjacency CSR: twins share their neighbor row, so a group's row
-        // is its first member's row mapped to group ids, sorted and
-        // deduplicated (twins of one another collapse to one entry).
+        // is its first member's row mapped to group ids. Group ids ascend
+        // with smallest member, so the mapped row is already strictly
+        // increasing unless it holds two members of one group; only then
+        // is it sorted and deduplicated (twins collapse to one entry).
         let mut adj_offsets = Vec::with_capacity(count + 1);
         let mut adj_ids = Vec::with_capacity(2 * hop.link_count());
         adj_offsets.push(0);
@@ -142,16 +166,18 @@ impl StructureSubgraph {
                     .iter()
                     .map(|&j| group_of[j as usize]),
             );
-            adj_ids[start..].sort_unstable();
-            let mut w = start;
-            for r in start..adj_ids.len() {
-                if w == start || adj_ids[w - 1] != adj_ids[r] {
-                    adj_ids[w] = adj_ids[r];
-                    w += 1;
+            if !adj_ids[start..].is_sorted_by(|p, q| p < q) {
+                adj_ids[start..].sort_unstable();
+                let mut w = start;
+                for r in start..adj_ids.len() {
+                    if w == start || adj_ids[w - 1] != adj_ids[r] {
+                        adj_ids[w] = adj_ids[r];
+                        w += 1;
+                    }
                 }
+                adj_ids.truncate(w);
             }
-            adj_ids.truncate(w);
-            adj_offsets.push(w);
+            adj_offsets.push(adj_ids.len());
         }
         let s = StructureSubgraph {
             mem_offsets,
@@ -222,27 +248,66 @@ impl StructureSubgraph {
     }
 }
 
+/// Twin-merge key of a distinct-neighbor row: a fixed 64-bit hash seeded
+/// with the row length, folding two ids per word, with the splitmix64
+/// finalizer. Twins have equal rows and therefore equal keys; unequal
+/// rows that collide cost one row comparison in [`merge_round`], so the
+/// hash needs no secret seed.
+fn row_hash(row: &[u32]) -> u64 {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    let fold = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(MUL);
+    let mut words = row.chunks_exact(2);
+    let mut h = fold(0, row.len() as u64);
+    for w in &mut words {
+        h = fold(h, u64::from(w[0]) | u64::from(w[1]) << 32);
+    }
+    if let [last] = words.remainder() {
+        h = fold(h, u64::from(*last));
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
 /// Algorithm 1's merge, done once: non-endpoint hop nodes with equal
 /// distinct-neighbor rows form one group. Fills `group_of` with each hop
 /// node's group, numbered by smallest member (the endpoints are groups 0
 /// and 1), and returns the group count.
+///
+/// Nodes are sorted by `(key(row), id)`. Twins share a key, so a group
+/// never spans two runs of equal keys; a run of one is a singleton group,
+/// and a longer run is split by row equality. Only a run whose rows differ
+/// (a key collision) is sorted by row.
 fn merge_round(
     hop: &HopSubgraph,
-    order: &mut Vec<u32>,
+    keys: &mut Vec<(u64, u32)>,
     group_of: &mut Vec<usize>,
+    key: impl Fn(&[u32]) -> u64,
 ) -> usize {
     let n = hop.node_count();
     let row = |i: u32| hop.neighbors(i as usize);
-    order.clear();
-    order.extend(2..n as u32);
-    // Ties broken by id, so each run of equal rows starts at its smallest
-    // member.
-    order.sort_unstable_by(|&x, &y| row(x).cmp(row(y)).then(x.cmp(&y)));
+    keys.clear();
+    keys.extend((2..n as u32).map(|i| (key(row(i)), i)));
+    keys.sort_unstable();
     group_of.clear();
     group_of.extend(0..n);
-    for run in order.chunk_by(|&x, &y| row(x) == row(y)) {
-        for &i in run {
-            group_of[i as usize] = run[0] as usize;
+    for run in keys.chunk_by_mut(|x, y| x.0 == y.0) {
+        if run.len() == 1 {
+            continue;
+        }
+        // Ids ascend within a run, so a twin class's leader comes first.
+        let lead = run[0].1;
+        if run[1..].iter().all(|&(_, i)| row(i) == row(lead)) {
+            for &(_, i) in &run[1..] {
+                group_of[i as usize] = lead as usize;
+            }
+            continue;
+        }
+        run.sort_unstable_by(|x, y| row(x.1).cmp(row(y.1)).then(x.1.cmp(&y.1)));
+        for group in run.chunk_by(|x, y| row(x.1) == row(y.1)) {
+            for &(_, i) in group {
+                group_of[i as usize] = group[0].1 as usize;
+            }
         }
     }
     // Number the groups by smallest member. A group's smallest member

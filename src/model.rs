@@ -78,10 +78,20 @@ impl SsfnmModel {
             } else {
                 fold.train.iter().chain(&fold.test).collect()
             };
+            // One cache per fold, never shared: two fold histories can
+            // carry equal revision counters, so a shared cache could serve
+            // one fold's balls to another.
+            let mut cache = ExtractionCache::new();
             for s in samples {
                 rows.push(
                     extractor
-                        .try_extract(&fold.history, s.u, s.v, present)?
+                        .try_extract_cached(
+                            &fold.history,
+                            s.u,
+                            s.v,
+                            present,
+                            &mut cache,
+                        )?
                         .into_values(),
                 );
                 labels.push(usize::from(s.label));

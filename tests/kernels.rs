@@ -1,6 +1,7 @@
 //! Differential kernel tests: the branch-light optimized extraction
-//! kernels (sorted-slice structure merge, hash-free Palette-WL,
-//! early-exit bounded Dijkstra) against the retained naive
+//! kernels (hash-keyed structure merge, hash-free Palette-WL with a
+//! bucketed output order, early-exit bounded Dijkstra) against the
+//! retained naive
 //! [`ssf_core::reference`] pipeline.
 //!
 //! Every assertion here is *bit* equality on the feature values — the
@@ -23,10 +24,13 @@ use ssf_repro::dyngraph::{
     WindowedView,
 };
 use ssf_repro::methods::{Method, MethodOptions};
-use ssf_repro::ssf_core::palette::palette_wl;
+use ssf_repro::ssf_core::palette::{
+    palette_wl, palette_wl_with_scratch, WlScratch,
+};
 use ssf_repro::ssf_core::{
     reference, EntryEncoding, ExtractionCache, HopSubgraph, KStructureSubgraph,
-    SelectScratch, SsfConfig, SsfExtractor, StructureSubgraph,
+    SelectScratch, SsfConfig, SsfExtractor, StructureScratch,
+    StructureSubgraph,
 };
 use ssf_repro::ssf_eval::{LinkSample, Split, SplitConfig};
 
@@ -228,7 +232,14 @@ fn assert_twin_free_and_matches_reference(
         b,
         h
     );
-    let got: Vec<(Vec<usize>, Vec<usize>, u32)> = (0..s.node_count())
+    prop_assert_eq!(stages(&s), reference::structure(g, a, b, h));
+    Ok(())
+}
+
+/// Each structure node's members, neighbor row and distance, in
+/// structure-node order: the shape of [`reference::structure`].
+fn stages(s: &StructureSubgraph) -> Vec<(Vec<usize>, Vec<usize>, u32)> {
+    (0..s.node_count())
         .map(|x| {
             (
                 s.members(x).to_vec(),
@@ -236,8 +247,40 @@ fn assert_twin_free_and_matches_reference(
                 s.distance(x),
             )
         })
-        .collect();
-    prop_assert_eq!(got, reference::structure(g, a, b, h));
+        .collect()
+}
+
+/// Asserts that the twin merge is independent of its row key: with every
+/// row hashing equal, and with rows of equal length hashing equal, the
+/// partition, members, rows and distances equal the real hash's and the
+/// reference's.
+fn assert_collisions_change_nothing(
+    g: &DynamicNetwork,
+    a: NodeId,
+    b: NodeId,
+    h: u32,
+    scratch: &mut StructureScratch,
+) -> Result<(), TestCaseError> {
+    let hop = HopSubgraph::extract(g, a, b, h);
+    let real = StructureSubgraph::combine(&hop);
+    let want = reference::structure(g, a, b, h);
+    prop_assert_eq!(&stages(&real), &want);
+    let all_collide =
+        StructureSubgraph::combine_with_row_key(&hop, scratch, |_| 0);
+    prop_assert_eq!(
+        &all_collide,
+        &real,
+        "constant key, ({}, {}) h {}",
+        a,
+        b,
+        h
+    );
+    let by_length =
+        StructureSubgraph::combine_with_row_key(&hop, scratch, |row| {
+            row.len() as u64
+        });
+    prop_assert_eq!(&by_length, &real, "length key, ({}, {}) h {}", a, b, h);
+    prop_assert_eq!(stages(&all_collide), want);
     Ok(())
 }
 
@@ -564,6 +607,129 @@ proptest! {
                 assert_twin_free_and_matches_reference(&g, a, b, h)?;
             }
             assert_matches_reference(&g, a, b, 21, &config, &mut cache);
+        }
+    }
+}
+
+/// Strategy: a Palette-WL input rich in automorphic ties. A random
+/// template of 1–4 nodes is copied 2–5 times; every copy links to the
+/// endpoints the same way and repeats the template's init keys, so the
+/// copies converge to equal colors. Tiebreaks take only three values, so
+/// the index decides most ties.
+fn automorphic_wl_input(
+) -> impl Strategy<Value = (Vec<Vec<usize>>, Vec<u32>, Vec<u64>)> {
+    const T: usize = 4;
+    const COPIES: usize = 5;
+    (
+        (1..T + 1, 2..COPIES + 1),
+        prop::collection::vec((0..T, 0..T), 0..2 * T),
+        prop::collection::vec((0..3u8, 1..3u32), T),
+        prop::collection::vec(0..3u64, 2 + T * COPIES),
+        any::<bool>(),
+    )
+        .prop_map(|((t, copies), edges, template, tiebreak, link_ab)| {
+            let n = 2 + t * copies;
+            let mut adj = vec![std::collections::BTreeSet::new(); n];
+            let mut link = |u: usize, v: usize| {
+                if u != v {
+                    adj[u].insert(v);
+                    adj[v].insert(u);
+                }
+            };
+            if link_ab {
+                link(0, 1);
+            }
+            let mut init = vec![0u32; n];
+            for c in 0..copies {
+                let id = |j: usize| 2 + c * t + j;
+                for &(u, v) in &edges {
+                    link(id(u % t), id(v % t));
+                }
+                // Attachment 0: none, 1: to a, 2: to a and b.
+                for (j, &(how, key)) in template[..t].iter().enumerate() {
+                    if how >= 1 {
+                        link(0, id(j));
+                    }
+                    if how == 2 {
+                        link(1, id(j));
+                    }
+                    init[id(j)] = key;
+                }
+            }
+            let adj: Vec<Vec<usize>> = adj
+                .into_iter()
+                .map(|row| row.into_iter().collect())
+                .collect();
+            (adj, init, tiebreak[..n].to_vec())
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The twin merge never depends on its row hash: on hub-heavy
+    /// multigraphs (one large twin class of hub fans) a merge where
+    /// every row collides gives the real hash's and the reference's
+    /// partition, members, rows and distances.
+    #[test]
+    fn hub_multigraph_merge_ignores_row_key_collisions(
+        events in hub_multigraph(),
+        extra_targets in prop::collection::vec((0..45u32, 0..45u32), 1..5),
+    ) {
+        let g: DynamicNetwork = events.iter().copied().collect();
+        let mut targets = vec![(1u32, 2u32), (0, 1), (2, 0)];
+        targets.extend(extra_targets);
+        let mut scratch = StructureScratch::default();
+        for (a, b) in targets {
+            if a == b || a.max(b) as usize >= g.node_count() {
+                continue;
+            }
+            for h in 1..=3 {
+                assert_collisions_change_nothing(&g, a, b, h, &mut scratch)?;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The same collision check on twin-rich graphs, whose bipartite
+    /// blocks, fans and endpoint twins make many multi-member classes.
+    #[test]
+    fn twin_rich_merge_ignores_row_key_collisions(
+        g in twin_rich_network(),
+        extra_targets in prop::collection::vec((0..30u32, 0..30u32), 0..3),
+    ) {
+        let mut targets = vec![(0u32, 1u32), (1, 0)];
+        targets.extend(extra_targets);
+        let mut scratch = StructureScratch::default();
+        for (a, b) in targets {
+            if a == b || a.max(b) as usize >= g.node_count() {
+                continue;
+            }
+            for h in 1..=3 {
+                assert_collisions_change_nothing(&g, a, b, h, &mut scratch)?;
+            }
+        }
+    }
+
+    /// Palette-WL's bucketed output order equals the reference's global
+    /// sort by `(color, tiebreak, index)` on inputs whose automorphic
+    /// copies tie in color and mostly in tiebreak, with a fresh and a
+    /// warm scratch.
+    #[test]
+    fn palette_wl_order_matches_reference_on_automorphic_ties(
+        (adj, init, tiebreak) in automorphic_wl_input(),
+    ) {
+        let want = reference::palette_wl(&adj, &init, (0, 1), &tiebreak);
+        prop_assert_eq!(&palette_wl(&adj, &init, (0, 1), &tiebreak), &want);
+        let mut scratch = WlScratch::default();
+        for _ in 0..2 {
+            let warm = palette_wl_with_scratch(
+                &adj, &init, (0, 1), &tiebreak, &mut scratch,
+            );
+            prop_assert_eq!(&warm, &want);
         }
     }
 }
