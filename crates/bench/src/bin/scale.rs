@@ -11,7 +11,8 @@
 //! * cold and warm batch-scoring throughput of
 //!   `OnlineLinkPredictor::score_batch` on a fitted predictor (cold =
 //!   extraction cache cleared). That is the writer path: it scores the
-//!   predictor's own mutable graph, not the frozen base,
+//!   predictor's own copy-on-write graph (frozen base plus the delta
+//!   since the last compaction), not a published snapshot,
 //! * snapshot publish latency (median of several publishes).
 //!
 //! Emits machine-readable `BENCH_scale.json`. The binary itself asserts
@@ -33,7 +34,7 @@ use std::fs;
 use std::time::Instant;
 
 use datasets::{DatasetSpec, ScaleTier};
-use dyngraph::{FrozenGraph, NodeId};
+use dyngraph::{FrozenGraph, GraphView, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssf_eval::SplitConfig;

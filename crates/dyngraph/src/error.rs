@@ -61,6 +61,16 @@ pub enum GraphError {
         /// Inclusive upper bound of the window.
         horizon: u32,
     },
+    /// A graph handed to [`WindowedView::from_frozen`] has a row whose
+    /// links are not in time order. A windowed graph's rows always are
+    /// (expiry drops a row prefix), so such a graph was not written by
+    /// one; it is refused rather than re-sorted.
+    ///
+    /// [`WindowedView::from_frozen`]: crate::WindowedView::from_frozen
+    UnsortedWindowRow {
+        /// The node whose row is out of time order.
+        node: u32,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -86,6 +96,9 @@ impl fmt::Display for GraphError {
                     f,
                     "timestamp {t} is outside the window [{cutoff}, {horizon}]"
                 )
+            }
+            GraphError::UnsortedWindowRow { node } => {
+                write!(f, "links of node {node} are not in time order")
             }
         }
     }

@@ -108,10 +108,10 @@ impl FrozenGraph {
         let mut timestamps = Vec::with_capacity(total);
         let mut nbr_ids = Vec::new();
         for u in 0..n as NodeId {
-            for (v, t) in g.incident_links(u) {
+            g.incident_links(u).for_each(|(v, t)| {
                 neighbors.push(v);
                 timestamps.push(t);
-            }
+            });
             offsets.push(neighbors.len());
             nbr_ids.extend_from_slice(g.distinct_neighbors(u));
             nbr_offsets.push(nbr_ids.len());
@@ -450,10 +450,12 @@ impl OverlayView {
         self.delta_links
     }
 
-    /// `true` when the view is exactly its frozen base (empty delta and
-    /// no node growth).
+    /// `true` when the view is exactly its frozen base, revision
+    /// included. Every mutation bumps the revision — an advance that
+    /// expired nothing too — so the revisions agree only before the
+    /// first one.
     pub fn is_pristine(&self) -> bool {
-        self.delta_links == 0 && self.node_count == self.base.node_count()
+        self.revision == self.base.revision()
     }
 }
 
@@ -609,48 +611,15 @@ impl DeltaGraph {
         v: NodeId,
         t: Timestamp,
     ) -> Result<(), GraphError> {
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
-        self.ensure_node(u.max(v));
-        let base = &self.view.base;
-        let links = Arc::make_mut(&mut self.view.links);
-        for (a, b) in [(u, v), (v, u)] {
-            links
-                .entry(a)
-                .or_insert_with(|| base_links_row(base, a))
-                .push((b, t));
-        }
-        let distinct = Arc::make_mut(&mut self.view.distinct);
-        for (a, b) in [(u, v), (v, u)] {
-            let row = distinct
-                .entry(a)
-                .or_insert_with(|| base_distinct_row(base, a));
-            if let Err(i) = row.binary_search(&b) {
-                row.insert(i, b);
-            }
-        }
-        if self.view.num_links == 0 {
-            self.view.min_ts = t;
-            self.view.max_ts = t;
-        } else {
-            self.view.min_ts = self.view.min_ts.min(t);
-            self.view.max_ts = self.view.max_ts.max(t);
-        }
-        self.view.num_links += 1;
-        self.view.revision += 1;
-        self.view.delta_links += 1;
-        Ok(())
+        self.insert_link(u, v, t, false)
     }
 
-    /// Adds an undirected link keeping each endpoint's row sorted by
-    /// timestamp (stable: ties append after existing equal-`t` slots),
-    /// mirroring the windowed authority's sorted insert bit for bit.
-    /// Windowed authorities store rows in time order so expiry is a
-    /// prefix drop; a delta shadowing one must insert at the same
-    /// position or its iteration order — and everything downstream
-    /// that hashes it — diverges. Revision arithmetic is identical to
-    /// [`Self::try_add_link`].
+    /// Like [`Self::try_add_link`], but places the link at its
+    /// timestamp-sorted position in each endpoint row (stable: ties land
+    /// after existing equal-`t` slots) instead of appending. A
+    /// [`WindowedView`](crate::WindowedView) keeps its rows in time order
+    /// this way, so expiry only ever removes a row prefix; for monotone
+    /// streams the sorted position is the end of the row.
     ///
     /// # Errors
     ///
@@ -661,6 +630,16 @@ impl DeltaGraph {
         v: NodeId,
         t: Timestamp,
     ) -> Result<(), GraphError> {
+        self.insert_link(u, v, t, true)
+    }
+
+    fn insert_link(
+        &mut self,
+        u: NodeId,
+        v: NodeId,
+        t: Timestamp,
+        time_sorted: bool,
+    ) -> Result<(), GraphError> {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
@@ -669,7 +648,11 @@ impl DeltaGraph {
         let links = Arc::make_mut(&mut self.view.links);
         for (a, b) in [(u, v), (v, u)] {
             let row = links.entry(a).or_insert_with(|| base_links_row(base, a));
-            let at = row.partition_point(|&(_, ts)| ts <= t);
+            let at = if time_sorted {
+                row.partition_point(|&(_, ts)| ts <= t)
+            } else {
+                row.len()
+            };
             row.insert(at, (b, t));
         }
         let distinct = Arc::make_mut(&mut self.view.distinct);
@@ -694,12 +677,12 @@ impl DeltaGraph {
         Ok(())
     }
 
-    /// Mirrors a [`WindowedView`](crate::WindowedView) horizon advance:
+    /// One [`WindowedView`](crate::WindowedView) horizon advance:
     /// removes every link with timestamp `< cutoff` from the rows of
     /// `affected` (copy-on-write — untouched nodes keep serving their
-    /// base rows), installs the authority's post-expiry minimum
-    /// timestamp, and bumps the revision exactly once, keeping the
-    /// delta in lockstep with the windowed graph it shadows.
+    /// base rows), installs `new_min` as the post-expiry minimum
+    /// timestamp, and bumps the revision exactly once, even when
+    /// nothing expired.
     ///
     /// `affected` must name *both* endpoints of every expired link
     /// (which [`AdvanceReport::affected`](crate::AdvanceReport) does):
@@ -870,9 +853,13 @@ mod tests {
     }
 
     fn assert_views_agree<G: GraphView>(got: &G, want: &DynamicNetwork) {
+        assert_eq!(got.revision(), want.revision());
+        assert_views_agree_no_rev(got, want);
+    }
+
+    fn assert_views_agree_no_rev<G: GraphView>(got: &G, want: &DynamicNetwork) {
         assert_eq!(got.node_count(), want.node_count());
         assert_eq!(got.link_count(), want.link_count());
-        assert_eq!(got.revision(), want.revision());
         assert_eq!(got.min_timestamp(), want.min_timestamp());
         assert_eq!(got.max_timestamp(), want.max_timestamp());
         for u in 0..want.node_count() as NodeId {
@@ -938,11 +925,10 @@ mod tests {
 
     #[test]
     fn sorted_insert_tracks_time_ordered_twin() {
-        // A windowed authority keeps rows in time order via
-        // insert_link_sorted; the shadowing delta must agree on
-        // iteration order, not just multiset content.
+        // Sorted inserts must agree with a stable time-sorted rebuild on
+        // iteration order, not just multiset content. The twin counts
+        // the delta's revision: one node-growth bump, then one per link.
         let mut delta = DeltaGraph::new(Arc::new(FrozenGraph::empty()));
-        let mut twin = DynamicNetwork::new();
         let events = [
             (0u32, 1u32, 5u32),
             (0, 1, 2),
@@ -950,10 +936,21 @@ mod tests {
             (0, 1, 5),
             (0, 2, 0),
         ];
-        for &(u, v, t) in &events {
+        let mut revision = 0u64;
+        for i in 0..events.len() {
+            let (u, v, t) = events[i];
+            let nodes = delta.node_count();
             assert!(delta.try_add_link_sorted(u, v, t).is_ok());
-            assert!(twin.insert_link_sorted(u, v, t).is_ok());
-            assert_views_agree(&delta, &twin);
+            revision += u64::from(delta.node_count() > nodes) + 1;
+            let mut sorted = events[..=i].to_vec();
+            sorted.sort_by_key(|&(_, _, t)| t);
+            let mut twin = DynamicNetwork::new();
+            twin.ensure_node(delta.node_count() as NodeId - 1);
+            for (u, v, t) in sorted {
+                twin.add_link(u, v, t);
+            }
+            assert_views_agree_no_rev(&delta, &twin);
+            assert_eq!(delta.revision(), revision);
         }
         // Rows really are time-sorted.
         let row: Vec<_> = delta.incident_links(0).collect();
@@ -1005,6 +1002,12 @@ mod tests {
         assert!(delta.try_add_link(5, 6, 2).is_ok());
         assert!(twin.try_add_link(5, 6, 2).is_ok());
         assert_views_agree(&delta, &twin);
+        // An expiry that removes nothing is still a mutation: the delta
+        // is no longer its base, so a checkpoint must rebase it.
+        delta.rebase();
+        delta.expire_links_below(0, &[], delta.min_timestamp());
+        assert_eq!(delta.delta_link_count(), 0);
+        assert!(!delta.is_clean());
     }
 
     #[test]

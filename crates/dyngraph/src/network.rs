@@ -96,37 +96,6 @@ impl DynamicNetwork {
         }
     }
 
-    /// Reconstructs a mutable network from any [`GraphView`], restoring
-    /// per-node incident-link rows (insertion order preserved), the
-    /// derived distinct-neighbor cache, the timestamp bounds and the
-    /// revision counter. O(V + E).
-    ///
-    /// This is the recovery inverse of [`FrozenGraph::from_view`]: the
-    /// observable state of a `DynamicNetwork` is exactly its per-node
-    /// rows plus the counters — the global link insertion order is not
-    /// observable — so a round trip through a frozen CSR and back
-    /// yields a network that compares equal and continues mutating
-    /// (and bumping its revision) exactly like the original.
-    ///
-    /// [`FrozenGraph::from_view`]: crate::FrozenGraph::from_view
-    pub fn from_view<G: GraphView + ?Sized>(g: &G) -> Self {
-        let n = g.node_count();
-        let mut adj = Vec::with_capacity(n);
-        let mut distinct = Vec::with_capacity(n);
-        for u in 0..n as NodeId {
-            adj.push(g.incident_links(u).collect());
-            distinct.push(g.distinct_neighbors(u).to_vec());
-        }
-        DynamicNetwork {
-            adj,
-            distinct,
-            num_links: g.link_count(),
-            min_ts: g.min_timestamp().unwrap_or(0),
-            max_ts: g.max_timestamp().unwrap_or(0),
-            revision: g.revision(),
-        }
-    }
-
     /// Number of nodes (dense ids `0..node_count()`).
     pub fn node_count(&self) -> usize {
         self.adj.len()
@@ -218,108 +187,6 @@ impl DynamicNetwork {
         self.num_links += 1;
         self.revision += 1;
         Ok(())
-    }
-
-    /// Like [`DynamicNetwork::try_add_link`], but places the link at its
-    /// timestamp-sorted position within each endpoint row (stable: equal
-    /// timestamps keep arrival order) instead of appending. The revision,
-    /// counter and bound arithmetic is identical. Used by
-    /// [`WindowedView`](crate::WindowedView), whose rows must stay
-    /// time-sorted so expiry can drain a prefix; for monotone streams the
-    /// sorted position *is* the end of the row, making this an O(1)
-    /// append.
-    pub(crate) fn insert_link_sorted(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        t: Timestamp,
-    ) -> Result<(), GraphError> {
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
-        self.ensure_node(u.max(v));
-        for (a, b) in [(u, v), (v, u)] {
-            let row = &mut self.adj[a as usize];
-            let i = row.partition_point(|&(_, ts)| ts <= t);
-            row.insert(i, (b, t));
-            if let Err(i) = self.distinct[a as usize].binary_search(&b) {
-                self.distinct[a as usize].insert(i, b);
-            }
-        }
-        if self.num_links == 0 {
-            self.min_ts = t;
-            self.max_ts = t;
-        } else {
-            self.min_ts = self.min_ts.min(t);
-            self.max_ts = self.max_ts.max(t);
-        }
-        self.num_links += 1;
-        self.revision += 1;
-        Ok(())
-    }
-
-    /// Removes every link with timestamp `< cutoff` from `u`'s row and
-    /// rebuilds `u`'s distinct-neighbor cache from the survivors.
-    /// Returns the number of row entries removed (each undirected link
-    /// occupies one entry in *each* endpoint row).
-    ///
-    /// Requires `u`'s row to be timestamp-sorted (the
-    /// [`WindowedView`](crate::WindowedView) invariant): expired entries
-    /// then form a prefix, so no rescan of the survivors is needed to
-    /// find them. Counters and the revision are deliberately left
-    /// untouched — the caller accounts for the mutation once via
-    /// [`DynamicNetwork::finish_expiry`].
-    pub(crate) fn expire_row_prefix(
-        &mut self,
-        u: NodeId,
-        cutoff: Timestamp,
-    ) -> usize {
-        let row = &mut self.adj[u as usize];
-        let idx = row.partition_point(|&(_, ts)| ts < cutoff);
-        if idx == 0 {
-            return 0;
-        }
-        row.drain(..idx);
-        let mut d = std::mem::take(&mut self.distinct[u as usize]);
-        d.clear();
-        d.extend(self.adj[u as usize].iter().map(|&(v, _)| v));
-        d.sort_unstable();
-        d.dedup();
-        self.distinct[u as usize] = d;
-        idx
-    }
-
-    /// Books one window-expiry mutation: drops `removed` links from the
-    /// link count, installs the authoritative post-expiry minimum
-    /// timestamp (`(0, 0)` sentinel bounds when the graph emptied, as
-    /// construction uses), and bumps the revision exactly once — an
-    /// accepted `advance` is a mutation like any insert.
-    pub(crate) fn finish_expiry(
-        &mut self,
-        removed: usize,
-        new_min: Option<Timestamp>,
-    ) {
-        self.num_links -= removed;
-        if self.num_links == 0 {
-            self.min_ts = 0;
-            self.max_ts = 0;
-        } else if let Some(m) = new_min {
-            self.min_ts = m;
-        }
-        self.revision += 1;
-    }
-
-    /// Stable-sorts every adjacency row by timestamp (arrival order kept
-    /// among equal timestamps). A no-op on rows that are already sorted —
-    /// notably any graph built through [`WindowedView`](crate::WindowedView)
-    /// or restored from one. Counters, distinct rows and the revision are
-    /// unaffected (row order within a node is not part of them).
-    pub(crate) fn sort_rows_by_time(&mut self) {
-        for row in &mut self.adj {
-            if row.windows(2).any(|w| w[0].1 > w[1].1) {
-                row.sort_by_key(|&(_, t)| t);
-            }
-        }
     }
 
     /// All `(neighbor, timestamp)` incidences of `u`, one per link.
@@ -420,33 +287,44 @@ impl DynamicNetwork {
         t_p: Timestamp,
         t_q: Timestamp,
     ) -> Result<DynamicNetwork, GraphError> {
+        Self::period_of(self, t_p, t_q)
+    }
+
+    /// [`DynamicNetwork::period`] of any [`GraphView`]: links are copied
+    /// in [`GraphView::links`] order, so equal views give equal copies.
+    pub(crate) fn period_of<G: GraphView + ?Sized>(
+        src: &G,
+        t_p: Timestamp,
+        t_q: Timestamp,
+    ) -> Result<DynamicNetwork, GraphError> {
         if t_p >= t_q {
             return Err(GraphError::EmptyPeriod {
                 start: t_p,
                 end: t_q,
             });
         }
-        let mut g = DynamicNetwork::with_node_capacity(self.node_count());
-        if self.node_count() > 0 {
-            g.ensure_node(self.node_count() as NodeId - 1);
+        let n = src.node_count();
+        let mut g = DynamicNetwork::with_node_capacity(n);
+        if n > 0 {
+            g.ensure_node(n as NodeId - 1);
         }
         // Size every row once, so the copy does not regrow them link by
         // link.
-        for (row, (copy, distinct)) in self
-            .adj
-            .iter()
-            .zip(g.adj.iter_mut().zip(g.distinct.iter_mut()))
+        for (u, (copy, distinct)) in
+            g.adj.iter_mut().zip(g.distinct.iter_mut()).enumerate()
         {
-            let kept =
-                row.iter().filter(|&&(_, t)| t >= t_p && t < t_q).count();
+            let kept = src
+                .incident_links(u as NodeId)
+                .filter(|&(_, t)| t >= t_p && t < t_q)
+                .count();
             copy.reserve_exact(kept);
             distinct.reserve_exact(kept);
         }
-        for link in self.links() {
+        src.links().for_each(|link| {
             if link.t >= t_p && link.t < t_q {
                 g.add_link(link.u, link.v, link.t);
             }
-        }
+        });
         Ok(g)
     }
 
@@ -639,35 +517,6 @@ mod tests {
         b.extend([(0, 1, 1), (1, 2, 2), (2, 0, 3)]);
         assert_ne!(a.revision(), b.revision());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn from_view_round_trips_through_frozen() {
-        let mut g = triangle();
-        g.add_link(0, 1, 9); // multi-link
-        g.ensure_node(6); // isolated tail nodes survive the round trip
-        let frozen = crate::FrozenGraph::from_view(&g);
-        let restored = DynamicNetwork::from_view(&frozen);
-        assert_eq!(restored, g);
-        assert_eq!(restored.revision(), g.revision());
-        for u in 0..g.node_count() as NodeId {
-            assert_eq!(restored.incident_links(u), g.incident_links(u));
-            assert_eq!(restored.neighbors(u), g.neighbors(u));
-        }
-        // The restored network keeps mutating in lockstep.
-        let mut twin = g.clone();
-        let mut restored = restored;
-        restored.add_link(4, 6, 11);
-        twin.add_link(4, 6, 11);
-        assert_eq!(restored, twin);
-        assert_eq!(restored.revision(), twin.revision());
-    }
-
-    #[test]
-    fn from_view_of_empty_graph() {
-        let restored = DynamicNetwork::from_view(&crate::FrozenGraph::empty());
-        assert_eq!(restored, DynamicNetwork::new());
-        assert_eq!(restored.revision(), 0);
     }
 
     #[test]

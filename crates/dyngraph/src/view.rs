@@ -15,7 +15,7 @@
 //! extracted through any view reproduce the mutable graph's output
 //! exactly (property-tested in `crates/dyngraph/tests/`).
 
-use crate::{DynamicNetwork, NodeId, Timestamp};
+use crate::{DynamicNetwork, GraphError, Link, NodeId, Timestamp};
 
 /// Iterator over the `(neighbor, timestamp)` incidences of one node, in
 /// insertion order.
@@ -80,6 +80,20 @@ impl Iterator for IncidentLinks<'_> {
         match &self.inner {
             IncidentLinksInner::Pairs(it) => it.size_hint(),
             IncidentLinksInner::Split(it) => it.size_hint(),
+        }
+    }
+
+    /// Picks the layout once per row, not once per link, for every
+    /// consumer that folds (`count`, `sum`, `for_each`, `collect`, …).
+    fn fold<B, F>(self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, Self::Item) -> B,
+    {
+        match self.inner {
+            IncidentLinksInner::Pairs(it) => it.fold(init, |acc, &l| f(acc, l)),
+            IncidentLinksInner::Split(it) => {
+                it.fold(init, |acc, (&v, &t)| f(acc, (v, t)))
+            }
         }
     }
 }
@@ -179,6 +193,31 @@ pub trait GraphView {
             .map(|(_, t)| t)
             .collect()
     }
+
+    /// Iterates every link once as a [`Link`] with `u <= v`, in
+    /// [`DynamicNetwork::links`] order: node by node, each row in its
+    /// own order.
+    fn links(&self) -> impl Iterator<Item = Link> + '_ {
+        (0..self.node_count() as NodeId).flat_map(move |u| {
+            self.incident_links(u)
+                .filter_map(move |(v, t)| (u <= v).then_some(Link { u, v, t }))
+        })
+    }
+
+    /// The period `G_{[t_p, t_q)}` (Definition 2) copied out as a
+    /// [`DynamicNetwork`], bit-identical to [`DynamicNetwork::period`]
+    /// of an equal graph.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::EmptyPeriod`] if `t_p >= t_q`.
+    fn period(
+        &self,
+        t_p: Timestamp,
+        t_q: Timestamp,
+    ) -> Result<DynamicNetwork, GraphError> {
+        DynamicNetwork::period_of(self, t_p, t_q)
+    }
 }
 
 impl GraphView for DynamicNetwork {
@@ -224,6 +263,10 @@ impl GraphView for DynamicNetwork {
 
     fn timestamps_between(&self, u: NodeId, v: NodeId) -> Vec<Timestamp> {
         DynamicNetwork::timestamps_between(self, u, v)
+    }
+
+    fn links(&self) -> impl Iterator<Item = Link> + '_ {
+        DynamicNetwork::links(self)
     }
 }
 
@@ -320,6 +363,9 @@ mod tests {
             }
         }
         assert!(!raw.is_empty());
+        assert!(raw.links().eq(g.links()));
+        assert_eq!(raw.period(2, 5), g.period(2, 5));
+        assert_eq!(raw.period(5, 5), g.period(5, 5));
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! shape (DyLink2Vec, Sarkar et al.) is a bounded temporal window: only
 //! links whose timestamp lies in `[horizon - width, horizon]` — both
 //! bounds **inclusive** — participate in extraction. [`WindowedView`]
-//! is that graph: a [`DynamicNetwork`] that ages links out as the
-//! horizon advances, with expiry an ordinary revision-bumping mutation
-//! so every downstream cache invalidates through the one contract it
-//! already honors.
+//! is that graph: a copy-on-write [`DeltaGraph`] that ages links out as
+//! the horizon advances, with expiry an ordinary revision-bumping
+//! mutation so every downstream cache invalidates through the one
+//! contract it already honors. The same graph is the writer's graph and
+//! the one it publishes: [`WindowedView::publish`] is O(1) in graph size.
 //!
 //! # Expiry mechanics
 //!
@@ -16,15 +17,15 @@
 //!
 //! * **Per-node timestamp-sorted rows.** Links are placed at their
 //!   time-sorted position (stable — equal timestamps keep arrival
-//!   order), so the expired portion of any row is a *prefix* and one
-//!   `partition_point` finds it. Monotone streams (the facade's case)
-//!   degenerate to plain O(1) appends.
+//!   order), so the expired portion of any row is a *prefix*. Monotone
+//!   streams (the facade's case) degenerate to plain O(1) appends.
 //! * **A global min-heap of live links** keyed by timestamp. An
 //!   `advance` pops exactly the expired links — each link is pushed
 //!   once and popped once — and the surviving heap top is the new
 //!   minimum timestamp for free.
-//! * **Prefix drains only on affected rows.** The popped links name the
-//!   nodes that lost something; only those rows are touched.
+//! * **Expiry only on affected rows.** The popped links name the nodes
+//!   that lost something; only those rows are touched, through
+//!   [`DeltaGraph::expire_links_below`].
 //!
 //! # Revision arithmetic
 //!
@@ -35,21 +36,26 @@
 //! mirroring `ensure_node` of an existing node. An insert whose
 //! timestamp exceeds the horizon first advances implicitly (one bump)
 //! and then inserts (a second bump) — identical to calling
-//! [`WindowedView::advance`] followed by the insert.
+//! [`WindowedView::advance`] followed by the insert. Compacting with
+//! [`WindowedView::rebase`] changes neither content nor revision.
 //!
 //! # Canonical row order
 //!
 //! A windowed graph's observable row order is *stable time order*, not
 //! raw insertion order. This is deliberate: it makes the windowed graph
-//! bit-identical to a [`DynamicNetwork`] rebuilt from scratch from the
-//! surviving links inserted in `(timestamp, original order)` — the
-//! oracle `tests/window_prop.rs` holds it to.
+//! bit-identical to a [`DynamicNetwork`](crate::DynamicNetwork) rebuilt
+//! from scratch from the surviving links inserted in
+//! `(timestamp, original order)` — the oracle `tests/window_prop.rs`
+//! holds it to.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use crate::view::{GraphView, IncidentLinks};
-use crate::{DynamicNetwork, GraphError, NodeId, Timestamp};
+use crate::{
+    DeltaGraph, FrozenGraph, GraphError, NodeId, OverlayView, Timestamp,
+};
 
 /// An inclusive sliding time window `[cutoff, horizon]` where
 /// `cutoff = horizon - width` (saturating at zero).
@@ -94,23 +100,22 @@ pub struct AdvanceReport {
     /// deduplicated. Empty when nothing expired.
     pub affected: Vec<NodeId>,
     /// Smallest surviving timestamp after expiry (`None` when the
-    /// window emptied) — handed to mirrors so they need no index of
-    /// their own.
+    /// window emptied).
     pub min_timestamp: Option<Timestamp>,
 }
 
-/// A [`DynamicNetwork`] behind a sliding time window (see the module
-/// docs above for the expiry semantics).
+/// A copy-on-write [`DeltaGraph`] behind a sliding time window (see the
+/// module docs above for the expiry semantics).
 ///
-/// Implements [`GraphView`] by delegating to the inner network, which
+/// Implements [`GraphView`] by delegating to the inner graph, which
 /// holds exactly the in-window links — so the whole extraction pipeline
-/// (and `Split`-based refits via [`WindowedView::network`]) runs on it
-/// unchanged. An unbounded view (no width) never expires anything and
-/// behaves byte-for-byte like a plain `DynamicNetwork`, including
-/// insertion-ordered rows and zero index upkeep.
-#[derive(Debug, Clone, Default)]
+/// and `Split`-based refits run on it unchanged. An unbounded view (no
+/// width) never expires anything and behaves byte-for-byte like a plain
+/// `DynamicNetwork`, including insertion-ordered rows and zero index
+/// upkeep.
+#[derive(Debug, Clone)]
 pub struct WindowedView {
-    inner: DynamicNetwork,
+    graph: DeltaGraph,
     /// `None` = unbounded: no expiry, no index, plain appends.
     width: Option<Timestamp>,
     horizon: Timestamp,
@@ -122,121 +127,109 @@ pub struct WindowedView {
 impl WindowedView {
     /// An empty view with no window: links never expire.
     pub fn unbounded() -> Self {
-        Self::default()
+        Self::empty(None)
     }
 
     /// An empty view keeping links in `[horizon - width, horizon]`,
     /// starting at horizon 0.
     pub fn with_width(width: Timestamp) -> Self {
+        Self::empty(Some(width))
+    }
+
+    fn empty(width: Option<Timestamp>) -> Self {
         WindowedView {
-            width: Some(width),
-            ..Self::default()
+            graph: DeltaGraph::new(Arc::new(FrozenGraph::empty())),
+            width,
+            horizon: 0,
+            heap: BinaryHeap::new(),
         }
     }
 
-    /// Wraps an existing network without re-filtering it, preserving
-    /// its revision — the recovery constructor (`restore`/WAL replay
-    /// hand back a graph that was persisted *from* a windowed view, so
-    /// every link is already in-window).
-    ///
-    /// Rows are canonicalized to stable time order (a no-op for graphs
-    /// that came out of a `WindowedView`), and the expiry index is
-    /// rebuilt in O(E log E).
+    /// Wraps a frozen graph without re-filtering it, preserving its
+    /// revision — the recovery constructor (a snapshot hands back a
+    /// graph that was persisted *from* a windowed view, so every link
+    /// is already in-window and every row is in time order). The
+    /// expiry index is rebuilt in O(E log E).
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::OutOfWindow`] if any link falls outside
-    /// `[horizon - width, horizon]` — a corrupted or mismatched
-    /// snapshot must not silently serve links the window would have
-    /// expired.
-    pub fn from_network(
-        mut inner: DynamicNetwork,
+    /// For a windowed view (`width` set):
+    /// [`GraphError::OutOfWindow`] if any link falls outside
+    /// `[horizon - width, horizon]`, and
+    /// [`GraphError::UnsortedWindowRow`] if a row is not in time order.
+    /// A corrupted or mismatched snapshot must not silently serve links
+    /// the window would have expired, nor rows a windowed writer would
+    /// have ordered differently.
+    pub fn from_frozen(
+        base: Arc<FrozenGraph>,
         width: Option<Timestamp>,
         horizon: Timestamp,
     ) -> Result<Self, GraphError> {
         let Some(width) = width else {
-            let horizon = inner.max_timestamp().unwrap_or(0).max(horizon);
+            let horizon = base.max_timestamp().unwrap_or(0).max(horizon);
             return Ok(WindowedView {
-                inner,
+                graph: DeltaGraph::new(base),
                 width: None,
                 horizon,
                 heap: BinaryHeap::new(),
             });
         };
         let window = Window { width, horizon };
-        let mut heap = BinaryHeap::with_capacity(inner.link_count());
-        for link in inner.links() {
-            if !window.contains(link.t) {
-                return Err(GraphError::OutOfWindow {
-                    t: link.t,
-                    cutoff: window.cutoff(),
-                    horizon,
-                });
+        let mut heap = BinaryHeap::with_capacity(base.link_count());
+        for u in 0..base.node_count() as NodeId {
+            let mut last = 0;
+            for (v, t) in base.incident_links(u) {
+                if !window.contains(t) {
+                    return Err(GraphError::OutOfWindow {
+                        t,
+                        cutoff: window.cutoff(),
+                        horizon,
+                    });
+                }
+                if t < last {
+                    return Err(GraphError::UnsortedWindowRow { node: u });
+                }
+                last = t;
+                if u < v {
+                    heap.push(Reverse((t, u, v)));
+                }
             }
-            heap.push(Reverse((link.t, link.u, link.v)));
         }
-        inner.sort_rows_by_time();
         Ok(WindowedView {
-            inner,
+            graph: DeltaGraph::new(base),
             width: Some(width),
             horizon,
             heap,
         })
     }
 
-    /// Builds a windowed copy of any [`GraphView`], keeping only links
-    /// inside `[horizon - width, horizon]` and preserving the node set
-    /// (ids stay stable, isolated survivors included).
-    ///
-    /// The result is a *fresh* graph: its revision counts its own
-    /// construction mutations, not `g`'s. Use
-    /// [`WindowedView::from_network`] when the revision must carry
-    /// over.
-    pub fn from_view<G: GraphView + ?Sized>(
-        g: &G,
-        width: Option<Timestamp>,
-        horizon: Timestamp,
-    ) -> Self {
-        let mut wv = match width {
-            Some(w) => Self::with_width(w),
-            None => Self::unbounded(),
-        };
-        wv.horizon = horizon;
-        let n = g.node_count();
-        if n > 0 {
-            wv.inner.ensure_node(n as NodeId - 1);
-        }
-        // Canonical order: surviving links sorted by (t, first-seen),
-        // which is what stable time-sorted rows converge to.
-        let mut links: Vec<(Timestamp, NodeId, NodeId)> = Vec::new();
-        for u in 0..n as NodeId {
-            for (v, t) in g.incident_links(u) {
-                if u <= v {
-                    links.push((t, u, v));
-                }
-            }
-        }
-        links.sort_by_key(|&(t, _, _)| t);
-        let window = width.map(|width| Window { width, horizon });
-        for (t, u, v) in links {
-            if window.is_none_or(|w| w.contains(t)) {
-                // Self-loops cannot occur (`u <= v` with `u != v` in any
-                // well-formed view) and `t` is in-window, so this cannot
-                // fail; ignore the impossible error rather than panic.
-                let _ = wv.try_add_link(u, v, t);
-            }
-        }
-        wv
+    /// Publishes the current in-window graph as an immutable
+    /// [`OverlayView`] — `Arc` clones only, O(1) in graph size.
+    pub fn publish(&self) -> OverlayView {
+        self.graph.publish()
     }
 
-    /// The inner network holding exactly the in-window links.
-    pub fn network(&self) -> &DynamicNetwork {
-        &self.inner
+    /// Folds the accumulated delta into a fresh frozen base (O(V + E))
+    /// and returns it. Content, row order and revision are unchanged.
+    pub fn rebase(&mut self) -> Arc<FrozenGraph> {
+        self.graph.rebase()
     }
 
-    /// Unwraps into the inner network, discarding the window state.
-    pub fn into_network(self) -> DynamicNetwork {
-        self.inner
+    /// The frozen base the delta accumulates on top of.
+    pub fn base(&self) -> &Arc<FrozenGraph> {
+        self.graph.base()
+    }
+
+    /// `true` when no mutation has landed since the last rebase, so
+    /// [`Self::base`] is the whole graph.
+    pub fn is_clean(&self) -> bool {
+        self.graph.is_clean()
+    }
+
+    /// Links inserted or expired since the last rebase — what a publish
+    /// shares on top of the base.
+    pub fn delta_link_count(&self) -> usize {
+        self.graph.delta_link_count()
     }
 
     /// The window width, or `None` when unbounded.
@@ -264,9 +257,9 @@ impl WindowedView {
     }
 
     /// Ensures node `id` exists; bumps the revision once per growth,
-    /// exactly like [`DynamicNetwork::ensure_node`].
+    /// exactly like [`DynamicNetwork::ensure_node`](crate::DynamicNetwork::ensure_node).
     pub fn ensure_node(&mut self, id: NodeId) {
-        self.inner.ensure_node(id);
+        self.graph.ensure_node(id);
     }
 
     /// Slides the horizon forward to `to`, expiring every link with
@@ -275,7 +268,7 @@ impl WindowedView {
     /// nothing expired* (downstream snapshots key on the window).
     ///
     /// Advancing to the current horizon is a no-op: `Ok(None)`, no
-    /// bump. Cost: O(expired · log E) heap pops plus a prefix drain of
+    /// bump. Cost: O(expired · log E) heap pops plus one pass over
     /// each affected row; nodes that lost nothing are never touched.
     ///
     /// # Errors
@@ -323,7 +316,7 @@ impl WindowedView {
         }
         let Some(width) = self.width else {
             self.horizon = self.horizon.max(t);
-            self.inner.try_add_link(u, v, t)?;
+            self.graph.try_add_link(u, v, t)?;
             return Ok(None);
         };
         let cutoff = self.horizon.saturating_sub(width);
@@ -340,13 +333,13 @@ impl WindowedView {
         } else {
             None
         };
-        self.inner.insert_link_sorted(u, v, t)?;
+        self.graph.try_add_link_sorted(u, v, t)?;
         self.heap.push(Reverse((t, u.min(v), u.max(v))));
         Ok(report)
     }
 
-    /// Pops expired links off the heap, drains the affected row
-    /// prefixes, and books the whole thing as one revision bump.
+    /// Pops expired links off the heap, drops them from the affected
+    /// rows, and books the whole thing as one revision bump.
     fn expire_and_bump(&mut self) -> AdvanceReport {
         let cutoff = self.width.map_or(0, |w| self.horizon.saturating_sub(w));
         let mut affected: Vec<NodeId> = Vec::new();
@@ -362,70 +355,59 @@ impl WindowedView {
         }
         affected.sort_unstable();
         affected.dedup();
-        for &u in &affected {
-            self.inner.expire_row_prefix(u, cutoff);
-        }
         let min_timestamp = self.heap.peek().map(|&Reverse((t, _, _))| t);
-        self.inner.finish_expiry(expired, min_timestamp);
+        let removed =
+            self.graph
+                .expire_links_below(cutoff, &affected, min_timestamp);
+        debug_assert_eq!(removed, expired, "heap and rows disagree");
         AdvanceReport {
             horizon: self.horizon,
             cutoff,
             expired_links: expired,
             affected,
-            min_timestamp: self.inner.min_timestamp(),
+            min_timestamp: self.graph.min_timestamp(),
         }
     }
 }
 
 impl GraphView for WindowedView {
     fn node_count(&self) -> usize {
-        self.inner.node_count()
+        self.graph.node_count()
     }
 
     fn link_count(&self) -> usize {
-        self.inner.link_count()
+        self.graph.link_count()
     }
 
     fn revision(&self) -> u64 {
-        self.inner.revision()
+        self.graph.revision()
     }
 
     fn min_timestamp(&self) -> Option<Timestamp> {
-        self.inner.min_timestamp()
+        self.graph.min_timestamp()
     }
 
     fn max_timestamp(&self) -> Option<Timestamp> {
-        self.inner.max_timestamp()
+        self.graph.max_timestamp()
     }
 
     fn distinct_neighbors(&self, u: NodeId) -> &[NodeId] {
-        self.inner.neighbors(u)
+        self.graph.distinct_neighbors(u)
     }
 
     fn incident_links(&self, u: NodeId) -> IncidentLinks<'_> {
-        IncidentLinks::from_pairs(self.inner.incident_links(u))
+        self.graph.incident_links(u)
     }
 
     fn multi_degree(&self, u: NodeId) -> usize {
-        self.inner.multi_degree(u)
-    }
-
-    fn has_link(&self, u: NodeId, v: NodeId) -> bool {
-        self.inner.has_link(u, v)
-    }
-
-    fn links_between(&self, u: NodeId, v: NodeId) -> usize {
-        self.inner.link_count_between(u, v)
-    }
-
-    fn timestamps_between(&self, u: NodeId, v: NodeId) -> Vec<Timestamp> {
-        self.inner.timestamps_between(u, v)
+        self.graph.multi_degree(u)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DynamicNetwork;
 
     /// Oracle: a fresh network of only the given links, inserted in
     /// `(t, original order)` order over a preserved node set.
@@ -445,8 +427,11 @@ mod tests {
         g
     }
 
-    fn assert_content_eq(wv: &WindowedView, want: &DynamicNetwork) {
-        assert_eq!(wv.network(), want);
+    fn assert_content_eq<G: GraphView>(wv: &G, want: &DynamicNetwork) {
+        assert_eq!(wv.node_count(), want.node_count());
+        assert_eq!(wv.link_count(), want.link_count());
+        assert_eq!(wv.min_timestamp(), want.min_timestamp());
+        assert_eq!(wv.max_timestamp(), want.max_timestamp());
         for u in 0..want.node_count() as NodeId {
             assert_eq!(wv.distinct_neighbors(u), want.neighbors(u));
             let got: Vec<_> = wv.incident_links(u).collect();
@@ -462,7 +447,7 @@ mod tests {
             assert!(wv.try_add_link(u, v, t).unwrap().is_none());
             net.add_link(u, v, t);
         }
-        assert_eq!(wv.network(), &net);
+        assert_content_eq(&wv, &net);
         assert_eq!(wv.revision(), net.revision());
         assert_eq!(wv.horizon(), 9);
         assert_eq!(wv.window(), None);
@@ -596,47 +581,88 @@ mod tests {
     }
 
     #[test]
-    fn from_view_filters_and_canonicalizes() {
-        let mut net = DynamicNetwork::new();
-        net.extend([(0, 1, 1), (1, 2, 9), (2, 3, 4), (0, 3, 12)]);
-        net.ensure_node(5);
-        let wv = WindowedView::from_view(&net, Some(8), 12);
-        // Window [4, 12]: the t=1 link is gone, node set preserved.
-        assert_content_eq(
-            &wv,
-            &rebuild(6, &[(2, 3, 4), (1, 2, 9), (0, 3, 12)]),
-        );
-        assert_eq!(wv.horizon(), 12);
-        // Unbounded from_view keeps everything.
-        let all = WindowedView::from_view(&net, None, 0);
-        assert_eq!(all.link_count(), 4);
-        assert_eq!(all.horizon(), 12);
-    }
-
-    #[test]
-    fn from_network_round_trips_revision_and_rejects_out_of_window() {
+    fn from_frozen_round_trips_revision_and_rejects_out_of_window() {
         let mut wv = WindowedView::with_width(10);
         wv.try_add_link(0, 1, 5).unwrap();
         wv.try_add_link(1, 2, 8).unwrap();
         let revision = wv.revision();
-        let inner = wv.clone().into_network();
-        let restored =
-            WindowedView::from_network(inner.clone(), Some(10), wv.horizon())
-                .unwrap();
+        let frozen = Arc::new(FrozenGraph::from_view(&wv));
+        let restored = WindowedView::from_frozen(
+            Arc::clone(&frozen),
+            Some(10),
+            wv.horizon(),
+        )
+        .unwrap();
         assert_eq!(restored.revision(), revision);
-        assert_content_eq(&restored, wv.network());
-        // Continue mutating in lockstep after restoration.
+        assert!(restored.is_clean());
+        assert_content_eq(&restored, &rebuild(3, &[(0, 1, 5), (1, 2, 8)]));
+        // Continue mutating in lockstep after restoration; the restored
+        // heap expires what the original's does.
         let mut a = wv;
         let mut b = restored;
-        a.try_add_link(2, 3, 20).unwrap();
-        b.try_add_link(2, 3, 20).unwrap();
-        assert_eq!(a.network(), b.network());
+        assert_eq!(a.try_add_link(2, 3, 20), b.try_add_link(2, 3, 20));
+        assert_eq!(a.try_add_link(0, 3, 16), b.try_add_link(0, 3, 16));
+        let want = rebuild(4, &[(2, 3, 20), (0, 3, 16)]);
+        assert_content_eq(&a, &want);
+        assert_content_eq(&b, &want);
         assert_eq!(a.revision(), b.revision());
         // A horizon that would have expired a stored link is refused.
         assert!(matches!(
-            WindowedView::from_network(inner, Some(1), 8),
+            WindowedView::from_frozen(Arc::clone(&frozen), Some(1), 8),
             Err(GraphError::OutOfWindow { .. })
         ));
+        // Unbounded: everything is kept and the horizon covers it.
+        let all = WindowedView::from_frozen(frozen, None, 0).unwrap();
+        assert_eq!(all.horizon(), 8);
+        assert_eq!(all.revision(), revision);
+    }
+
+    #[test]
+    fn from_frozen_refuses_time_unsorted_rows() {
+        // Node 0's row holds t = 7 before t = 3: in-window, but no
+        // windowed writer orders a row that way.
+        let parts = crate::FrozenGraphParts {
+            offsets: vec![0, 2, 3, 4],
+            neighbors: vec![1, 2, 0, 0],
+            timestamps: vec![7, 3, 7, 3],
+            nbr_offsets: vec![0, 2, 3, 4],
+            nbr_ids: vec![1, 2, 0, 0],
+            num_links: 2,
+            min_ts: 3,
+            max_ts: 7,
+            revision: 5,
+        };
+        let frozen = Arc::new(FrozenGraph::try_from_parts(parts).unwrap());
+        assert_eq!(
+            WindowedView::from_frozen(Arc::clone(&frozen), Some(10), 7)
+                .unwrap_err(),
+            GraphError::UnsortedWindowRow { node: 0 }
+        );
+        // The unbounded view keeps insertion order, so it accepts it.
+        assert!(WindowedView::from_frozen(frozen, None, 7).is_ok());
+    }
+
+    #[test]
+    fn rebase_keeps_content_and_revision() {
+        let mut wv = WindowedView::with_width(4);
+        wv.try_add_link(0, 1, 1).unwrap();
+        wv.try_add_link(1, 2, 3).unwrap();
+        let published = wv.publish();
+        let revision = wv.revision();
+        assert!(!wv.is_clean());
+        assert_eq!(wv.delta_link_count(), 2);
+        let base = wv.rebase();
+        assert!(wv.is_clean());
+        assert_eq!(wv.delta_link_count(), 0);
+        assert_eq!(wv.revision(), revision);
+        assert!(Arc::ptr_eq(&base, wv.base()));
+        assert_content_eq(&wv, &rebuild(3, &[(0, 1, 1), (1, 2, 3)]));
+        // Expiry still finds the rebased links, and the earlier publish
+        // is unaffected by it.
+        let report = wv.advance(6).unwrap().unwrap();
+        assert_eq!(report.expired_links, 1);
+        assert_content_eq(&wv, &rebuild(3, &[(1, 2, 3)]));
+        assert_content_eq(&published, &rebuild(3, &[(0, 1, 1), (1, 2, 3)]));
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Property tests: a `WindowedView` driven through arbitrary
-//! mutation/advance interleavings stays bit-identical to a
+//! mutation/advance/compaction interleavings stays bit-identical to a
 //! `DynamicNetwork` rebuilt from scratch out of only the in-window
-//! links (inserted in stable time order), and the stream layer's
-//! copy-on-write mirror discipline (`expire_links_below` +
-//! `try_add_link_sorted`) tracks the view revision for revision.
-
-use std::sync::Arc;
+//! links (inserted in stable time order), and its revision counts
+//! exactly one bump per node growth, accepted insert, accepted advance
+//! and implicit advance.
 
 use dyngraph::{
-    DeltaGraph, DynamicNetwork, FrozenGraph, GraphError, GraphView, NodeId,
-    Timestamp, WindowedView,
+    DynamicNetwork, FrozenGraph, GraphError, GraphView, NodeId, Timestamp,
+    WindowedView,
 };
 use proptest::prelude::*;
 
@@ -24,8 +22,8 @@ enum Op {
     /// Push the horizon forward, expiring links behind the new cutoff
     /// (regressions are rejected without any state change).
     Advance(Timestamp),
-    /// Compact the mirror into a fresh frozen base, checking the base
-    /// against the windowed view.
+    /// Compact the view's delta into a fresh frozen base, which must
+    /// change neither content nor revision.
     Rebase,
 }
 
@@ -63,13 +61,6 @@ fn op() -> impl Strategy<Value = Op> {
 /// cutoff never leaves 0, so nothing ever expires).
 fn width() -> impl Strategy<Value = Timestamp> {
     prop_oneof![Just(0u32), 1..40u32, 1..40u32, Just(u32::MAX)]
-}
-
-/// Asserts `got` answers every `GraphView` query like `want`, revision
-/// included (for twins maintained in lockstep).
-fn assert_views_agree<G: GraphView + ?Sized>(got: &G, want: &DynamicNetwork) {
-    assert_eq!(got.revision(), want.revision());
-    assert_views_agree_no_rev(got, want);
 }
 
 /// Asserts `got` answers every `GraphView` query like `want`, except
@@ -135,31 +126,32 @@ fn rebuild_in_window(
 proptest! {
     /// Through arbitrary add/advance/grow/compact interleavings, the
     /// windowed view equals a from-scratch rebuild of its in-window
-    /// links, and the mirror (maintained with the stream layer's
-    /// expire + sorted-insert discipline) tracks it bit for bit —
-    /// revisions included.
+    /// links, and its revision is the count of the mutations it
+    /// accepted.
     #[test]
     fn windowed_view_matches_from_scratch_rebuild(
         width in width(),
         ops in prop::collection::vec(op(), 1..60),
     ) {
         let mut wv = WindowedView::with_width(width);
-        let mut mirror = DeltaGraph::new(Arc::new(FrozenGraph::empty()));
         let mut accepted: Vec<(NodeId, NodeId, Timestamp)> = Vec::new();
+        let mut nodes = 0usize;
+        let mut revision = 0u64;
+        let mut grow = |id: NodeId, revision: &mut u64| {
+            if id as usize >= nodes {
+                nodes = id as usize + 1;
+                *revision += 1;
+            }
+        };
         for op in ops {
             match op {
                 Op::AddLink(u, v, t) => match wv.try_add_link(u, v, t) {
                     Ok(report) => {
-                        if let Some(r) = &report {
-                            mirror.expire_links_below(
-                                r.cutoff,
-                                &r.affected,
-                                r.min_timestamp,
-                            );
-                        }
-                        mirror
-                            .try_add_link_sorted(u, v, t)
-                            .expect("the view accepted this link");
+                        // Implicit advance, then node growth, then the
+                        // insert.
+                        revision += u64::from(report.is_some());
+                        grow(u.max(v), &mut revision);
+                        revision += 1;
                         accepted.push((u, v, t));
                     }
                     Err(GraphError::OutOfWindow { cutoff, .. }) => {
@@ -173,28 +165,24 @@ proptest! {
                 },
                 Op::EnsureNode(id) => {
                     wv.ensure_node(id);
-                    mirror.ensure_node(id);
+                    grow(id, &mut revision);
                 }
                 Op::Advance(to) => match wv.advance(to) {
-                    Ok(Some(r)) => {
-                        mirror.expire_links_below(
-                            r.cutoff,
-                            &r.affected,
-                            r.min_timestamp,
-                        );
-                    }
+                    Ok(Some(_)) => revision += 1,
                     Ok(None) => {}
                     Err(GraphError::HorizonRegressed { .. }) => {}
                     Err(e) => panic!("unexpected advance failure: {e}"),
                 },
                 Op::Rebase => {
-                    let base = mirror.rebase();
-                    assert_views_agree(&*base, wv.network());
+                    let before = FrozenGraph::from_view(&wv);
+                    let base = wv.rebase();
+                    prop_assert!(wv.is_clean());
+                    prop_assert_eq!(&*base, &before);
+                    prop_assert_eq!(FrozenGraph::from_view(&wv), before);
                 }
             }
+            prop_assert_eq!(wv.revision(), revision);
         }
-        // Mirror and view moved in lockstep the whole way.
-        assert_views_agree(&mirror, wv.network());
         // The view holds exactly what a from-scratch build of the
         // surviving links holds — expiry lost nothing else, kept
         // nothing extra, and preserved canonical time order.
@@ -203,8 +191,10 @@ proptest! {
             wv.node_count(),
             wv.cutoff().unwrap_or(0),
         );
+        prop_assert_eq!(wv.node_count(), nodes);
         assert_views_agree_no_rev(&wv, &want);
-        // And the frozen view agrees with the rebuild.
+        // And the published and frozen views agree with the rebuild.
+        assert_views_agree_no_rev(&wv.publish(), &want);
         assert_views_agree_no_rev(&FrozenGraph::from_view(&wv), &want);
     }
 
@@ -240,7 +230,11 @@ proptest! {
                         advances += 1;
                     }
                 }
-                Op::Rebase => {}
+                Op::Rebase => {
+                    let revision = wv.revision();
+                    wv.rebase();
+                    prop_assert_eq!(wv.revision(), revision);
+                }
             }
         }
         prop_assert_eq!(wv.revision(), twin.revision() + advances);

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use dyngraph::{DynamicNetwork, NodeId, Timestamp};
+use dyngraph::{DynamicNetwork, GraphView, NodeId, Timestamp};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -113,7 +113,10 @@ struct Plan {
 impl Plan {
     /// Copies the history `G_{[t_min, window_start)}` out of `g`, the
     /// network the plan was made on.
-    fn into_split(self, g: &DynamicNetwork) -> Result<Split, SplitError> {
+    fn into_split<G: GraphView + ?Sized>(
+        self,
+        g: &G,
+    ) -> Result<Split, SplitError> {
         // `window_start > t_min` makes the period non-empty; a failure
         // would be an internal invariant break, surfaced as NoPositives
         // rather than a panic on the serving path.
@@ -131,8 +134,8 @@ impl Plan {
 
 /// `true` if `u` and `v` share a link older than `t`, i.e. a link of the
 /// history `G_{[t_min, t)}`, read off the shorter incidence row of `g`.
-fn linked_before(
-    g: &DynamicNetwork,
+fn linked_before<G: GraphView + ?Sized>(
+    g: &G,
     u: NodeId,
     v: NodeId,
     t: Timestamp,
@@ -142,7 +145,7 @@ fn linked_before(
     } else {
         (v, u)
     };
-    g.incident_links(a).iter().any(|&(w, s)| w == b && s < t)
+    g.incident_links(a).any(|(w, s)| w == b && s < t)
 }
 
 impl Split {
@@ -161,8 +164,8 @@ impl Split {
     /// * [`SplitError::NoPositives`] — nothing to predict in the window.
     /// * [`SplitError::NotEnoughNegatives`] — pathological tiny/dense
     ///   graph.
-    pub fn new(
-        g: &DynamicNetwork,
+    pub fn new<G: GraphView + ?Sized>(
+        g: &G,
         config: &SplitConfig,
     ) -> Result<Self, SplitError> {
         Self::plan(g, config)?.into_split(g)
@@ -170,8 +173,8 @@ impl Split {
 
     /// Everything [`Split::new`] decides, with the same RNG draws and
     /// errors, minus the history copy.
-    fn plan(
-        g: &DynamicNetwork,
+    fn plan<G: GraphView + ?Sized>(
+        g: &G,
         config: &SplitConfig,
     ) -> Result<Plan, SplitError> {
         let l_t = g.max_timestamp().ok_or(SplitError::EmptyNetwork)?;
@@ -186,14 +189,14 @@ impl Split {
         // Distinct new pairs in the window.
         let mut positives: Vec<(NodeId, NodeId)> = Vec::new();
         let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
-        for link in g.links() {
+        g.links().for_each(|link| {
             if link.t >= window_start
                 && !linked_before(g, link.u, link.v, window_start)
                 && seen.insert((link.u, link.v))
             {
                 positives.push((link.u, link.v));
             }
-        }
+        });
         if positives.is_empty() {
             return Err(SplitError::NoPositives);
         }
@@ -282,8 +285,8 @@ impl Split {
     ///
     /// Each window tried is only planned; the history is copied once, for
     /// the window returned.
-    pub fn with_min_positives(
-        g: &DynamicNetwork,
+    pub fn with_min_positives<G: GraphView + ?Sized>(
+        g: &G,
         config: &SplitConfig,
         min_positives: usize,
     ) -> Result<Self, SplitError> {

@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -23,7 +23,9 @@ use std::time::{Duration, Instant};
 
 use ssf_repro::baselines;
 use ssf_repro::datasets::DatasetSpec;
-use ssf_repro::dyngraph::{io, metrics, stats::NetworkStats, DynamicNetwork};
+use ssf_repro::dyngraph::{
+    io, metrics, stats::NetworkStats, DynamicNetwork, GraphView,
+};
 use ssf_repro::methods::{Method, MethodOptions};
 use ssf_repro::model::SsfnmModel;
 use ssf_repro::obs::{ObsHandle, Registry};
@@ -48,7 +50,9 @@ fn main() -> ExitCode {
     let obs = registry.as_ref().map_or_else(ObsHandle::noop, |r| {
         ObsHandle::of_registry(Arc::clone(r))
     });
-    let result = dispatch(&args, &obs);
+    let mut out = std::io::stdout().lock();
+    let result = dispatch(&args, &obs, &mut out)
+        .and_then(|()| out.flush().map_err(CliError::Out));
     if let Some(registry) = registry {
         let json = registry.snapshot().to_json();
         if metrics_stderr {
@@ -61,16 +65,54 @@ fn main() -> ExitCode {
         }
     }
     match result {
+        // A reader that stops early (`ssf extract … | head -1`) is not a
+        // failure of this program.
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(CliError::Out(e)) if e.kind() == ErrorKind::BrokenPipe => {
+            ExitCode::SUCCESS
+        }
+        Err(CliError::Out(e)) => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Msg(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
 }
 
+/// Why a subcommand stopped: a message for the one `error:` line, or a
+/// failed write to stdout.
+enum CliError {
+    Msg(String),
+    Out(std::io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Msg(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Msg(msg.to_string())
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Out(e)
+    }
+}
+
 /// Runs the selected subcommand under its `ssf.cli.<subcommand>` span.
-fn dispatch(args: &[String], obs: &ObsHandle) -> Result<(), String> {
+fn dispatch(
+    args: &[String],
+    obs: &ObsHandle,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let span = obs.span(match args.first().map(String::as_str) {
         Some("stats") => "ssf.cli.stats",
         Some("generate") => "ssf.cli.generate",
@@ -87,30 +129,32 @@ fn dispatch(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         _ => "ssf.cli.other",
     });
     let result = match args.first().map(String::as_str) {
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("extract") => cmd_extract(&args[1..], obs),
-        Some("roles") => cmd_roles(&args[1..]),
-        Some("patterns") => cmd_patterns(&args[1..], obs),
-        Some("evaluate") => cmd_evaluate(&args[1..], obs),
-        Some("train") => cmd_train(&args[1..], obs),
-        Some("predict") => cmd_predict(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..], obs),
-        Some("serve-loop") => cmd_serve_loop(&args[1..], obs),
-        Some("save") => cmd_save(&args[1..], obs),
-        Some("restore") => cmd_restore(&args[1..], obs),
+        Some("stats") => cmd_stats(&args[1..], out),
+        Some("generate") => cmd_generate(&args[1..], out),
+        Some("extract") => cmd_extract(&args[1..], obs, out),
+        Some("roles") => cmd_roles(&args[1..], out),
+        Some("patterns") => cmd_patterns(&args[1..], obs, out),
+        Some("evaluate") => cmd_evaluate(&args[1..], obs, out),
+        Some("train") => cmd_train(&args[1..], obs, out),
+        Some("predict") => cmd_predict(&args[1..], out),
+        Some("serve") => cmd_serve(&args[1..], obs, out),
+        Some("serve-loop") => cmd_serve_loop(&args[1..], obs, out),
+        Some("save") => cmd_save(&args[1..], obs, out),
+        Some("restore") => cmd_restore(&args[1..], obs, out),
         Some("--help") | Some("-h") | None => {
-            print_usage();
-            Ok(())
+            print_usage(out).map_err(CliError::Out)
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}; try --help")),
+        Some(other) => {
+            Err(format!("unknown subcommand {other:?}; try --help").into())
+        }
     };
     span.finish();
     result
 }
 
-fn print_usage() {
-    println!(
+fn print_usage(out: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(
+        out,
         "ssf — Structure Subgraph Feature link prediction (ICDCS 2019 reproduction)
 
 USAGE:
@@ -175,7 +219,7 @@ Global flags (any subcommand):
   --metrics-stderr      print the same snapshot to stderr
 
 Datasets: eu-email contact facebook coauthor prosper slashdot digg"
-    );
+    )
 }
 
 /// Reads an edge list leniently by default: malformed lines are
@@ -231,32 +275,39 @@ fn parse_flag<T: std::str::FromStr>(
     }
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.first().ok_or("usage: ssf stats <edge-list>")?;
     let g = load(path, args)?;
     let s = NetworkStats::of(&g);
     let stat = g.to_static();
-    println!("{s}");
-    println!("distinct edges:        {}", stat.edge_count());
-    println!(
+    writeln!(out, "{s}")?;
+    writeln!(out, "distinct edges:        {}", stat.edge_count())?;
+    writeln!(
+        out,
         "multi-link ratio:      {:.2}",
         g.link_count() as f64 / stat.edge_count().max(1) as f64
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "global clustering:     {:.4}",
         metrics::global_clustering(&stat)
-    );
-    println!("degree gini (hubness): {:.4}", metrics::degree_gini(&stat));
+    )?;
+    writeln!(
+        out,
+        "degree gini (hubness): {:.4}",
+        metrics::degree_gini(&stat)
+    )?;
     let comps = metrics::connected_components(&stat);
-    println!(
+    writeln!(
+        out,
         "components:            {} (largest {})",
         comps.len(),
         comps.first().map_or(0, Vec::len)
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
+fn cmd_generate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let name = args.first().ok_or("usage: ssf generate <dataset>")?;
     let spec = DatasetSpec::paper_datasets()
         .into_iter()
@@ -275,11 +326,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             let mut file = File::create(&path)
                 .map_err(|e| format!("cannot create {path}: {e}"))?;
             io::write_edge_list(&g, &mut file).map_err(|e| e.to_string())?;
-            println!("wrote {} links to {path}", g.link_count());
+            writeln!(out, "wrote {} links to {path}", g.link_count())?;
         }
         None => {
-            io::write_edge_list(&g, std::io::stdout().lock())
-                .map_err(|e| e.to_string())?;
+            io::write_edge_list(&g, out)?;
         }
     }
     Ok(())
@@ -300,13 +350,19 @@ fn parse_pair(args: &[String]) -> Result<(String, u32, u32), String> {
     Ok((path, u, v))
 }
 
-fn cmd_extract(args: &[String], obs: &ObsHandle) -> Result<(), String> {
+fn cmd_extract(
+    args: &[String],
+    obs: &ObsHandle,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let (path, u, v) = parse_pair(args)?;
     let k: usize = parse_flag(args, "--k", 10)?;
     let g = load(&path, args)?;
     let n = g.node_count() as u32;
     if u >= n || v >= n || u == v {
-        return Err(format!("invalid target pair ({u}, {v}) for {n} nodes"));
+        return Err(
+            format!("invalid target pair ({u}, {v}) for {n} nodes").into()
+        );
     }
     let l_t = g.max_timestamp().ok_or("network has no links")? + 1;
     let ex = SsfExtractor::new(SsfConfig::new(k));
@@ -316,38 +372,45 @@ fn cmd_extract(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     let f = ex
         .try_extract_cached(&g, u, v, l_t, &mut cache)
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "SSF({u}-{v}) K={k} h={} |V_S|={} dim={}",
         f.radius(),
         f.structure_node_count(),
         f.values().len()
-    );
+    )?;
     let formatted: Vec<String> =
         f.values().iter().map(|x| format!("{x:.4}")).collect();
-    println!("[{}]", formatted.join(", "));
+    writeln!(out, "[{}]", formatted.join(", "))?;
     if args.iter().any(|a| a == "--dot") {
         let (ks, _, _) = ex.k_structure(&g, u, v);
-        println!();
-        print!("{}", ssf_repro::ssf_core::viz::to_dot(&ks, None));
+        writeln!(out)?;
+        write!(out, "{}", ssf_repro::ssf_core::viz::to_dot(&ks, None))?;
     }
     Ok(())
 }
 
-fn cmd_roles(args: &[String]) -> Result<(), String> {
+fn cmd_roles(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (path, u, v) = parse_pair(args)?;
     let h: u32 = parse_flag(args, "--h", 1)?;
     let g = load(&path, args)?;
     let n = g.node_count() as u32;
     if u >= n || v >= n || u == v {
-        return Err(format!("invalid target pair ({u}, {v}) for {n} nodes"));
+        return Err(
+            format!("invalid target pair ({u}, {v}) for {n} nodes").into()
+        );
     }
     let hop = HopSubgraph::extract(&g, u, v, h);
     let s = StructureSubgraph::combine(&hop);
-    print!("{}", RoleAnalysis::analyze(&hop, &s));
+    write!(out, "{}", RoleAnalysis::analyze(&hop, &s))?;
     Ok(())
 }
 
-fn cmd_patterns(args: &[String], obs: &ObsHandle) -> Result<(), String> {
+fn cmd_patterns(
+    args: &[String],
+    obs: &ObsHandle,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let path = args.first().ok_or("usage: ssf patterns <edge-list>")?;
     let samples: usize = parse_flag(args, "--samples", 500)?;
     let k: usize = parse_flag(args, "--k", 10)?;
@@ -367,23 +430,28 @@ fn cmd_patterns(args: &[String], obs: &ObsHandle) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         miner.observe(&p.ks);
     }
-    println!(
+    writeln!(
+        out,
         "{} observations, {} distinct patterns",
         miner.observations(),
         miner.distinct_patterns()
-    );
+    )?;
     for (rank, (sig, count)) in miner.ranked().into_iter().take(3).enumerate() {
-        println!("#{} ({count} occurrences):", rank + 1);
-        println!("{sig}");
+        writeln!(out, "#{} ({count} occurrences):", rank + 1)?;
+        writeln!(out, "{sig}")?;
     }
     Ok(())
 }
 
-fn cmd_train(args: &[String], obs: &ObsHandle) -> Result<(), String> {
+fn cmd_train(
+    args: &[String],
+    obs: &ObsHandle,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let path = args
         .first()
         .ok_or("usage: ssf train <edge-list> --out MODEL")?;
-    let out = flag(args, "--out").ok_or("--out MODEL required")?;
+    let model_path = flag(args, "--out").ok_or("--out MODEL required")?;
     let g = load(path, args)?;
     let seed: u64 = parse_flag(args, "--seed", 7)?;
     let opts = MethodOptions {
@@ -418,22 +486,23 @@ fn cmd_train(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     .unwrap_or_default();
     let model = SsfnmModel::try_fit_observed(&split, &extra, &opts, obs)
         .map_err(|e| e.to_string())?;
-    let file =
-        File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
+    let file = File::create(&model_path)
+        .map_err(|e| format!("cannot create {model_path}: {e}"))?;
     model
         .save(std::io::BufWriter::new(file))
         .map_err(|e| e.to_string())?;
     let r = Method::Ssfnm.evaluate_augmented(&split, &extra, &opts);
-    println!(
-        "trained SSFNM on {} samples (held-out AUC {:.3}, F1 {:.3}); wrote {out}",
+    writeln!(
+        out,
+        "trained SSFNM on {} samples (held-out AUC {:.3}, F1 {:.3}); wrote {model_path}",
         split.train.len(),
         r.auc,
         r.f1
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_predict(args: &[String]) -> Result<(), String> {
+fn cmd_predict(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let net_path = args
         .first()
         .ok_or("usage: ssf predict <edge-list> <model> <u> <v>")?;
@@ -451,7 +520,9 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
     let g = load(net_path, args)?;
     let n = g.node_count() as u32;
     if u >= n || v >= n || u == v {
-        return Err(format!("invalid target pair ({u}, {v}) for {n} nodes"));
+        return Err(
+            format!("invalid target pair ({u}, {v}) for {n} nodes").into()
+        );
     }
     let file = File::open(model_path)
         .map_err(|e| format!("cannot open {model_path}: {e}"))?;
@@ -461,7 +532,7 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
     let p = model
         .try_score(&g, u, v, present)
         .map_err(|e| e.to_string())?;
-    println!("P(link {u}-{v} emerges at t={present}) = {p:.4}");
+    writeln!(out, "P(link {u}-{v} emerges at t={present}) = {p:.4}")?;
     Ok(())
 }
 
@@ -469,7 +540,11 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
 /// publishes an immutable snapshot and scores a deterministic candidate
 /// batch on the parallel read path, checking it bit-matches the serial
 /// path before reporting throughput and health.
-fn cmd_serve(args: &[String], obs: &ObsHandle) -> Result<(), String> {
+fn cmd_serve(
+    args: &[String],
+    obs: &ObsHandle,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let path = args.first().ok_or("usage: ssf serve <edge-list>")?;
     let g = load(path, args)?;
     let threads: usize = parse_flag(args, "--threads", 4)?;
@@ -494,12 +569,13 @@ fn cmd_serve(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     let t0 = Instant::now();
     let accepted = observe_all(&mut predictor, &events);
     let ingest_secs = t0.elapsed().as_secs_f64();
-    println!(
+    writeln!(
+        out,
         "ingested {accepted} of {} events \
          in {ingest_secs:.3}s ({:.0} events/s)",
         events.len(),
         accepted as f64 / ingest_secs.max(1e-9),
-    );
+    )?;
     if let Err(e) = predictor.try_refit() {
         eprintln!("warning: serving degraded, refit failed: {e}");
     }
@@ -537,17 +613,19 @@ fn cmd_serve(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     }
 
     let scored = parallel.iter().filter(|s| s.is_some()).count();
-    println!(
+    writeln!(
+        out,
         "scored {} pairs ({scored} with a model): serial {:.1} pairs/s, \
          parallel x{threads} {:.1} pairs/s ({:.2}x), bit-identical",
         pairs.len(),
         pairs.len() as f64 / serial_secs.max(1e-9),
         pairs.len() as f64 / parallel_secs.max(1e-9),
         serial_secs / parallel_secs.max(1e-9),
-    );
+    )?;
     let health = predictor.health();
     let cache = predictor.cache_stats();
-    println!(
+    writeln!(
+        out,
         "health: fitted={} epoch={} model_epoch={:?} accepted={} \
          quarantined={} degraded_scores={} cache_hit_rate={:.3}",
         health.fitted,
@@ -557,7 +635,7 @@ fn cmd_serve(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         health.quarantined,
         health.degraded_scores,
         cache.hit_rate(),
-    );
+    )?;
     Ok(())
 }
 
@@ -622,7 +700,11 @@ fn take_ready(pending: &mut VecDeque<(Instant, Ticket)>, lat: &mut Vec<u64>) {
 /// on the rest in order. Reports the SLO numbers the coalescer exists
 /// to serve: p50/p99 end-to-end latency, deadline-miss rate, mean batch
 /// size and overload sheds.
-fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
+fn cmd_serve_loop(
+    args: &[String],
+    obs: &ObsHandle,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let path = args.first().ok_or("usage: ssf serve-loop <edge-list>")?;
     let g = load(path, args)?;
     let threads: usize = parse_flag(args, "--threads", 1)?;
@@ -642,7 +724,8 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
             return Err(format!(
                 "invalid value for --arrivals: {v:?} \
                  (closed, fixed, poisson)"
-            ))
+            )
+            .into())
         }
     };
     if arrivals != Arrivals::Closed && qps == 0 {
@@ -671,7 +754,7 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     let mut events: Vec<_> = g.links().map(|l| (l.u, l.v, l.t)).collect();
     events.sort_by_key(|&(_, _, t)| t);
     let accepted = observe_all(&mut predictor, &events);
-    println!("ingested {accepted} events");
+    writeln!(out, "ingested {accepted} events")?;
     if let Err(e) = predictor.try_refit() {
         eprintln!("warning: serving degraded, refit failed: {e}");
     }
@@ -800,7 +883,9 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     if stats.accepted + stats.rejected() != stats.submitted
         || stats.completed + stats.expired != stats.accepted
     {
-        return Err(format!("serving counters do not reconcile: {stats:?}"));
+        return Err(
+            format!("serving counters do not reconcile: {stats:?}").into()
+        );
     }
     latencies_ns.sort_unstable();
     let quantile_us = |q: f64| -> f64 {
@@ -820,13 +905,15 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         Arrivals::OpenFixed => "open-loop fixed-rate",
         Arrivals::OpenPoisson => "open-loop poisson",
     };
-    println!(
+    writeln!(
+        out,
         "serve-loop: {clients} client(s), {arrival_label}, {offered}, \
          {duration_ms} ms, max_batch {max_batch}, \
          max_delay {max_delay_us}us, queue {queue}, \
          deadline {deadline_us}us"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "completed {} of {} submitted: {:.0} qps achieved, \
          p50 {:.0}us, p99 {:.0}us",
         stats.completed,
@@ -834,20 +921,21 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         stats.completed as f64 / elapsed.max(1e-9),
         quantile_us(0.50),
         quantile_us(0.99),
-    );
+    )?;
     let miss_rate = if stats.submitted == 0 {
         0.0
     } else {
         stats.deadline_misses() as f64 / stats.submitted as f64
     };
-    println!(
+    writeln!(
+        out,
         "slo: deadline miss rate {miss_rate:.4} ({} misses), \
          shed {} overloaded, mean batch size {:.2} over {} batches",
         stats.deadline_misses(),
         stats.rejected_overload,
         stats.mean_batch_size(),
         stats.batches,
-    );
+    )?;
     Ok(())
 }
 
@@ -890,7 +978,8 @@ fn window_width(args: &[String]) -> Result<Option<u32>, String> {
 fn apply_advance(
     p: &mut OnlineLinkPredictor,
     args: &[String],
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let Some(to) = flag(args, "--advance") else {
         return Ok(());
     };
@@ -898,11 +987,12 @@ fn apply_advance(
         .parse()
         .map_err(|_| format!("invalid value for --advance: {to:?}"))?;
     match p.advance(to).map_err(|e| e.to_string())? {
-        Some(report) => println!(
+        Some(report) => writeln!(
+            out,
             "advanced horizon to {}: expired {} link(s) behind cutoff {}",
             report.horizon, report.expired_links, report.cutoff,
-        ),
-        None => println!("horizon already at {to}; nothing to expire"),
+        )?,
+        None => writeln!(out, "horizon already at {to}; nothing to expire")?,
     }
     Ok(())
 }
@@ -938,7 +1028,11 @@ fn report_warnings(report: &ssf_repro::RecoveryReport) {
 /// the write-ahead log before memory — then checkpoints the full state
 /// as one atomic snapshot, leaving `--dir` ready for load-and-serve
 /// startup (`ssf restore`, or `ScoringSnapshot::load` in process).
-fn cmd_save(args: &[String], obs: &ObsHandle) -> Result<(), String> {
+fn cmd_save(
+    args: &[String],
+    obs: &ObsHandle,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let path = args
         .first()
         .ok_or("usage: ssf save <edge-list> --dir DIR")?;
@@ -971,22 +1065,24 @@ fn cmd_save(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         p.observe(u, v, t);
     }
     if let Some(e) = p.last_wal_error() {
-        return Err(format!("WAL append failed: {e}"));
+        return Err(format!("WAL append failed: {e}").into());
     }
     let ingest_secs = t0.elapsed().as_secs_f64();
-    apply_advance(&mut p, args)?;
+    apply_advance(&mut p, args, out)?;
     let snapshot = p.checkpoint().map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "logged {} events in {ingest_secs:.3}s ({:.0} events/s)",
         events.len(),
         events.len() as f64 / ingest_secs.max(1e-9),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "checkpoint {} at revision {} (fitted={})",
         snapshot.display(),
         p.network().revision(),
         p.is_fitted(),
-    );
+    )?;
     Ok(())
 }
 
@@ -994,7 +1090,11 @@ fn cmd_save(args: &[String], obs: &ObsHandle) -> Result<(), String> {
 /// snapshot, then the WAL tail replayed through the normal ingest
 /// path. Lossy by default (torn tails and corrupt snapshots become
 /// `warning:` lines); `--strict` turns any loss into a fatal error.
-fn cmd_restore(args: &[String], obs: &ObsHandle) -> Result<(), String> {
+fn cmd_restore(
+    args: &[String],
+    obs: &ObsHandle,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let dir = flag(args, "--dir")
         .ok_or("usage: ssf restore --dir DIR [--strict] [--score U,V]")?;
     let config = predictor_config(args)?;
@@ -1022,21 +1122,25 @@ fn cmd_restore(args: &[String], obs: &ObsHandle) -> Result<(), String> {
              recovered prefix",
             report.bytes_dropped,
             report.corrupt_snapshots.len(),
-        ));
+        )
+        .into());
     }
     match report.snapshot_revision {
-        Some(rev) => println!(
+        Some(rev) => writeln!(
+            out,
             "restored snapshot at revision {rev} + {} WAL records",
             report.records_replayed
-        ),
-        None => println!(
+        )?,
+        None => writeln!(
+            out,
             "no snapshot; replayed {} WAL records from genesis",
             report.records_replayed
-        ),
+        )?,
     }
-    apply_advance(&mut p, args)?;
+    apply_advance(&mut p, args, out)?;
     let h = p.health();
-    println!(
+    writeln!(
+        out,
         "health: revision={} fitted={} model_epoch={:?} accepted={} \
          quarantined={}",
         p.network().revision(),
@@ -1044,16 +1148,17 @@ fn cmd_restore(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         h.model_epoch,
         h.accepted,
         h.quarantined,
-    );
+    )?;
     if let Some(w) = p.window() {
-        println!(
+        writeln!(
+            out,
             "window: width={} horizon={} cutoff={} (out-of-window events \
              quarantined so far: {})",
             w.width,
             w.horizon,
             w.cutoff(),
             p.stats().out_of_window,
-        );
+        )?;
     }
     if let Some(pair) = flag(args, "--score") {
         let (u, v) = pair
@@ -1068,17 +1173,22 @@ fn cmd_restore(args: &[String], obs: &ObsHandle) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("invalid node in --score: {v:?}"))?;
         match p.score(u, v) {
-            Some(s) => println!("P(link {u}-{v}) = {s:.4}"),
-            None => println!(
+            Some(s) => writeln!(out, "P(link {u}-{v}) = {s:.4}")?,
+            None => writeln!(
+                out,
                 "P(link {u}-{v}) unavailable (no fitted model, unknown \
                  node, or u == v)"
-            ),
+            )?,
         }
     }
     Ok(())
 }
 
-fn cmd_evaluate(args: &[String], obs: &ObsHandle) -> Result<(), String> {
+fn cmd_evaluate(
+    args: &[String],
+    obs: &ObsHandle,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let path = args.first().ok_or("usage: ssf evaluate <edge-list>")?;
     let g = load(path, args)?;
     let seed: u64 = parse_flag(args, "--seed", 7)?;
@@ -1135,6 +1245,6 @@ fn cmd_evaluate(args: &[String], obs: &ObsHandle) -> Result<(), String> {
         span.finish();
         obs.counter("ssf.cli.methods_evaluated", 1);
     }
-    print!("{table}");
+    write!(out, "{table}")?;
     Ok(())
 }

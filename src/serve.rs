@@ -272,7 +272,7 @@ impl ScoringSnapshot {
     /// than a graph-sized copy. The view preserves the revision counter,
     /// so the frozen cache view stays valid for the snapshot's lifetime.
     pub(crate) fn publish(p: &OnlineLinkPredictor) -> Self {
-        let graph = p.published_graph();
+        let graph = p.network().publish();
         let epoch = graph.revision();
         let present = graph.max_timestamp().map(|t| t.saturating_add(1));
         ScoringSnapshot {

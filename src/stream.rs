@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dyngraph::{
-    AdvanceReport, DeltaGraph, DynamicNetwork, FrozenGraph, GraphError,
-    GraphView, NodeId, OverlayView, Timestamp, Window, WindowedView,
+    AdvanceReport, GraphError, GraphView, NodeId, Timestamp, Window,
+    WindowedView,
 };
 use obs::{labeled, ObsHandle};
 use ssf_core::{CacheStats, ExtractionCache};
@@ -249,15 +249,13 @@ pub(crate) struct FittedModel {
 #[derive(Debug)]
 pub struct OnlineLinkPredictor {
     config: OnlinePredictorConfig,
-    /// The authoritative graph: a windowed view (unbounded unless
+    /// The one graph: a windowed view (unbounded unless
     /// [`OnlinePredictorConfig::window`] is set) whose expiry and
-    /// horizon moves bump the same revision counter as inserts.
+    /// horizon moves bump the same revision counter as inserts. It is
+    /// copy-on-write — a shared frozen CSR base plus the mutations since
+    /// the last compaction — so snapshots publish it with `Arc` clones,
+    /// never a graph-sized copy.
     network: WindowedView,
-    /// Copy-on-write mirror of `network`: a shared frozen CSR base plus
-    /// the mutations since the last compaction, updated in lockstep by
-    /// `observe`. Snapshots publish this mirror with `Arc` clones —
-    /// O(delta), never a graph-sized copy.
-    delta: DeltaGraph,
     /// The serving model and its epoch, replaced atomically as one unit.
     pub(crate) fitted: Option<Arc<FittedModel>>,
     last_fit_attempt: Option<Timestamp>,
@@ -286,7 +284,6 @@ impl Clone for OnlineLinkPredictor {
         OnlineLinkPredictor {
             config: self.config.clone(),
             network: self.network.clone(),
-            delta: self.delta.clone(),
             fitted: self.fitted.clone(),
             last_fit_attempt: self.last_fit_attempt,
             backoff: self.backoff,
@@ -323,7 +320,6 @@ impl OnlineLinkPredictor {
         OnlineLinkPredictor {
             config,
             network,
-            delta: DeltaGraph::new(Arc::new(FrozenGraph::empty())),
             fitted: None,
             last_fit_attempt: None,
             backoff: 1,
@@ -366,8 +362,6 @@ impl OnlineLinkPredictor {
             if t.saturating_add(max_lag) < head {
                 self.network.ensure_node(u);
                 self.network.ensure_node(v);
-                self.delta.ensure_node(u);
-                self.delta.ensure_node(v);
                 self.stats.stale += 1;
                 self.note_quarantine("stale");
                 self.sync_cache_to_network(&[]);
@@ -378,7 +372,6 @@ impl OnlineLinkPredictor {
         }
         if u == v {
             self.network.ensure_node(u);
-            self.delta.ensure_node(u);
             self.stats.self_loops += 1;
             self.note_quarantine("self_loop");
             self.sync_cache_to_network(&[]);
@@ -389,8 +382,6 @@ impl OnlineLinkPredictor {
         if self.config.quarantine_duplicates && self.already_recorded(u, v, t) {
             self.network.ensure_node(u);
             self.network.ensure_node(v);
-            self.delta.ensure_node(u);
-            self.delta.ensure_node(v);
             self.stats.duplicates += 1;
             self.note_quarantine("duplicate");
             self.sync_cache_to_network(&[]);
@@ -406,8 +397,6 @@ impl OnlineLinkPredictor {
                 // stay scoreable (as isolated-by-expiry nodes).
                 self.network.ensure_node(u);
                 self.network.ensure_node(v);
-                self.delta.ensure_node(u);
-                self.delta.ensure_node(v);
                 self.stats.out_of_window += 1;
                 self.note_quarantine("out_of_window");
                 self.sync_cache_to_network(&[]);
@@ -426,15 +415,26 @@ impl OnlineLinkPredictor {
                 );
             }
         };
-        self.mirror_accepted_link(u, v, t, advance.as_ref());
-        if self.delta.delta_link_count()
+        if let Some(report) = &advance {
+            self.obs.counter(
+                "ssf.stream.expired_links",
+                report.expired_links as u64,
+            );
+        }
+        if self.config.window.is_some() {
+            let mut affected = advance.map(|r| r.affected).unwrap_or_default();
+            affected.push(u);
+            affected.push(v);
+            self.sync_cache_to_network(&affected);
+        }
+        if self.network.delta_link_count()
             >= compaction_threshold(self.network.link_count())
         {
             // Amortized O(delta): folding the log into a fresh CSR base
             // costs O(V + E) but only after the delta has grown to a
             // fixed fraction of the graph.
             let span = self.obs.span("ssf.stream.compact");
-            self.delta.rebase();
+            self.network.rebase();
             span.finish();
             self.obs.counter("ssf.stream.compactions", 1);
         }
@@ -479,53 +479,11 @@ impl OnlineLinkPredictor {
         let Some(report) = self.network.advance(to)? else {
             return Ok(None);
         };
-        self.delta.expire_links_below(
-            report.cutoff,
-            &report.affected,
-            report.min_timestamp,
-        );
         self.sync_cache_to_network(&report.affected);
         self.obs.counter("ssf.stream.advances", 1);
         self.obs
             .counter("ssf.stream.expired_links", report.expired_links as u64);
         Ok(Some(report))
-    }
-
-    /// Applies one accepted link — and the implicit window advance it
-    /// may have triggered — to the copy-on-write mirror, keeping its
-    /// revision in lockstep with the network's, then re-keys the
-    /// extraction cache.
-    fn mirror_accepted_link(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        t: Timestamp,
-        advance: Option<&AdvanceReport>,
-    ) {
-        if let Some(report) = advance {
-            self.delta.expire_links_below(
-                report.cutoff,
-                &report.affected,
-                report.min_timestamp,
-            );
-            self.obs.counter(
-                "ssf.stream.expired_links",
-                report.expired_links as u64,
-            );
-        }
-        if self.config.window.is_some() {
-            // The windowed authority keeps rows in time order (expiry
-            // is a prefix drop), so the mirror must insert in time
-            // order too for the two to stay bit-identical.
-            let _ = self.delta.try_add_link_sorted(u, v, t);
-            let mut affected =
-                advance.map(|r| r.affected.clone()).unwrap_or_default();
-            affected.push(u);
-            affected.push(v);
-            self.sync_cache_to_network(&affected);
-        } else {
-            let _ = self.delta.try_add_link(u, v, t);
-        }
     }
 
     /// Re-keys the batch extraction cache to the network's current
@@ -541,8 +499,7 @@ impl OnlineLinkPredictor {
             return;
         }
         let window = self.network.window().map(|w| (w.width, w.horizon));
-        self.cache
-            .sync_affected(self.network.network(), window, affected);
+        self.cache.sync_affected(&self.network, window, affected);
     }
 
     /// Forces a refit on the current history.
@@ -590,7 +547,7 @@ impl OnlineLinkPredictor {
 
     fn fit_current(&self) -> Result<SsfnmModel, SsfError> {
         let split = Split::with_min_positives(
-            self.network.network(),
+            &self.network,
             &self.config.split,
             self.config.min_positives,
         )?;
@@ -747,8 +704,8 @@ impl OnlineLinkPredictor {
     /// serial paths at publish time.
     ///
     /// Publish cost is a handful of `Arc` clones over the copy-on-write
-    /// graph mirror — O(delta links since the last compaction), never a
-    /// graph-sized copy — recorded under the `ssf.serve.snapshot_publish`
+    /// writer graph — O(1) in graph size, never a graph-sized copy —
+    /// recorded under the `ssf.serve.snapshot_publish`
     /// span, with the `ssf.serve.epoch_lag` gauge tracking how many graph
     /// revisions the serving model trails behind the published epoch.
     /// Publishing twice with no intervening compaction reuses the same
@@ -792,10 +749,13 @@ impl OnlineLinkPredictor {
         self.fitted.as_ref().map(|m| m.epoch)
     }
 
-    /// The accumulated network (the in-window portion, when a sliding
-    /// window is configured).
-    pub fn network(&self) -> &DynamicNetwork {
-        self.network.network()
+    /// The writer's graph: the accumulated network (its in-window
+    /// portion, when a sliding window is configured), read through
+    /// [`GraphView`]. It is the graph [`snapshot`] publishes.
+    ///
+    /// [`snapshot`]: OnlineLinkPredictor::snapshot
+    pub fn network(&self) -> &WindowedView {
+        &self.network
     }
 
     /// The sliding window currently in force, `None` when the
@@ -811,31 +771,11 @@ impl OnlineLinkPredictor {
         self.network.horizon()
     }
 
-    /// The copy-on-write graph view [`snapshot`] publishes: `Arc` clones
-    /// of the shared frozen base plus the delta rows, O(1) in graph size.
-    /// Falls back to a fresh freeze of the network if the mirror ever
-    /// diverged (defensive — the two are updated in lockstep).
-    ///
-    /// [`snapshot`]: OnlineLinkPredictor::snapshot
-    pub(crate) fn published_graph(&self) -> OverlayView {
-        if self.delta.revision() == self.network.revision() {
-            self.delta.publish()
-        } else {
-            debug_assert!(
-                false,
-                "delta mirror diverged from the network: {} != {}",
-                self.delta.revision(),
-                self.network.revision()
-            );
-            DeltaGraph::new(Arc::new(FrozenGraph::from_view(&self.network)))
-                .publish()
-        }
-    }
-
-    /// Links accumulated in the copy-on-write mirror since its last
-    /// compaction — the "delta" a snapshot publish is proportional to.
+    /// Links inserted or expired since the writer graph's last
+    /// compaction: the delta a snapshot shares on top of its frozen
+    /// base.
     pub fn delta_link_count(&self) -> usize {
-        self.delta.delta_link_count()
+        self.network.delta_link_count()
     }
 
     /// The running stream-hygiene tallies.
@@ -906,8 +846,9 @@ impl OnlineLinkPredictor {
 
     /// Whether the exact `(u, v, t)` event is already in the network.
     fn already_recorded(&self, u: NodeId, v: NodeId, t: Timestamp) -> bool {
-        let g = self.network.network();
-        (u as usize) < g.node_count() && g.incident_links(u).contains(&(v, t))
+        let g = &self.network;
+        (u as usize) < g.node_count()
+            && g.incident_links(u).any(|l| l == (v, t))
     }
 
     /// Degraded scorer shared with the snapshot path (see
@@ -1152,11 +1093,11 @@ impl OnlineLinkPredictor {
         }
         let span = self.obs.span("ssf.persist.checkpoint");
         // Fold the copy-on-write delta so the shared frozen base *is*
-        // the full graph (skipped when already pristine).
-        let base = if self.delta.base().revision() == self.network.revision() {
-            Arc::clone(self.delta.base())
+        // the full graph (skipped when already clean).
+        let base = if self.network.is_clean() {
+            Arc::clone(self.network.base())
         } else {
-            self.delta.rebase()
+            self.network.rebase()
         };
         let Some(d) = self.durability.as_mut() else {
             // Checked above; durability is never detached in between.
@@ -1240,16 +1181,16 @@ impl OnlineLinkPredictor {
         Ok(())
     }
 
-    /// Installs a decoded snapshot: graph (both the mutable network
-    /// and its frozen copy-on-write mirror, revision-aligned), model
-    /// slot, window horizon, refit clock and stream statistics.
+    /// Installs a decoded snapshot: graph (as the frozen base of the
+    /// writer graph, revision preserved), model slot, window horizon,
+    /// refit clock and stream statistics.
     ///
     /// # Errors
     ///
     /// [`SsfError::Graph`] when the snapshot's graph does not fit the
-    /// configured window (a link behind the persisted horizon's
-    /// cutoff) — only reachable through on-disk corruption that the
-    /// configuration fingerprint cannot catch.
+    /// configured window (a link behind the persisted horizon's cutoff,
+    /// or a row out of time order) — only reachable through on-disk
+    /// corruption that the configuration fingerprint cannot catch.
     fn restore_state(&mut self, state: PersistedState) -> Result<(), SsfError> {
         let PersistedState {
             graph,
@@ -1257,12 +1198,12 @@ impl OnlineLinkPredictor {
             meta,
             last_refit_error,
         } = state;
-        let frozen = Arc::new(graph);
-        let inner = DynamicNetwork::from_view(frozen.as_ref());
         let horizon = meta.window.map_or(0, |w| w.horizon);
-        self.network =
-            WindowedView::from_network(inner, self.config.window, horizon)?;
-        self.delta = DeltaGraph::new(frozen);
+        self.network = WindowedView::from_frozen(
+            Arc::new(graph),
+            self.config.window,
+            horizon,
+        )?;
         self.fitted = match (model, meta.model_epoch) {
             (Some(model), Some(epoch)) => {
                 Some(Arc::new(FittedModel { model, epoch }))
@@ -2023,8 +1964,8 @@ mod tests {
         assert!(report.affected.contains(&4) && report.affected.contains(&5));
         // Horizon regressions are typed errors, not silent no-ops.
         assert!(p.advance(5).is_err());
-        // The copy-on-write mirror stayed in lockstep through expiry, and
-        // the published snapshot carries the window for its batch key.
+        // The published snapshot is the writer graph after expiry, and
+        // carries the window for its batch key.
         let snap = p.snapshot();
         assert_eq!(snap.window(), p.window());
         assert_eq!(snap.epoch(), p.network().revision());

@@ -277,3 +277,29 @@ fn cli_predict_refuses_shape_inconsistent_model() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+/// A reader that closes the pipe before the CLI writes (`ssf extract …
+/// | head -1`) ends the run cleanly: status 0 and nothing on stderr,
+/// never a panic.
+#[test]
+fn cli_broken_pipe_is_a_clean_exit() {
+    use std::process::Stdio;
+    let (_, edges) = clean_edge_list();
+    let net = temp_file("pipe-net.txt", &edges);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ssf"))
+        .arg("extract")
+        .arg(&net)
+        .args(["3", "17", "--k", "20", "--dot"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ssf extract");
+    // Close the read end before the child has loaded its input.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for ssf extract");
+    let _ = std::fs::remove_file(&net);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}

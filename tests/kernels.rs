@@ -15,12 +15,10 @@
 //! timestamps from the view itself, so each view must serve them exactly
 //! as the balls saw the topology.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use ssf_repro::dyngraph::{
-    DeltaGraph, DynamicNetwork, FrozenGraph, GraphView, NodeId, Timestamp,
+    DynamicNetwork, FrozenGraph, GraphView, NodeId, OverlayView, Timestamp,
     WindowedView,
 };
 use ssf_repro::methods::{Method, MethodOptions};
@@ -188,27 +186,31 @@ fn hub_multigraph() -> impl Strategy<Value = Vec<(NodeId, NodeId, Timestamp)>> {
         })
 }
 
-/// Replays time-ordered `events` into a windowed authority and its
-/// copy-on-write mirror the way a windowed writer does — expiries
-/// mirrored, sorted inserts, one rebase halfway so the published overlay
-/// serves base rows, delta rows and expired rows at once.
+/// Replays time-ordered `events` into a windowed writer graph the way
+/// the online predictor does — sorted inserts, implicit expiry, one
+/// rebase halfway — and returns its published overlay, which then serves
+/// base rows, delta rows and expired rows at once, next to the oracle: a
+/// from-scratch rebuild of the in-window links in stable time order over
+/// the same node set.
 #[allow(clippy::unwrap_used)] // test helper
 fn windowed_overlay(
     events: &[(NodeId, NodeId, Timestamp)],
     width: Timestamp,
-) -> (WindowedView, DeltaGraph) {
+) -> (DynamicNetwork, OverlayView) {
     let mut wv = WindowedView::with_width(width);
-    let mut delta = DeltaGraph::new(Arc::new(FrozenGraph::empty()));
     for (i, &(u, v, t)) in events.iter().enumerate() {
-        if let Some(r) = wv.try_add_link(u, v, t).unwrap() {
-            delta.expire_links_below(r.cutoff, &r.affected, r.min_timestamp);
-        }
-        delta.try_add_link_sorted(u, v, t).unwrap();
+        wv.try_add_link(u, v, t).unwrap();
         if i == events.len() / 2 {
-            delta.rebase();
+            wv.rebase();
         }
     }
-    (wv, delta)
+    let cutoff = wv.cutoff().unwrap();
+    let mut oracle = DynamicNetwork::new();
+    oracle.ensure_node(wv.node_count() as NodeId - 1);
+    for &(u, v, t) in events.iter().filter(|&&(_, _, t)| t >= cutoff) {
+        oracle.add_link(u, v, t);
+    }
+    (oracle, wv.publish())
 }
 
 /// Asserts that Algorithm 1's one-round merge on the h-hop subgraph of
@@ -387,9 +389,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Hub-heavy multigraphs through every view: the mutable network, its
-    /// frozen CSR, and a published windowed overlay (checked against the
-    /// windowed authority it mirrors, too). Every encoding must be
-    /// bit-identical to the reference on each view.
+    /// frozen CSR, and a windowed writer's published overlay (checked
+    /// against a from-scratch rebuild of its in-window links, too). Every
+    /// encoding must be bit-identical to the reference on each view.
     #[test]
     fn hub_multigraph_matches_reference_on_every_view(
         events in hub_multigraph(),
@@ -398,8 +400,7 @@ proptest! {
     ) {
         let g: DynamicNetwork = events.iter().copied().collect();
         let frozen = FrozenGraph::from_view(&g);
-        let (wv, delta) = windowed_overlay(&events, 12);
-        let overlay = delta.publish();
+        let (window, overlay) = windowed_overlay(&events, 12);
         let mut targets = vec![(1u32, 2u32), (0, 1), (2, 0)];
         targets.extend(extra_targets);
         let config = SsfConfig::new(k).with_theta(0.5);
@@ -415,9 +416,9 @@ proptest! {
                 assert_matches_reference(&g, a, b, 41, &config, c0);
                 assert_matches_reference(&frozen, a, b, 41, &config, c1);
                 assert_matches_reference(&overlay, a, b, 41, &config, c2);
-                assert_matches_reference(wv.network(), a, b, 41, &config, c3);
+                assert_matches_reference(&window, a, b, 41, &config, c3);
                 let on_overlay = ex.try_extract(&overlay, a, b, 41);
-                let on_window = ex.try_extract(wv.network(), a, b, 41);
+                let on_window = ex.try_extract(&window, a, b, 41);
                 prop_assert_eq!(
                     on_overlay.map(|f| bits(f.values())),
                     on_window.map(|f| bits(f.values()))
@@ -533,8 +534,8 @@ proptest! {
 
     /// Owner-side K-selection gathers exactly the per-member scan's links
     /// and timestamps on hub-heavy multigraphs, through the mutable
-    /// network, its frozen CSR, a published windowed overlay and the
-    /// windowed authority it mirrors.
+    /// network, its frozen CSR, a windowed writer's published overlay and
+    /// the from-scratch rebuild of its in-window links.
     #[test]
     fn hub_multigraph_selection_matches_reference_on_every_view(
         events in hub_multigraph(),
@@ -543,8 +544,7 @@ proptest! {
     ) {
         let g: DynamicNetwork = events.iter().copied().collect();
         let frozen = FrozenGraph::from_view(&g);
-        let (wv, delta) = windowed_overlay(&events, 12);
-        let overlay = delta.publish();
+        let (window, overlay) = windowed_overlay(&events, 12);
         let mut targets = vec![(1u32, 2u32), (0, 1), (2, 0)];
         targets.extend(extra_targets);
         let mut scratch = SelectScratch::default();
@@ -556,7 +556,7 @@ proptest! {
                 }
                 if a != b && (a.max(b) as usize) < overlay.node_count() {
                     assert_select_matches_reference(&overlay, a, b, h, k, &mut scratch)?;
-                    assert_select_matches_reference(wv.network(), a, b, h, k, &mut scratch)?;
+                    assert_select_matches_reference(&window, a, b, h, k, &mut scratch)?;
                 }
             }
         }

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use ssf_repro::datasets::DatasetSpec;
-use ssf_repro::dyngraph::NodeId;
+use ssf_repro::dyngraph::{GraphView, NodeId};
 use ssf_repro::methods::{Method, MethodOptions};
 use ssf_repro::obs::{
     labeled, ObsHandle, Registry, SPANS_ENTERED, SPANS_EXITED,
