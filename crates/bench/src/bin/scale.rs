@@ -13,11 +13,17 @@
 //!   extraction cache cleared). That is the writer path: it scores the
 //!   predictor's own copy-on-write graph (frozen base plus the delta
 //!   since the last compaction), not a published snapshot,
+//! * cold throughput of the snapshot read path on a fresh snapshot
+//!   published after the cache was cleared: `ScoringSnapshot::score` one
+//!   pair per call, and the same pairs through a `Coalescer` (batches
+//!   of up to 32 on one worker thread). A server pays this path on
+//!   every request; its scratch is reused per thread, so per-call cost
+//!   follows the ball, not the tier's node count,
 //! * snapshot publish latency (median of several publishes).
 //!
 //! Emits machine-readable `BENCH_scale.json`. The binary itself asserts
 //! the invariants CI gates on: tiers monotone in link count, and
-//! cold/warm scores bit-identical.
+//! cold/warm, snapshot and coalesced scores bit-identical.
 //!
 //! Run: `cargo run -p ssf-bench --release --bin scale
 //!       [--smoke] [--seed <n>] [--out <path>]`
@@ -31,6 +37,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use std::fs;
+use std::thread;
 use std::time::Instant;
 
 use datasets::{DatasetSpec, ScaleTier};
@@ -39,7 +46,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssf_eval::SplitConfig;
 use ssf_repro::methods::MethodOptions;
-use ssf_repro::{OnlineLinkPredictor, OnlinePredictorConfig};
+use ssf_repro::{
+    CoalesceConfig, Coalescer, OnlineLinkPredictor, OnlinePredictorConfig,
+};
 
 const CHUNK: usize = 64;
 
@@ -55,6 +64,8 @@ struct TierReport {
     pairs: usize,
     cold_pps: f64,
     warm_pps: f64,
+    snapshot_pps: f64,
+    coalesced_pps: f64,
     publish_us: f64,
 }
 
@@ -164,6 +175,47 @@ fn run_tier(
         pairs.len()
     );
 
+    // The cold read path: a fresh snapshot (cold memo, empty frozen
+    // view) per measurement.
+    p.clear_cache();
+    let snap = p.snapshot();
+    let t0 = Instant::now();
+    let snap_scores: Vec<_> =
+        pairs.iter().map(|&(u, v)| snap.score(u, v)).collect();
+    let snapshot_pps =
+        pairs.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
+    assert_eq!(snap_scores, cold_scores, "snapshot changed scores");
+    drop(snap);
+
+    let config = CoalesceConfig::builder()
+        .max_batch(32)
+        .max_delay_ns(100_000)
+        .queue_capacity(pairs.len())
+        .build()
+        .expect("valid coalescer configuration");
+    let coalescer = Coalescer::new(p.snapshot(), config);
+    let t0 = Instant::now();
+    let coalesced_scores: Vec<_> = thread::scope(|s| {
+        s.spawn(|| coalescer.run_worker());
+        let tickets: Vec<_> = pairs
+            .iter()
+            .map(|&(u, v)| coalescer.submit(u, v).expect("queue holds all"))
+            .collect();
+        let scores = tickets
+            .into_iter()
+            .map(|t| t.wait().expect("scored"))
+            .collect();
+        coalescer.shutdown();
+        scores
+    });
+    let coalesced_pps =
+        pairs.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
+    assert_eq!(coalesced_scores, cold_scores, "coalescer changed scores");
+    println!(
+        "[{tier}] cold ScoringSnapshot::score {snapshot_pps:.0} pairs/s, \
+         coalesced {coalesced_pps:.0} pairs/s"
+    );
+
     // Snapshot publish latency: median of five publishes (O(delta)
     // copy-on-write, so this is the tail a serving replica pays).
     let mut publish_us: Vec<f64> = (0..5)
@@ -191,6 +243,8 @@ fn run_tier(
         pairs: pairs.len(),
         cold_pps,
         warm_pps,
+        snapshot_pps,
+        coalesced_pps,
         publish_us,
     }
 }
@@ -207,6 +261,10 @@ fn tier_json(r: &TierReport) -> String {
          \"pairs\": {},\n        \
          \"cold_pairs_per_sec\": {:.1},\n        \
          \"warm_pairs_per_sec\": {:.1}\n      }},\n      \
+         \"snapshot_scoring\": {{\n        \
+         \"path\": \"ScoringSnapshot::score\",\n        \
+         \"cold_pairs_per_sec\": {:.1},\n        \
+         \"coalesced_pairs_per_sec\": {:.1}\n      }},\n      \
          \"snapshot_publish_us\": {:.1}\n    }}",
         r.tier,
         r.spec_name,
@@ -220,6 +278,8 @@ fn tier_json(r: &TierReport) -> String {
         r.pairs,
         r.cold_pps,
         r.warm_pps,
+        r.snapshot_pps,
+        r.coalesced_pps,
         r.publish_us,
     )
 }

@@ -109,6 +109,7 @@ impl<K: Eq + Hash, V> LruCache<K, V> {
     /// Drops every entry (stamps restart; capacity is kept).
     pub fn clear(&mut self) {
         self.map.clear();
+        self.tick = 0;
     }
 
     /// Looks up `key`, refreshing its eviction stamp on a hit.
@@ -277,6 +278,9 @@ impl FrozenCacheView {
 /// in BFS layer order, the source first at distance 0.
 pub type CachedBall = Arc<Vec<(NodeId, u32)>>;
 
+/// Default per-memo entry capacity of [`ExtractionCache::new`].
+const MEMO_CAPACITY: usize = 8192;
+
 /// Reverse indexes tolerate this many slots before their first
 /// stale-entry compaction; afterwards the trigger doubles with the live
 /// slot count (amortized O(1) per insert).
@@ -328,7 +332,7 @@ impl Default for ExtractionCache {
 impl ExtractionCache {
     /// Default memo capacities: 8192 balls, 8192 pairs.
     pub fn new() -> Self {
-        Self::with_capacity(8192, 8192)
+        Self::with_capacity(MEMO_CAPACITY, MEMO_CAPACITY)
     }
 
     /// Creates a cache with explicit memo capacities.
@@ -381,11 +385,31 @@ impl ExtractionCache {
     /// revision, `sync` drops the view along with the local memos.
     pub fn with_frozen(view: FrozenCacheView) -> Self {
         let mut cache = Self::new();
-        cache.revision = view.revision;
-        cache.window = view.window;
-        cache.config_key = view.config_key;
-        cache.frozen = Some(view);
+        cache.reseed(view);
         cache
+    }
+
+    /// Puts this cache into exactly the state
+    /// [`ExtractionCache::with_frozen`]`(view)` builds — empty memos and
+    /// reverse indexes, default capacities, zeroed stats, the no-op
+    /// recorder, `view` as the frozen layer — but keeps the scratch
+    /// buffers and the memo maps' allocations.
+    ///
+    /// This is how a reader thread serves one snapshot after another
+    /// from one cache: the graph-sized [`HopScratch`] stamps are written
+    /// once per thread, not once per batch. Reuse never changes output
+    /// (a reused scratch is bit-identical to a fresh one).
+    pub fn reseed(&mut self, view: FrozenCacheView) {
+        self.clear();
+        self.balls.capacity = MEMO_CAPACITY;
+        self.pairs.capacity = MEMO_CAPACITY;
+        self.indexed = false;
+        self.revision = view.revision;
+        self.window = view.window;
+        self.config_key = view.config_key;
+        self.frozen = Some(view);
+        self.stats = CacheStats::default();
+        self.obs = ObsHandle::noop();
     }
 
     /// Captures the current memos as an immutable, `Arc`-shared view.
@@ -1092,6 +1116,55 @@ mod tests {
         assert!(seeded.stats().ball_hits > 0, "frozen layer served balls");
         assert_eq!(index_slots(&seeded), 0, "no reverse-index entries");
         assert!(seeded.ball_index.is_empty() && seeded.pair_index.is_empty());
+    }
+
+    /// A used cache — small capacities, built reverse indexes, a live
+    /// recorder, a different window — reseeded with a view is
+    /// indistinguishable from a cache freshly seeded with that view:
+    /// same keys, capacities and counters, and the same lookups give the
+    /// same results and the same stats.
+    #[test]
+    fn reseed_matches_a_fresh_frozen_seed() {
+        let g: DynamicNetwork = (0..12u32)
+            .map(|i| (i, (i + 1) % 12, i))
+            .chain([(0, 6, 20), (3, 9, 21), (2, 7, 22)])
+            .collect();
+        let ex = SsfExtractor::new(SsfConfig::new(4));
+        let mut warm = ExtractionCache::new();
+        for (a, b) in [(0u32, 1u32), (2, 5)] {
+            ex.try_k_structure_cached(&g, a, b, &mut warm).unwrap();
+        }
+        let view = warm.freeze();
+
+        let mut used = ExtractionCache::with_capacity(2, 3);
+        used.set_recorder(ObsHandle::of_registry(Default::default()));
+        for a in 0..12u32 {
+            ex.try_k_structure_cached(&g, a, (a + 3) % 12, &mut used)
+                .unwrap();
+        }
+        used.sync_affected(&g, Some((5, 30)), &[0]);
+        assert!(used.indexed && used.recorder().enabled());
+
+        used.reseed(view.clone());
+        let mut fresh = ExtractionCache::with_frozen(view);
+        let state = |c: &ExtractionCache| {
+            (
+                (c.revision, c.window, c.config_key, c.indexed),
+                (c.balls.len(), c.balls.capacity, c.balls.tick),
+                (c.pairs.len(), c.pairs.capacity, c.pairs.tick),
+                (c.ball_index.len(), c.ball_index_slots, c.ball_index_trigger),
+                (c.pair_index.len(), c.pair_index_slots, c.pair_index_trigger),
+                c.frozen.as_ref().map(|f| (f.revision, f.len())),
+                (c.stats, c.obs.enabled()),
+            )
+        };
+        assert_eq!(state(&used), state(&fresh));
+        for (a, b) in [(0u32, 1u32), (4, 9), (2, 5), (4, 9)] {
+            let x = ex.try_k_structure_cached(&g, a, b, &mut used).unwrap();
+            let y = ex.try_k_structure_cached(&g, a, b, &mut fresh).unwrap();
+            assert_eq!(*x, *y);
+        }
+        assert_eq!(state(&used), state(&fresh));
     }
 
     proptest! {

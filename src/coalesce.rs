@@ -451,6 +451,12 @@ struct Pending {
 
 struct State<S> {
     queue: VecDeque<Pending>,
+    /// A lower bound on the queued deadlines: never later than the
+    /// earliest live one, possibly earlier (a dispatch that takes the
+    /// earliest request leaves it stale), `u64::MAX` when no queued
+    /// request carries a deadline. Expiry scans the queue only once
+    /// this bound is due, and then makes it exact again.
+    earliest_deadline: u64,
     scorer: Arc<S>,
     /// Snapshot staged by [`Coalescer::set_snapshot`]; installed once
     /// the pre-swap queue has flushed.
@@ -520,8 +526,9 @@ impl<S: BatchScorer> Coalescer<S> {
     }
 
     /// Full constructor: injected clock plus telemetry. Emits
-    /// `ssf.serve.queue_depth` (gauge), `ssf.serve.batch_size`
-    /// (histogram), `ssf.serve.deadline_miss`, `ssf.serve.rejected` and
+    /// `ssf.serve.queue_depth` (gauge), `ssf.serve.batch_size` and
+    /// `ssf.serve.queue_wait` (histograms; the wait runs from admission
+    /// to batch close), `ssf.serve.deadline_miss`, `ssf.serve.rejected` and
     /// `ssf.serve.coalesced` (counters), and an
     /// `ssf.serve.coalesce_batch` span per dispatched batch.
     pub fn with_clock_and_recorder(
@@ -537,6 +544,7 @@ impl<S: BatchScorer> Coalescer<S> {
                 obs,
                 state: Mutex::new(State {
                     queue: VecDeque::new(),
+                    earliest_deadline: u64::MAX,
                     scorer: Arc::new(scorer),
                     staged: None,
                     shutdown: false,
@@ -652,6 +660,9 @@ impl<S: BatchScorer> Coalescer<S> {
             });
         }
         let (ticket, inner) = Ticket::new();
+        if let Some(d) = deadline_ns {
+            state.earliest_deadline = state.earliest_deadline.min(d);
+        }
         state.queue.push_back(Pending {
             u,
             v,
@@ -715,19 +726,24 @@ impl<S: BatchScorer> Coalescer<S> {
         let mut state = lock(&shared.state);
 
         // 1. Expire dead requests first — before any extraction work.
-        let expired: Vec<Pending> = {
-            let mut kept = VecDeque::with_capacity(state.queue.len());
-            let mut dead = Vec::new();
-            for p in state.queue.drain(..) {
-                if p.deadline_ns.is_some_and(|d| d <= now) {
-                    dead.push(p);
-                } else {
-                    kept.push_back(p);
+        // In place, in FIFO order, and only when some deadline is due:
+        // the queue can be thousands deep and submitters wait on this
+        // lock.
+        let mut expired: Vec<Arc<TicketInner>> = Vec::new();
+        if state.earliest_deadline <= now {
+            let mut earliest = u64::MAX;
+            state.queue.retain(|p| match p.deadline_ns {
+                Some(d) if d <= now => {
+                    expired.push(Arc::clone(&p.ticket));
+                    false
                 }
-            }
-            state.queue = kept;
-            dead
-        };
+                d => {
+                    earliest = earliest.min(d.unwrap_or(u64::MAX));
+                    true
+                }
+            });
+            state.earliest_deadline = earliest;
+        }
 
         // 2. Decide whether a batch closes.
         let depth = state.queue.len();
@@ -753,6 +769,7 @@ impl<S: BatchScorer> Coalescer<S> {
 
         // 4. Install a staged snapshot once the pre-swap queue drained.
         if state.queue.is_empty() {
+            state.earliest_deadline = u64::MAX;
             if let Some(next) = state.staged.take() {
                 state.scorer = next;
                 report.snapshot_installed = true;
@@ -770,8 +787,8 @@ impl<S: BatchScorer> Coalescer<S> {
             shared
                 .obs
                 .counter("ssf.serve.deadline_miss", expired.len() as u64);
-            for p in &expired {
-                fulfill(&p.ticket, Err(Rejection::DeadlineExceeded));
+            for ticket in &expired {
+                fulfill(ticket, Err(Rejection::DeadlineExceeded));
             }
         }
 
@@ -795,6 +812,12 @@ impl<S: BatchScorer> Coalescer<S> {
                 shared
                     .obs
                     .observe_ns("ssf.serve.batch_size", batch.len() as u64);
+                for p in &batch {
+                    shared.obs.observe_ns(
+                        "ssf.serve.queue_wait",
+                        now.saturating_sub(p.enqueued_ns),
+                    );
+                }
                 shared
                     .obs
                     .gauge("ssf.serve.queue_depth", report.remaining as f64);
@@ -811,6 +834,12 @@ impl<S: BatchScorer> Coalescer<S> {
     /// deadline, a staged snapshot, shutdown), then steps. Returns once
     /// [`Self::shutdown`] was called and the queue has drained.
     ///
+    /// On Linux the calling thread runs at the minimum timer slack
+    /// (1 ns) while this loop runs, so a timed park ends when
+    /// `max_delay` says rather than up to the default 50 µs later; the
+    /// thread's previous slack is restored on return. Other platforms
+    /// keep their default timer behaviour.
+    ///
     /// Meant for a dedicated thread; spawn it on a clone:
     /// `std::thread::spawn(move || worker.run_worker())`.
     pub fn run_worker(&self) {
@@ -818,6 +847,7 @@ impl<S: BatchScorer> Coalescer<S> {
         // and parking, so a concurrent clock advance is never missed
         // for long.
         const MAX_PARK: Duration = Duration::from_millis(5);
+        let _slack = timer_slack::MinSlack::engage();
         loop {
             let mut state = lock(&self.shared.state);
             loop {
@@ -858,30 +888,17 @@ impl<S: BatchScorer> Coalescer<S> {
         state.queue.len() >= self.shared.config.max_batch
             || now.saturating_sub(front.enqueued_ns)
                 >= self.shared.config.max_delay_ns
-            || state
-                .queue
-                .iter()
-                .any(|p| p.deadline_ns.is_some_and(|d| d <= now))
+            || state.earliest_deadline <= now
     }
 
     /// Nanoseconds until the earliest scheduled event (`max_delay` on
-    /// the oldest request, or the nearest deadline); `None` when idle.
+    /// the oldest request, or the deadline bound); `None` when idle.
     fn next_due_ns(&self, state: &State<S>, now: u64) -> Option<u64> {
-        let delay = state.queue.front().map(|p| {
-            p.enqueued_ns
-                .saturating_add(self.shared.config.max_delay_ns)
-                .saturating_sub(now)
-        });
-        let deadline = state
-            .queue
-            .iter()
-            .filter_map(|p| p.deadline_ns)
-            .min()
-            .map(|d| d.saturating_sub(now));
-        match (delay, deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let front = state.queue.front()?;
+        let delay = front
+            .enqueued_ns
+            .saturating_add(self.shared.config.max_delay_ns);
+        Some(delay.min(state.earliest_deadline).saturating_sub(now))
     }
 
     /// Initiates shutdown: future submissions are rejected with
@@ -907,6 +924,78 @@ impl<S: BatchScorer> Coalescer<S> {
             completed: shared.completed.load(Ordering::Relaxed),
             batches: shared.batches.load(Ordering::Relaxed),
             queue_depth,
+        }
+    }
+}
+
+/// The worker thread's timer slack: how late the kernel may end a timed
+/// wait so it can coalesce wakeups. Linux adds a 50 µs default to every
+/// `Condvar::wait_timeout`, half of a 100 µs `max_delay`.
+#[cfg(target_os = "linux")]
+mod timer_slack {
+    use std::ffi::{c_int, c_ulong};
+
+    const PR_SET_TIMERSLACK: c_int = 29;
+    const PR_GET_TIMERSLACK: c_int = 30;
+
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+
+    /// `prctl(PR_SET_TIMERSLACK, ns)` for `Some(ns)`, otherwise
+    /// `prctl(PR_GET_TIMERSLACK)`; no other option can be passed.
+    fn timerslack_prctl(set: Option<c_ulong>) -> c_int {
+        let (option, arg) = match set {
+            Some(ns) => (PR_SET_TIMERSLACK, ns),
+            None => (PR_GET_TIMERSLACK, 0),
+        };
+        // SAFETY: prctl(2) is a system call wrapper in the C library.
+        // With PR_GET_TIMERSLACK or PR_SET_TIMERSLACK, the only options
+        // this function passes, it dereferences no argument and only
+        // reads or writes the calling thread's timer slack. Every
+        // variadic argument is an unsigned long, the type prctl(2) reads
+        // them as, and the unused ones are zero.
+        unsafe { prctl(option, arg, 0 as c_ulong, 0 as c_ulong, 0 as c_ulong) }
+    }
+
+    /// The calling thread's current timer slack in nanoseconds.
+    pub(super) fn current_ns() -> Option<u64> {
+        u64::try_from(timerslack_prctl(None)).ok()
+    }
+
+    /// Lowers the calling thread's timer slack to its 1 ns minimum
+    /// until dropped, then restores the value it replaced.
+    pub(super) struct MinSlack {
+        previous: Option<c_ulong>,
+    }
+
+    impl MinSlack {
+        pub(super) fn engage() -> Self {
+            let previous = current_ns()
+                .and_then(|ns| c_ulong::try_from(ns).ok())
+                .filter(|&ns| ns > 1)
+                .filter(|_| timerslack_prctl(Some(1)) == 0);
+            MinSlack { previous }
+        }
+    }
+
+    impl Drop for MinSlack {
+        fn drop(&mut self) {
+            if let Some(ns) = self.previous {
+                let _ = timerslack_prctl(Some(ns));
+            }
+        }
+    }
+}
+
+/// Other platforms keep their default timer behaviour.
+#[cfg(not(target_os = "linux"))]
+mod timer_slack {
+    pub(super) struct MinSlack;
+
+    impl MinSlack {
+        pub(super) fn engage() -> Self {
+            MinSlack
         }
     }
 }
@@ -1016,6 +1105,61 @@ mod tests {
         .contains("capacity 8"));
         assert!(Rejection::DeadlineExceeded.to_string().contains("deadline"));
         assert!(Rejection::ShutDown.to_string().contains("shut down"));
+    }
+
+    /// Records the scoring thread's timer slack at every batch.
+    #[cfg(target_os = "linux")]
+    struct SlackProbe {
+        seen: Mutex<Vec<Option<u64>>>,
+    }
+
+    #[cfg(target_os = "linux")]
+    impl BatchScorer for SlackProbe {
+        fn epoch_key(&self) -> u64 {
+            0
+        }
+
+        fn score_batch_threads(
+            &self,
+            pairs: &[(NodeId, NodeId)],
+            _threads: usize,
+        ) -> Vec<Option<f64>> {
+            lock(&self.seen).push(timer_slack::current_ns());
+            vec![Some(0.0); pairs.len()]
+        }
+    }
+
+    /// `run_worker` runs at the minimum timer slack and hands the
+    /// thread back with the slack it found.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn run_worker_restores_the_thread_timer_slack() {
+        let before = timer_slack::current_ns();
+        assert!(before.is_some(), "PR_GET_TIMERSLACK must succeed");
+        let c = Coalescer::new(
+            SlackProbe {
+                seen: Mutex::new(Vec::new()),
+            },
+            CoalesceConfig::builder()
+                .max_delay_ns(0)
+                .build()
+                .expect("valid"),
+        );
+        let submitter = {
+            let c = c.clone();
+            std::thread::spawn(move || {
+                let t = c.submit(1, 2).expect("admitted");
+                let outcome = t.wait();
+                c.shutdown();
+                outcome
+            })
+        };
+        c.run_worker(); // on this thread
+        assert_eq!(submitter.join().expect("submitter"), Ok(Some(0.0)));
+        let scorer = Arc::clone(&lock(&c.shared.state).scorer);
+        let seen = lock(&scorer.seen).clone();
+        assert_eq!(seen, vec![before.map(|ns| ns.min(1))], "minimum inside");
+        assert_eq!(timer_slack::current_ns(), before, "slack restored");
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! [`StreamStats`], [`Observed`], [`QuarantineReason`]). Import them from
 //! [`crate::prelude`] or the crate root.
 
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,6 +258,16 @@ struct SnapshotInner {
     obs: ObsHandle,
 }
 
+thread_local! {
+    /// One spare extraction cache per scoring thread, reseeded for every
+    /// chunk it scores. It is per thread, not per snapshot: a writer
+    /// publishes a new snapshot per tick, and the graph-sized
+    /// `HopScratch` stamps should be written once per thread, not once
+    /// per snapshot or batch. Between chunks it holds only scratch
+    /// buffers, sized to the largest graph the thread scored.
+    static SPARE_CACHE: Cell<Option<ExtractionCache>> = const { Cell::new(None) };
+}
+
 /// Directed pairs one snapshot's score memo holds — the pair capacity of
 /// [`ExtractionCache::new`], about 0.3 MB per full memo.
 const MEMO_CAPACITY: usize = 8192;
@@ -425,11 +436,12 @@ impl ScoringSnapshot {
         self.score_chunk(pairs)
     }
 
-    /// Fans a batch out over `threads` scoped worker threads, each with
-    /// its own frozen-seeded cache, and reassembles results in input
-    /// order. Bit-identical to [`Self::score_batch`] for every slot:
-    /// caches only memoize values the pipeline would recompute
-    /// identically, so the chunking never shows in the output.
+    /// Fans a batch out over `threads` threads — the caller plus
+    /// `threads - 1` scoped workers, each with its own frozen-seeded
+    /// cache — and reassembles results in input order. Bit-identical to
+    /// [`Self::score_batch`] for every slot: caches only memoize values
+    /// the pipeline would recompute identically, so the chunking never
+    /// shows in the output.
     ///
     /// Degenerate inputs are handled uniformly across every batch path
     /// (snapshot, coalesced): `threads == 0` is clamped to 1
@@ -454,12 +466,16 @@ impl ScoringSnapshot {
             .obs
             .counter("ssf.serve.scored", pairs.len() as u64);
         let chunk = pairs.len().div_ceil(threads);
+        let (first, rest) = pairs.split_at(chunk);
         let mut out: Vec<Option<f64>> = Vec::with_capacity(pairs.len());
         std::thread::scope(|s| {
-            let handles: Vec<_> = pairs
+            let handles: Vec<_> = rest
                 .chunks(chunk)
                 .map(|c| (c.len(), s.spawn(move || self.score_chunk(c))))
                 .collect();
+            // The calling thread scores the first chunk itself, with its
+            // own reused cache, while the spawned threads run the rest.
+            out.extend(self.score_chunk(first));
             for (len, h) in handles {
                 match h.join() {
                     Ok(scores) => out.extend(scores),
@@ -481,22 +497,30 @@ impl ScoringSnapshot {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A fresh mutable cache seeded with the snapshot's frozen view.
-    fn local_cache(&self) -> ExtractionCache {
-        let mut cache = ExtractionCache::with_frozen(self.inner.frozen.clone());
+    /// This thread's spare cache (or a new one on its first use),
+    /// reseeded with the snapshot's frozen view and recorder.
+    fn seeded_cache(&self) -> ExtractionCache {
+        let mut cache = SPARE_CACHE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        cache.reseed(self.inner.frozen.clone());
         cache.set_recorder(self.inner.obs.clone());
         cache
     }
 
     /// The one serial scoring loop behind every snapshot path: validate,
-    /// read the memo, extract and score the misses against a
-    /// frozen-seeded cache (built on the first miss), degrade to the
-    /// common-neighbor fallback on error or panic.
+    /// read the memo, extract and score the misses against this thread's
+    /// frozen-seeded cache (taken on the first miss), degrade to the
+    /// common-neighbor fallback on error or panic. The cache goes back
+    /// to the thread cleared, unless a pair panicked in it.
     fn score_chunk(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
         let inner = &*self.inner;
         let graph = &inner.graph;
         let n = graph.node_count() as NodeId;
         let mut cache: Option<ExtractionCache> = None;
+        let mut panicked = false;
         let (mut hits, mut misses) = (0u64, 0u64);
         let mut out = Vec::with_capacity(pairs.len());
         for &(u, v) in pairs {
@@ -517,10 +541,11 @@ impl ScoringSnapshot {
                 continue;
             }
             misses += 1;
-            let cache = cache.get_or_insert_with(|| self.local_cache());
+            let cache = cache.get_or_insert_with(|| self.seeded_cache());
             let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
                 fitted.model.try_score_cached(graph, u, v, present, cache)
             }));
+            panicked |= attempt.is_err();
             out.push(match attempt {
                 Ok(Ok(p)) => {
                     self.memo().insert((u, v), p);
@@ -532,6 +557,15 @@ impl ScoringSnapshot {
                     Some(common_neighbor_fallback(graph, u, v))
                 }
             });
+        }
+        // A panic may have left the scratch half-written: drop that
+        // cache. Otherwise hand it back holding nothing of this snapshot
+        // (no memos, no frozen view, no recorder), so a dropped snapshot
+        // frees everything it owned.
+        if let Some(mut cache) = cache.filter(|_| !panicked) {
+            cache.clear();
+            cache.set_recorder(ObsHandle::noop());
+            let _ = SPARE_CACHE.try_with(|spare| spare.set(Some(cache)));
         }
         if hits > 0 {
             inner.obs.counter("ssf.serve.memo.hits", hits);
@@ -705,6 +739,55 @@ mod tests {
             assert_eq!(snap.degraded_scores(), 5 * round);
         }
         assert_eq!(snap.memo_entries(), 0);
+    }
+
+    /// The calling thread's spare cache as `(entries, recording)`, or
+    /// `None` when the thread holds none.
+    fn spare_state() -> Option<((usize, usize), bool)> {
+        SPARE_CACHE.with(|slot| {
+            let cache = slot.take();
+            let state =
+                cache.as_ref().map(|c| (c.len(), c.recorder().enabled()));
+            slot.set(cache);
+            state
+        })
+    }
+
+    /// After a healthy chunk the thread keeps its cache cleared — no
+    /// memos, no recorder; after a chunk in which a pair panicked it
+    /// keeps none. Scores before and after match a fresh cache (a new
+    /// thread) bit for bit.
+    #[test]
+    fn spare_cache_is_returned_cleared_and_dropped_after_a_panic() {
+        let mut p = OnlineLinkPredictor::with_recorder(
+            quick_config(),
+            ObsHandle::of_registry(Default::default()),
+        );
+        let g = DatasetSpec::coauthor().scaled(0.15).generate(9);
+        let mut links: Vec<_> = g.links().collect();
+        links.sort_by_key(|l| l.t);
+        for l in links {
+            p.observe(l.u, l.v, l.t);
+        }
+        let pairs = [(0, 1), (2, 5), (1, 4), (3, 8)];
+        let bits = |s: Vec<Option<f64>>| -> Vec<Option<u64>> {
+            s.into_iter().map(|x| x.map(f64::to_bits)).collect()
+        };
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| p.snapshot().score_batch(&pairs)).join()
+        })
+        .unwrap_or_else(|_| panic!("fresh scorer panicked"));
+
+        assert_eq!(bits(p.snapshot().score_batch(&pairs)), bits(fresh.clone()));
+        assert_eq!(spare_state(), Some(((0, 0), false)), "returned cleared");
+
+        let bad = degrading_predictor().snapshot();
+        let _ = bad.score_batch(&pairs);
+        assert!(bad.degraded_scores() > 0, "the pairs panicked");
+        assert_eq!(spare_state(), None, "a panicked chunk drops its cache");
+
+        assert_eq!(bits(p.snapshot().score_batch(&pairs)), bits(fresh));
+        assert!(spare_state().is_some());
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //!    consistent (`epoch == network.revision()`, `model_epoch ≤ epoch`,
 //!    `fitted ⇔ model_epoch.is_some()`).
 //! 2. *Determinism*: `score_batch_parallel` is bit-identical to the
-//!    serial path at every thread count.
+//!    serial path at every thread count, and a scoring thread's one
+//!    reused extraction cache is bit-identical to a fresh one per batch.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
+use proptest::prelude::*;
 use ssf_repro::datasets::DatasetSpec;
 use ssf_repro::prelude::*;
 
@@ -140,5 +142,83 @@ fn score_batch_parallel_is_bit_identical_at_every_thread_count() {
             bits(&parallel),
             "diverged at {threads} threads"
         );
+    }
+}
+
+/// Fitted writer states over two graphs of different sizes, unbounded
+/// and windowed, each captured halfway through its stream and at its
+/// end, with a warm writer cache (so snapshots carry frozen memos).
+fn reuse_states() -> &'static [OnlineLinkPredictor] {
+    static STATES: OnceLock<Vec<OnlineLinkPredictor>> = OnceLock::new();
+    STATES.get_or_init(|| {
+        let mut states = Vec::new();
+        for (scale, seed, window) in
+            [(0.15, 9, None), (0.3, 4, None), (0.15, 9, Some(8))]
+        {
+            let g = DatasetSpec::coauthor().scaled(scale).generate(seed);
+            let mut events: Vec<_> = g.links().collect();
+            events.sort_by_key(|l| l.t);
+            let config = OnlinePredictorConfig::builder()
+                .method(MethodOptions {
+                    nm_epochs: 15,
+                    seed,
+                    ..MethodOptions::default()
+                })
+                .refit_every(u32::MAX)
+                .min_positives(10)
+                .history_folds(1)
+                .window(window)
+                .build()
+                .unwrap_or_else(|e| panic!("valid configuration: {e}"));
+            let mut p = OnlineLinkPredictor::new(config);
+            let half = events.len() / 2;
+            for part in [&events[..half], &events[half..]] {
+                for l in part {
+                    p.observe(l.u, l.v, l.t);
+                }
+                p.try_refit()
+                    .unwrap_or_else(|e| panic!("the stream fits: {e}"));
+                let _ = p.score_batch(&[(0, 1), (2, 5), (3, 8)]);
+                states.push(p.clone());
+            }
+        }
+        states
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Batches from snapshots of different graphs, sizes and windows,
+    /// interleaved on one thread (one spare cache, reseeded per chunk),
+    /// score bit-identically to the same batch on a fresh twin snapshot
+    /// scored on a new thread (a fresh cache).
+    #[test]
+    fn reused_thread_cache_matches_a_fresh_cache_per_batch(
+        batches in prop::collection::vec(
+            (0..6usize, prop::collection::vec((0..2_000u32, 0..2_000u32), 1..8)),
+            1..10,
+        ),
+    ) {
+        let states = reuse_states();
+        for (which, picks) in &batches {
+            let p = &states[which % states.len()];
+            // Ids up to n + 1: out-of-range and self pairs ride along.
+            let n = p.network().node_count() as u32;
+            let pairs: Vec<(NodeId, NodeId)> = picks
+                .iter()
+                .map(|&(a, b)| (a % (n + 2), b % (n + 2)))
+                .collect();
+            let reused = if pairs.len() == 1 {
+                vec![p.snapshot().score(pairs[0].0, pairs[0].1)]
+            } else {
+                p.snapshot().score_batch(&pairs)
+            };
+            let fresh = thread::scope(|s| {
+                s.spawn(|| p.snapshot().score_batch(&pairs)).join()
+            })
+            .unwrap_or_else(|_| panic!("fresh scorer panicked"));
+            prop_assert_eq!(bits(&reused), bits(&fresh));
+        }
     }
 }

@@ -22,6 +22,7 @@ use ssf_repro::obs::{
 };
 use ssf_repro::ssf_eval::{LinkSample, Split, SplitConfig};
 use ssf_repro::{
+    BatchScorer, Clock, CoalesceConfig, Coalescer, MockClock,
     OnlineLinkPredictor, OnlinePredictorConfig, OnlinePredictorConfigBuilder,
 };
 
@@ -393,6 +394,72 @@ fn extract_batch_stats_cover_all_chunks() {
         samples.len() as u64,
         "sequential path lost lookups: {seq:?}"
     );
+}
+
+/// Scores every pair 0.5; enough to drive the coalescer's bookkeeping.
+struct ConstScorer;
+
+impl BatchScorer for ConstScorer {
+    fn epoch_key(&self) -> u64 {
+        0
+    }
+
+    fn score_batch_threads(
+        &self,
+        pairs: &[(NodeId, NodeId)],
+        _threads: usize,
+    ) -> Vec<Option<f64>> {
+        vec![Some(0.5); pairs.len()]
+    }
+}
+
+/// `ssf.serve.queue_wait` holds one sample per dispatched request, and
+/// each sample is that request's age at batch close on the mock clock.
+#[test]
+fn queue_wait_histogram_records_each_dispatched_age() {
+    let registry = Arc::new(Registry::new());
+    let clock = Arc::new(MockClock::new());
+    let config = CoalesceConfig::builder()
+        .max_batch(3)
+        .max_delay_ns(1_000)
+        .build()
+        .expect("valid");
+    let c = Coalescer::with_clock_and_recorder(
+        ConstScorer,
+        config,
+        Arc::<MockClock>::clone(&clock) as Arc<dyn Clock>,
+        ObsHandle::of_registry(Arc::clone(&registry)),
+    );
+    let mut tickets = Vec::new();
+    let mut want_sum = 0u64;
+    // Requests at t = 0, 400, 700 close as a full batch at 700; one at
+    // 700 + 250 closes alone on max_delay at 1 950; an expired request
+    // is never dispatched and never sampled.
+    for at in [0u64, 400, 700] {
+        clock.set(at);
+        tickets.push(c.submit(1, 2).expect("admitted"));
+        want_sum += 700 - at;
+    }
+    assert_eq!(c.step().scored, 3);
+    clock.set(950);
+    tickets.push(c.submit(3, 4).expect("admitted"));
+    let doomed = c.submit_with_budget(5, 6, 10).expect("admitted");
+    clock.set(1_949);
+    let early = c.step();
+    assert_eq!((early.scored, early.expired), (0, 1), "one tick early");
+    clock.set(1_950);
+    assert_eq!(c.step().scored, 1);
+    want_sum += 1_000;
+    assert!(doomed.wait().is_err());
+    assert!(tickets.into_iter().all(|t| t.wait().is_ok()));
+
+    let snap = registry.snapshot();
+    let waits = snap
+        .histogram("ssf.serve.queue_wait")
+        .expect("queue waits recorded");
+    assert_eq!(waits.count(), snap.counter("ssf.serve.coalesced"));
+    assert_eq!(waits.count(), 4);
+    assert_eq!(waits.sum(), want_sum);
 }
 
 const GOLDEN: &str = include_str!("fixtures/metrics_snapshot.json");

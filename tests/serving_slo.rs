@@ -391,6 +391,143 @@ fn expired_deadline_is_rejected_before_extraction() {
     );
 }
 
+/// Every batch a [`RecordingScorer`] was handed, in order.
+type Batches = Arc<std::sync::Mutex<Vec<Vec<(NodeId, NodeId)>>>>;
+
+/// A [`BatchScorer`] that records every batch it is handed, in order.
+struct RecordingScorer {
+    inner: ScoringSnapshot,
+    batches: Batches,
+}
+
+impl BatchScorer for RecordingScorer {
+    fn epoch_key(&self) -> u64 {
+        self.inner.epoch_key()
+    }
+
+    fn score_batch_threads(
+        &self,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+    ) -> Vec<Option<f64>> {
+        self.batches
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(pairs.to_vec());
+        self.inner.score_batch_threads(pairs, threads)
+    }
+}
+
+/// Deadlines out of queue order: expiry removes exactly the due
+/// requests wherever they sit, survivors keep FIFO order, a request
+/// admitted later with an earlier deadline still expires on time, and
+/// a batch that takes the earliest-deadline request does not make a
+/// later one expire early.
+#[test]
+fn mixed_budgets_expire_in_place_and_keep_fifo_order() {
+    let registry = Arc::new(Registry::new());
+    let batches = Batches::default();
+    let scorer = RecordingScorer {
+        inner: shared_snapshot().clone(),
+        batches: Arc::clone(&batches),
+    };
+    let clock = Arc::new(MockClock::new());
+    let config = CoalesceConfig::builder()
+        .max_batch(4)
+        .max_delay_ns(u64::MAX >> 1)
+        .build()
+        .expect("valid");
+    let c = Coalescer::with_clock_and_recorder(
+        scorer,
+        config,
+        Arc::<MockClock>::clone(&clock) as Arc<dyn ssf_repro::Clock>,
+        ObsHandle::of_registry(Arc::clone(&registry)),
+    );
+    let pairs: [(u32, u32); 8] = [
+        (0, 1),
+        (2, 5),
+        (1, 4),
+        (3, 7),
+        (5, 2),
+        (0, 3),
+        (4, 6),
+        (2, 9),
+    ];
+    let submit = |i: usize, budget: Option<u64>| {
+        let (u, v) = pairs[i];
+        match budget {
+            Some(ns) => c.submit_with_budget(u, v, ns),
+            None => c.submit(u, v),
+        }
+        .expect("admitted")
+    };
+
+    // t = 0: deadlines 500, -, 100, -, 100.
+    let mut tickets: Vec<_> = [Some(500), None, Some(100), None, Some(100)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, b)| submit(i, b))
+        .collect();
+    clock.set(150);
+    let report = c.step();
+    assert_eq!((report.expired, report.scored, report.remaining), (2, 0, 3));
+
+    // t = 150: deadlines 250 (earlier than request 0's), -, 900.
+    tickets.push(submit(5, Some(100)));
+    tickets.push(submit(6, None));
+    tickets.push(submit(7, Some(750)));
+    clock.set(300);
+    let report = c.step();
+    assert_eq!(
+        (report.expired, report.scored, report.remaining),
+        (1, 4, 1),
+        "request 5 expires, then a full batch closes"
+    );
+
+    // The batch took request 0 (deadline 500); request 7 (900) must
+    // survive a step past 500 and expire only at 900.
+    clock.set(600);
+    let report = c.step();
+    assert_eq!((report.expired, report.scored, report.remaining), (0, 0, 1));
+    clock.set(900);
+    let report = c.step();
+    assert_eq!((report.expired, report.scored, report.remaining), (1, 0, 0));
+
+    let survivors = [0usize, 1, 3, 6];
+    let expired = [2usize, 4, 5, 7];
+    let want_pairs: Vec<_> = survivors.iter().map(|&i| pairs[i]).collect();
+    assert_eq!(
+        *batches.lock().expect("batches"),
+        vec![want_pairs.clone()],
+        "one batch, survivors in FIFO order"
+    );
+    let direct = shared_snapshot().score_batch(&want_pairs);
+    let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+    for (&i, want) in survivors.iter().zip(&direct) {
+        assert_eq!(
+            outcomes[i].map(|s| s.map(f64::to_bits)),
+            Ok(want.map(f64::to_bits))
+        );
+    }
+    for &i in &expired {
+        assert_eq!(
+            outcomes[i],
+            Err(Rejection::DeadlineExceeded),
+            "request {i}"
+        );
+    }
+
+    let stats = c.stats();
+    assert_eq!(stats.accepted, 8);
+    assert_eq!(stats.expired, 4);
+    assert_eq!(stats.completed, 4);
+    assert_eq!(stats.completed + stats.expired, stats.accepted);
+    assert_eq!(stats.accepted + stats.rejected(), stats.submitted);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("ssf.serve.deadline_miss"), 4);
+    assert_eq!(snap.counter("ssf.serve.coalesced"), 4);
+}
+
 #[test]
 fn spent_deadline_is_rejected_at_admission() {
     let registry = Arc::new(Registry::new());
