@@ -37,13 +37,14 @@ pub enum EntryEncoding {
     /// divides by zero on every link incident to them — we add 1 to keep the
     /// encoding total while preserving its monotonicity (see DESIGN.md).
     ReciprocalDistance,
-    /// The normalized-influence unfolding concatenated with the plain 0/1
-    /// connectivity unfolding (feature dimension doubles). §V-B invites
-    /// relaxing the entries "to further increase the flexibility of SSF";
-    /// the influence half carries recency and multiplicity magnitude while
-    /// the binary half keeps links visible after their influence has
-    /// decayed to ~0, so the combination is the most *universal* choice
-    /// and our default (ablation: `cargo run -p ssf-bench --bin ablation`).
+    /// The log-scaled influence unfolding ([`EntryEncoding::LogInfluence`])
+    /// concatenated with the plain 0/1 connectivity unfolding (feature
+    /// dimension doubles). §V-B invites relaxing the entries "to further
+    /// increase the flexibility of SSF"; the influence half carries
+    /// recency and multiplicity magnitude while the binary half keeps
+    /// links visible after their influence has decayed to ~0, so the
+    /// combination is the most *universal* choice and our default
+    /// (ablation: `cargo run -p ssf-bench --bin ablation`).
     #[default]
     InfluenceAndStructure,
     /// SSF-W (§VI-C1): the raw multi-link count `k`, timestamps ignored.
@@ -95,8 +96,9 @@ pub struct SsfConfig {
 }
 
 impl SsfConfig {
-    /// Configuration with `K = k` and the paper's defaults
-    /// (`θ = 0.5`, reciprocal-distance entries, `h ≤ 10`).
+    /// Configuration with `K = k`, the paper's `θ = 0.5` and `h ≤ 10`,
+    /// and this reproduction's default entry encoding,
+    /// [`EntryEncoding::InfluenceAndStructure`].
     ///
     /// # Panics
     ///
@@ -368,9 +370,10 @@ impl SsfExtractor {
     ) -> Result<(KStructureSubgraph, u32, usize), ExtractError> {
         HopSubgraph::validate(g, a, b)?;
         // One code path for cached and uncached extraction: the uncached
-        // form simply runs against a throwaway cache, which is what makes
-        // "bit-identical" a structural guarantee instead of a test hope.
-        let mut cache = ExtractionCache::new();
+        // form simply runs against the thread's borrowed (empty) cache,
+        // which is what makes "bit-identical" a structural guarantee
+        // instead of a test hope.
+        let mut cache = ExtractionCache::borrow(ObsHandle::noop());
         let p = self.compute_pair(g, a, b, &mut cache);
         Ok((p.ks, p.h_used, p.structure_nodes))
     }
@@ -510,11 +513,6 @@ impl SsfExtractor {
             ks,
             h_used: h,
             structure_nodes: s.node_count(),
-            // Invalidation footprint: the merged-ball node set the growth
-            // loop examined. A mutation touching none of these nodes leaves
-            // every ball at every examined radius — and therefore this
-            // whole result — bit-identical.
-            deps: hop.into_nodes(),
         }
     }
 

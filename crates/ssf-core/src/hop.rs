@@ -414,12 +414,6 @@ impl HopSubgraph {
     pub fn neighbors(&self, i: usize) -> &[u32] {
         &self.nbr_ids[self.nbr_offsets[i]..self.nbr_offsets[i + 1]]
     }
-
-    /// Consumes the subgraph, returning the global id of every node in
-    /// canonical local order (`a`, `b`, then by `(distance, global id)`).
-    pub fn into_nodes(self) -> Vec<NodeId> {
-        self.global
-    }
 }
 
 #[cfg(test)]

@@ -56,8 +56,8 @@ pub mod structure;
 pub mod viz;
 
 pub use cache::{
-    CacheStats, CachedPair, ExtractScratch, ExtractionCache, FrozenCacheView,
-    LruCache,
+    CacheStats, CachedPair, ExtractScratch, ExtractionCache, LruCache,
+    ThreadCache,
 };
 pub use error::ExtractError;
 pub use feature::{

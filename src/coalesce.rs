@@ -1,10 +1,11 @@
 //! Request coalescing: a micro-batching queue in front of the snapshot
 //! read path.
 //!
-//! Every concurrent caller that scores pairs one at a time pays the cold
-//! per-pair extraction cost; the warm batch path
-//! ([`ScoringSnapshot::score_batch`]) is ~23× faster per pair because one
-//! batch shares one extraction cache. The [`Coalescer`] routes live
+//! Every concurrent caller that scores pairs one at a time pays the full
+//! per-pair extraction cost; the batch path
+//! ([`ScoringSnapshot::score_batch`]) shares one borrowed extraction
+//! cache and the snapshot's score memo across the batch, which pays
+//! where pairs repeat or share endpoints. The [`Coalescer`] routes live
 //! traffic into that path: requests from any number of submitter threads
 //! queue in FIFO order, and a worker closes them into `score_batch`
 //! calls. Three policies close a batch:

@@ -8,8 +8,6 @@
 //! test samples. [`Method::evaluate`] runs any of them on a prepared
 //! [`Split`] and returns the Table III cell (AUC, F1).
 
-use std::panic::{self, AssertUnwindSafe};
-
 use baselines::{
     local, KatzIndex, LocalPathIndex, LocalRandomWalk, Nmf, NmfConfig,
     TemporalNmf, WlfConfig, WlfExtractor,
@@ -19,6 +17,7 @@ use linalg::Matrix;
 use obs::ObsHandle;
 use ssf_core::{
     CacheStats, EntryEncoding, ExtractionCache, SsfConfig, SsfExtractor,
+    ThreadCache,
 };
 use ssf_eval::{
     evaluate_ranking, evaluate_supervised_scores, LinkSample, MethodResult,
@@ -274,9 +273,10 @@ impl Method {
         }
     }
 
-    /// Extracts one sample's feature behind a panic guard: a degenerate
-    /// pair (typed error) or a panicking extraction (pathological
-    /// subgraph) yields `None` instead of tearing the run down.
+    /// Extracts one sample's feature behind the borrowed cache's panic
+    /// guard: a degenerate pair (typed error) or a panicking extraction
+    /// (pathological subgraph) yields `None` instead of tearing the run
+    /// down, and a panic retires the chunk's cache.
     ///
     /// The SSF arm runs the [`dyngraph::GraphView`]-generic extraction
     /// pipeline against the fold's mutable history network; the serving
@@ -285,29 +285,30 @@ impl Method {
     fn feature_caught(
         &self,
         ex: &FeatureKind,
-        cache: &mut ExtractionCache,
+        cache: &mut ThreadCache,
         fold: &Split,
         fold_stat: &StaticGraph,
         sample: &LinkSample,
         present: Timestamp,
     ) -> Option<Vec<f64>> {
-        panic::catch_unwind(AssertUnwindSafe(|| match ex {
-            FeatureKind::Wlf(w) => {
-                Some(w.extract(fold_stat, sample.u, sample.v))
-            }
-            FeatureKind::Ssf(s) => s
-                .try_extract_cached(
-                    &fold.history,
-                    sample.u,
-                    sample.v,
-                    present,
-                    cache,
-                )
-                .ok()
-                .map(ssf_core::SsfFeature::into_values),
-        }))
-        .ok()
-        .flatten()
+        cache
+            .catch(|cache| match ex {
+                FeatureKind::Wlf(w) => {
+                    Some(w.extract(fold_stat, sample.u, sample.v))
+                }
+                FeatureKind::Ssf(s) => s
+                    .try_extract_cached(
+                        &fold.history,
+                        sample.u,
+                        sample.v,
+                        present,
+                        cache,
+                    )
+                    .ok()
+                    .map(ssf_core::SsfFeature::into_values),
+            })
+            .ok()
+            .flatten()
     }
 
     /// Extracts features for a batch of samples, fanning out across the
@@ -330,8 +331,8 @@ impl Method {
     /// Parallel extraction with an explicit worker count — the
     /// public batch-extraction entry point. Output is identical for every
     /// `threads` value (the determinism property tests pin this): chunking
-    /// only changes which worker computes a row, and each worker's
-    /// per-chunk [`ExtractionCache`] is bit-identical to no cache at all.
+    /// only changes which worker computes a row, and each chunk's borrowed
+    /// [`ExtractionCache`] is bit-identical to no cache at all.
     ///
     /// Unsupervised methods have no feature and yield empty rows.
     pub fn extract_batch(
@@ -347,11 +348,11 @@ impl Method {
     /// [`Method::extract_batch`] that also returns the combined
     /// [`CacheStats`] of every worker's extraction cache.
     ///
-    /// Each worker chunk runs against its own cache; the returned stats
-    /// are the merge across *all* chunks (an earlier revision reported
-    /// only the last chunk's counters, under-counting hits and misses on
-    /// any multi-threaded batch — `extract_batch_stats_cover_all_chunks`
-    /// pins the fix).
+    /// Each chunk runs against one borrow of its thread's cache; the
+    /// returned stats are the merge across *all* chunks (an earlier
+    /// revision reported only the last chunk's counters, under-counting
+    /// hits and misses on any multi-threaded batch —
+    /// `extract_batch_stats_cover_all_chunks` pins the fix).
     pub fn extract_batch_stats(
         &self,
         fold: &Split,
@@ -371,7 +372,7 @@ impl Method {
     /// [`Method::extract_batch_stats`] with telemetry: the batch runs
     /// under an `ssf.methods.extract` span, sample/degraded-row counts
     /// land in `ssf.methods.samples` / `ssf.methods.degraded_rows`, and
-    /// every worker cache carries the recorder so `ssf.core.*` stage
+    /// every chunk's cache carries the recorder so `ssf.core.*` stage
     /// timings flow from inside extraction.
     pub fn extract_batch_observed(
         &self,
@@ -441,7 +442,7 @@ impl Method {
         let present = fold.history.max_timestamp().map_or(fold.l_t, |t| t + 1);
         let run_chunk =
             |part: &[LinkSample]| -> (Vec<Option<Vec<f64>>>, CacheStats) {
-                let mut cache = ExtractionCache::with_recorder(obs.clone());
+                let mut cache = ExtractionCache::borrow(obs.clone());
                 let rows = part
                     .iter()
                     .map(|s| {

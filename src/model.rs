@@ -78,10 +78,10 @@ impl SsfnmModel {
             } else {
                 fold.train.iter().chain(&fold.test).collect()
             };
-            // One cache per fold, never shared: two fold histories can
+            // One borrow per fold, never shared: two fold histories can
             // carry equal revision counters, so a shared cache could serve
             // one fold's balls to another.
-            let mut cache = ExtractionCache::new();
+            let mut cache = ExtractionCache::borrow(ObsHandle::noop());
             for s in samples {
                 rows.push(
                     extractor
@@ -149,7 +149,7 @@ impl SsfnmModel {
 
     /// [`SsfnmModel::try_score`] against an [`ExtractionCache`]:
     /// bit-identical scores, with the expensive extraction prefix
-    /// amortized across the pairs and graph revisions the cache has seen.
+    /// amortized across the pairs the cache has seen at `g`'s revision.
     ///
     /// # Errors
     ///

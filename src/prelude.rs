@@ -23,8 +23,8 @@ pub use obs::{
     NoopRecorder, ObsHandle, Recorder, Registry, RegistryRecorder, Snapshot,
 };
 pub use ssf_core::{
-    CacheStats, EntryEncoding, ExtractionCache, FrozenCacheView, SsfConfig,
-    SsfExtractor, SsfFeature,
+    CacheStats, EntryEncoding, ExtractionCache, SsfConfig, SsfExtractor,
+    SsfFeature,
 };
 
 pub use ssf_persist::FsyncPolicy;

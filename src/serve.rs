@@ -7,7 +7,7 @@
 //! `observe` stalls all scoring. This module splits the two roles: one
 //! writer ingests and refits, and readers score a [`ScoringSnapshot`] —
 //! an immutable, `Arc`-published *epoch* of the predictor (graph + fitted
-//! model + frozen extraction-cache view).
+//! model).
 //!
 //! Snapshots are `Send + Sync` and cheap to clone, so any number of reader
 //! threads score concurrently — [`ScoringSnapshot::score_batch_parallel`]
@@ -27,15 +27,13 @@
 //! [`StreamStats`], [`Observed`], [`QuarantineReason`]). Import them from
 //! [`crate::prelude`] or the crate root.
 
-use std::cell::Cell;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dyngraph::{DeltaGraph, GraphView, NodeId, OverlayView, Timestamp, Window};
 use obs::{ObsHandle, Snapshot};
-use ssf_core::{ExtractionCache, FrozenCacheView, LruCache};
+use ssf_core::{ExtractionCache, LruCache, ThreadCache};
 use ssf_persist::SnapshotReader;
 
 use crate::durability::{self, PersistedState};
@@ -192,8 +190,8 @@ pub(crate) fn common_neighbor_fallback<G: GraphView + ?Sized>(
     cn as f64 / (cn as f64 + 1.0)
 }
 
-/// One immutable epoch of a predictor: graph, fitted model and a frozen
-/// extraction-cache view, published together.
+/// One immutable epoch of a predictor: graph and fitted model, published
+/// together.
 ///
 /// Created by [`OnlineLinkPredictor::snapshot`]. The snapshot is a value:
 /// later `observe`/`try_refit` calls on the predictor never change it, and
@@ -242,7 +240,6 @@ struct SnapshotInner {
     /// frozen CSR base plus the delta rows, captured with `Arc` clones.
     graph: OverlayView,
     model: Option<Arc<FittedModel>>,
-    frozen: FrozenCacheView,
     /// Graph revision at publish; always equals `graph.revision()`.
     epoch: u64,
     /// `max_timestamp + 1` at publish — the fixed prediction time.
@@ -258,18 +255,8 @@ struct SnapshotInner {
     obs: ObsHandle,
 }
 
-thread_local! {
-    /// One spare extraction cache per scoring thread, reseeded for every
-    /// chunk it scores. It is per thread, not per snapshot: a writer
-    /// publishes a new snapshot per tick, and the graph-sized
-    /// `HopScratch` stamps should be written once per thread, not once
-    /// per snapshot or batch. Between chunks it holds only scratch
-    /// buffers, sized to the largest graph the thread scored.
-    static SPARE_CACHE: Cell<Option<ExtractionCache>> = const { Cell::new(None) };
-}
-
 /// Directed pairs one snapshot's score memo holds — the pair capacity of
-/// [`ExtractionCache::new`], about 0.3 MB per full memo.
+/// an [`ExtractionCache`], about 0.3 MB per full memo.
 const MEMO_CAPACITY: usize = 8192;
 
 fn empty_memo() -> Mutex<LruCache<(NodeId, NodeId), f64>> {
@@ -280,8 +267,7 @@ impl ScoringSnapshot {
     /// Publishes the predictor's current epoch as an immutable snapshot.
     /// The graph is captured as a copy-on-write [`OverlayView`] — `Arc`
     /// clones of the frozen base plus the delta rows, O(delta) rather
-    /// than a graph-sized copy. The view preserves the revision counter,
-    /// so the frozen cache view stays valid for the snapshot's lifetime.
+    /// than a graph-sized copy. The view preserves the revision counter.
     pub(crate) fn publish(p: &OnlineLinkPredictor) -> Self {
         let graph = p.network().publish();
         let epoch = graph.revision();
@@ -289,7 +275,6 @@ impl ScoringSnapshot {
         ScoringSnapshot {
             inner: Arc::new(SnapshotInner {
                 model: p.fitted.clone(),
-                frozen: p.cache.freeze(),
                 epoch,
                 present,
                 window: p.window(),
@@ -309,10 +294,8 @@ impl ScoringSnapshot {
     /// the snapshot epoch and its persisted model (if any) serves
     /// scores exactly as it did on the writer.
     ///
-    /// The extraction cache starts cold (the on-disk format does not
-    /// carry memoized subgraphs — they are pure functions of the graph)
-    /// and telemetry is detached; both only affect speed, never
-    /// scores.
+    /// The score memo starts cold and telemetry is detached; both only
+    /// affect speed, never scores.
     ///
     /// # Errors
     ///
@@ -339,7 +322,6 @@ impl ScoringSnapshot {
             inner: Arc::new(SnapshotInner {
                 graph,
                 model,
-                frozen: ExtractionCache::new().freeze(),
                 epoch,
                 present,
                 window: meta.window,
@@ -402,12 +384,6 @@ impl ScoringSnapshot {
         self.inner.degraded_scores.load(Ordering::Relaxed)
     }
 
-    /// Frozen cache warmth carried over from the predictor, as
-    /// `(balls, pairs)` entry counts.
-    pub fn frozen_entries(&self) -> (usize, usize) {
-        self.inner.frozen.len()
-    }
-
     /// Directed pairs whose model score this snapshot has memoised
     /// (at most 8192; the memo is dropped with the snapshot).
     pub fn memo_entries(&self) -> usize {
@@ -424,10 +400,9 @@ impl ScoringSnapshot {
     }
 
     /// Scores a batch serially: each pair is read from the snapshot's
-    /// memo or, on a miss, extracted against a thread-local cache seeded
-    /// with the snapshot's frozen view — bit-identical to calling
-    /// [`Self::score`] per pair, with the warm memos of the publishing
-    /// predictor already in place.
+    /// memo or, on a miss, extracted against one borrow of the thread's
+    /// extraction cache — bit-identical to calling [`Self::score`] per
+    /// pair.
     pub fn score_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
         let _span = self.inner.obs.span("ssf.serve.score_batch");
         self.inner
@@ -437,8 +412,8 @@ impl ScoringSnapshot {
     }
 
     /// Fans a batch out over `threads` threads — the caller plus
-    /// `threads - 1` scoped workers, each with its own frozen-seeded
-    /// cache — and reassembles results in input order. Bit-identical to
+    /// `threads - 1` scoped workers, each with its own thread's cache —
+    /// and reassembles results in input order. Bit-identical to
     /// [`Self::score_batch`] for every slot: caches only memoize values
     /// the pipeline would recompute identically, so the chunking never
     /// shows in the output.
@@ -497,30 +472,16 @@ impl ScoringSnapshot {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// This thread's spare cache (or a new one on its first use),
-    /// reseeded with the snapshot's frozen view and recorder.
-    fn seeded_cache(&self) -> ExtractionCache {
-        let mut cache = SPARE_CACHE
-            .try_with(Cell::take)
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        cache.reseed(self.inner.frozen.clone());
-        cache.set_recorder(self.inner.obs.clone());
-        cache
-    }
-
     /// The one serial scoring loop behind every snapshot path: validate,
     /// read the memo, extract and score the misses against this thread's
-    /// frozen-seeded cache (taken on the first miss), degrade to the
+    /// borrowed cache (taken on the first miss), degrade to the
     /// common-neighbor fallback on error or panic. The cache goes back
     /// to the thread cleared, unless a pair panicked in it.
     fn score_chunk(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
         let inner = &*self.inner;
         let graph = &inner.graph;
         let n = graph.node_count() as NodeId;
-        let mut cache: Option<ExtractionCache> = None;
-        let mut panicked = false;
+        let mut cache: Option<ThreadCache> = None;
         let (mut hits, mut misses) = (0u64, 0u64);
         let mut out = Vec::with_capacity(pairs.len());
         for &(u, v) in pairs {
@@ -541,11 +502,12 @@ impl ScoringSnapshot {
                 continue;
             }
             misses += 1;
-            let cache = cache.get_or_insert_with(|| self.seeded_cache());
-            let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
+            let cache = cache.get_or_insert_with(|| {
+                ExtractionCache::borrow(inner.obs.clone())
+            });
+            let attempt = cache.catch(|cache| {
                 fitted.model.try_score_cached(graph, u, v, present, cache)
-            }));
-            panicked |= attempt.is_err();
+            });
             out.push(match attempt {
                 Ok(Ok(p)) => {
                     self.memo().insert((u, v), p);
@@ -557,15 +519,6 @@ impl ScoringSnapshot {
                     Some(common_neighbor_fallback(graph, u, v))
                 }
             });
-        }
-        // A panic may have left the scratch half-written: drop that
-        // cache. Otherwise hand it back holding nothing of this snapshot
-        // (no memos, no frozen view, no recorder), so a dropped snapshot
-        // frees everything it owned.
-        if let Some(mut cache) = cache.filter(|_| !panicked) {
-            cache.clear();
-            cache.set_recorder(ObsHandle::noop());
-            let _ = SPARE_CACHE.try_with(|spare| spare.set(Some(cache)));
         }
         if hits > 0 {
             inner.obs.counter("ssf.serve.memo.hits", hits);
@@ -618,7 +571,7 @@ mod tests {
 
     #[test]
     fn snapshot_matches_predictor_bit_for_bit() {
-        let mut p = fitted_predictor();
+        let p = fitted_predictor();
         let n = p.network().node_count() as NodeId;
         let pairs: Vec<(NodeId, NodeId)> =
             vec![(0, 1), (2, 5), (3, 3), (0, n + 4), (1, 0), (0, 1)];
@@ -741,22 +694,16 @@ mod tests {
         assert_eq!(snap.memo_entries(), 0);
     }
 
-    /// The calling thread's spare cache as `(entries, recording)`, or
-    /// `None` when the thread holds none.
-    fn spare_state() -> Option<((usize, usize), bool)> {
-        SPARE_CACHE.with(|slot| {
-            let cache = slot.take();
-            let state =
-                cache.as_ref().map(|c| (c.len(), c.recorder().enabled()));
-            slot.set(cache);
-            state
-        })
+    /// Whether the calling thread holds a spare extraction cache; the
+    /// borrow that checks hands it straight back.
+    fn holds_spare() -> bool {
+        ExtractionCache::borrow(ObsHandle::noop()).reused()
     }
 
-    /// After a healthy chunk the thread keeps its cache cleared — no
-    /// memos, no recorder; after a chunk in which a pair panicked it
-    /// keeps none. Scores before and after match a fresh cache (a new
-    /// thread) bit for bit.
+    /// After a healthy chunk the thread keeps its cache (the borrow API's
+    /// own test checks it comes back cleared: no memos, no recorder);
+    /// after a chunk in which a pair panicked it keeps none. Scores
+    /// before and after match a fresh cache (a new thread) bit for bit.
     #[test]
     fn spare_cache_is_returned_cleared_and_dropped_after_a_panic() {
         let mut p = OnlineLinkPredictor::with_recorder(
@@ -779,15 +726,15 @@ mod tests {
         .unwrap_or_else(|_| panic!("fresh scorer panicked"));
 
         assert_eq!(bits(p.snapshot().score_batch(&pairs)), bits(fresh.clone()));
-        assert_eq!(spare_state(), Some(((0, 0), false)), "returned cleared");
+        assert!(holds_spare(), "a healthy chunk returns its cache");
 
         let bad = degrading_predictor().snapshot();
         let _ = bad.score_batch(&pairs);
         assert!(bad.degraded_scores() > 0, "the pairs panicked");
-        assert_eq!(spare_state(), None, "a panicked chunk drops its cache");
+        assert!(!holds_spare(), "a panicked chunk drops its cache");
 
         assert_eq!(bits(p.snapshot().score_batch(&pairs)), bits(fresh));
-        assert!(spare_state().is_some());
+        assert!(holds_spare());
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! single writer ingests — publish immutable epochs with
 //! [`OnlineLinkPredictor::snapshot`] and see [`crate::serve`].
 
-use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,7 +30,7 @@ use dyngraph::{
     WindowedView,
 };
 use obs::{labeled, ObsHandle};
-use ssf_core::{CacheStats, ExtractionCache};
+use ssf_core::{ExtractionCache, ThreadCache};
 use ssf_eval::{backtest_splits, BacktestConfig, Split, SplitConfig};
 use ssf_persist::{
     replay, ReplayStep, SnapshotReader, SnapshotWriter, WalOp, WalOptions,
@@ -262,12 +261,6 @@ pub struct OnlineLinkPredictor {
     backoff: u32,
     last_refit_error: Option<String>,
     stats: serve::StreamStats,
-    /// Graph-versioned extraction memo behind [`score_batch`]; it syncs to
-    /// the network's revision counter on every use, so `observe` never has
-    /// to touch it.
-    ///
-    /// [`score_batch`]: OnlineLinkPredictor::score_batch
-    pub(crate) cache: ExtractionCache,
     /// Telemetry sink; the no-op handle by default.
     obs: ObsHandle,
     /// Durable-state attachment (WAL writer + directory); `None` for
@@ -289,7 +282,6 @@ impl Clone for OnlineLinkPredictor {
             backoff: self.backoff,
             last_refit_error: self.last_refit_error.clone(),
             stats: self.stats.clone(),
-            cache: self.cache.clone(),
             obs: self.obs.clone(),
             durability: None,
         }
@@ -304,9 +296,8 @@ impl OnlineLinkPredictor {
 
     /// Creates an empty predictor emitting telemetry into `obs`: span
     /// timings under `ssf.stream.*`, quarantine/refit/degradation
-    /// counters, the refit-backoff gauge, and the extraction-cache
-    /// hit/miss gauges folded in from [`CacheStats`] after every batch.
-    /// The recorder also flows into the batch extraction cache, so
+    /// counters and the refit-backoff gauge. The recorder also flows into
+    /// the extraction cache every `score`/`score_batch` call borrows, so
     /// `ssf.core.*` stage timings appear alongside. Scores are
     /// bit-identical to the unobserved predictor.
     pub fn with_recorder(
@@ -325,7 +316,6 @@ impl OnlineLinkPredictor {
             backoff: 1,
             last_refit_error: None,
             stats: serve::StreamStats::default(),
-            cache: ExtractionCache::with_recorder(obs.clone()),
             obs,
             durability: None,
         }
@@ -364,7 +354,6 @@ impl OnlineLinkPredictor {
                 self.network.ensure_node(v);
                 self.stats.stale += 1;
                 self.note_quarantine("stale");
-                self.sync_cache_to_network(&[]);
                 return serve::Observed::Quarantined(
                     serve::QuarantineReason::Stale { lag: head - t },
                 );
@@ -374,7 +363,6 @@ impl OnlineLinkPredictor {
             self.network.ensure_node(u);
             self.stats.self_loops += 1;
             self.note_quarantine("self_loop");
-            self.sync_cache_to_network(&[]);
             return serve::Observed::Quarantined(
                 serve::QuarantineReason::SelfLoop,
             );
@@ -384,7 +372,6 @@ impl OnlineLinkPredictor {
             self.network.ensure_node(v);
             self.stats.duplicates += 1;
             self.note_quarantine("duplicate");
-            self.sync_cache_to_network(&[]);
             return serve::Observed::Quarantined(
                 serve::QuarantineReason::Duplicate,
             );
@@ -399,7 +386,6 @@ impl OnlineLinkPredictor {
                 self.network.ensure_node(v);
                 self.stats.out_of_window += 1;
                 self.note_quarantine("out_of_window");
-                self.sync_cache_to_network(&[]);
                 return serve::Observed::Quarantined(
                     serve::QuarantineReason::OutOfWindow { cutoff },
                 );
@@ -415,17 +401,11 @@ impl OnlineLinkPredictor {
                 );
             }
         };
-        if let Some(report) = &advance {
+        if let Some(report) = advance {
             self.obs.counter(
                 "ssf.stream.expired_links",
                 report.expired_links as u64,
             );
-        }
-        if self.config.window.is_some() {
-            let mut affected = advance.map(|r| r.affected).unwrap_or_default();
-            affected.push(u);
-            affected.push(v);
-            self.sync_cache_to_network(&affected);
         }
         if self.network.delta_link_count()
             >= compaction_threshold(self.network.link_count())
@@ -479,27 +459,10 @@ impl OnlineLinkPredictor {
         let Some(report) = self.network.advance(to)? else {
             return Ok(None);
         };
-        self.sync_cache_to_network(&report.affected);
         self.obs.counter("ssf.stream.advances", 1);
         self.obs
             .counter("ssf.stream.expired_links", report.expired_links as u64);
         Ok(Some(report))
-    }
-
-    /// Re-keys the batch extraction cache to the network's current
-    /// `(revision, window)` immediately after a mutation, dropping only
-    /// the memos that depend on `affected` nodes. Windowed predictors
-    /// only: this keeps invalidation proportional to what an advance
-    /// actually expired, where the footprint-blind revision sync on
-    /// the next batch would flush the whole memo. Unbounded predictors
-    /// keep the legacy flush-on-next-batch behaviour and skip the
-    /// bookkeeping on the hot ingest path.
-    fn sync_cache_to_network(&mut self, affected: &[NodeId]) {
-        if self.config.window.is_none() {
-            return;
-        }
-        let window = self.network.window().map(|w| (w.width, w.horizon));
-        self.cache.sync_affected(&self.network, window, affected);
     }
 
     /// Forces a refit on the current history.
@@ -587,32 +550,6 @@ impl OnlineLinkPredictor {
         }
     }
 
-    /// Folds the extraction cache's [`CacheStats`] into gauges after a
-    /// batch, including the derived overall hit rate.
-    fn publish_cache_gauges(&self) {
-        if !self.obs.enabled() {
-            return;
-        }
-        let s = self.cache.stats();
-        self.obs
-            .gauge("ssf.stream.cache.ball_hits", s.ball_hits as f64);
-        self.obs
-            .gauge("ssf.stream.cache.ball_misses", s.ball_misses as f64);
-        self.obs
-            .gauge("ssf.stream.cache.pair_hits", s.pair_hits as f64);
-        self.obs
-            .gauge("ssf.stream.cache.pair_misses", s.pair_misses as f64);
-        self.obs
-            .gauge("ssf.stream.cache.invalidations", s.invalidations as f64);
-        let total = s.total_lookups();
-        self.obs.gauge("ssf.stream.cache.lookups", total as f64);
-        if total > 0 {
-            let hits = s.ball_hits + s.pair_hits;
-            self.obs
-                .gauge("ssf.stream.cache.hit_rate", hits as f64 / total as f64);
-        }
-    }
-
     /// Scores a candidate pair with the latest fitted model, or `None` if
     /// no model could be fitted yet, `u == v`, or an endpoint lies outside
     /// the network's id space. The id space covers every node ever seen —
@@ -622,50 +559,39 @@ impl OnlineLinkPredictor {
     /// If the model fails on this one pair (a panic in extraction on a
     /// pathological subgraph), the score degrades to a common-neighbor
     /// fallback for this pair only and
-    /// [`serve::StreamStats::degraded_scores`] is incremented.
+    /// [`serve::StreamStats::degraded_scores`] is incremented. The
+    /// one-pair case of [`score_batch`](OnlineLinkPredictor::score_batch).
     pub fn score(&self, u: NodeId, v: NodeId) -> Option<f64> {
         let _span = self.obs.span("ssf.stream.score");
-        let n = self.network.node_count() as NodeId;
-        if u == v || u >= n || v >= n {
-            return None;
-        }
-        let present = self.network.max_timestamp()?.saturating_add(1);
-        let fitted = self.fitted.as_deref()?;
-        let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-            fitted.model.try_score(&self.network, u, v, present)
-        }));
-        match attempt {
-            Ok(Ok(p)) => Some(p),
-            Ok(Err(_)) | Err(_) => {
-                self.stats.degraded_scores.fetch_add(1, Ordering::Relaxed);
-                self.obs.counter("ssf.stream.degraded_scores", 1);
-                Some(self.common_neighbor_fallback(u, v))
-            }
-        }
+        self.score_pairs(&[(u, v)]).pop().flatten()
     }
 
-    /// Scores many candidate pairs at once, amortizing subgraph
-    /// extraction through a graph-versioned cache. Each slot carries the
-    /// same value [`score`] would return for that pair — bit-identical,
+    /// Scores many candidate pairs at once. Each slot carries the same
+    /// value [`score`] would return for that pair — bit-identical,
     /// including the `None` cases and the common-neighbor degradation —
-    /// but repeated pairs and shared endpoints across the batch (and
-    /// across batches, while the network is unchanged) reuse memoized
-    /// h-hop frontiers and structure-subgraph results instead of
-    /// recomputing them.
-    ///
-    /// Any accepted observation bumps the network's revision counter,
-    /// which invalidates the memo on the next batch; interleaving
-    /// `observe` and `score_batch` is therefore always safe.
+    /// but the batch extracts against one borrow of the thread's
+    /// extraction cache, so repeated pairs and shared endpoints reuse
+    /// memoized h-hop frontiers and structure-subgraph results instead of
+    /// recomputing them. Nothing memoized outlives the call.
     ///
     /// [`score`]: OnlineLinkPredictor::score
-    pub fn score_batch(
-        &mut self,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Vec<Option<f64>> {
+    pub fn score_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
         let _span = self.obs.span("ssf.stream.score_batch");
         self.obs.counter("ssf.stream.scored", pairs.len() as u64);
+        self.score_pairs(pairs)
+    }
+
+    /// The one scoring loop behind [`score`] and [`score_batch`]:
+    /// validate, extract and score against this thread's borrowed cache
+    /// (taken on the first pair the model scores), degrade to the
+    /// common-neighbor fallback on error or panic.
+    ///
+    /// [`score`]: OnlineLinkPredictor::score
+    /// [`score_batch`]: OnlineLinkPredictor::score_batch
+    fn score_pairs(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
         let n = self.network.node_count() as NodeId;
         let present = self.network.max_timestamp().map(|t| t.saturating_add(1));
+        let mut cache: Option<ThreadCache> = None;
         let mut out = Vec::with_capacity(pairs.len());
         for &(u, v) in pairs {
             if u == v || u >= n || v >= n {
@@ -678,11 +604,18 @@ impl OnlineLinkPredictor {
                 out.push(None);
                 continue;
             };
-            let network = &self.network;
-            let cache = &mut self.cache;
-            let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-                fitted.model.try_score_cached(network, u, v, present, cache)
-            }));
+            let cache = cache.get_or_insert_with(|| {
+                ExtractionCache::borrow(self.obs.clone())
+            });
+            let attempt = cache.catch(|cache| {
+                fitted.model.try_score_cached(
+                    &self.network,
+                    u,
+                    v,
+                    present,
+                    cache,
+                )
+            });
             out.push(match attempt {
                 Ok(Ok(p)) => Some(p),
                 Ok(Err(_)) | Err(_) => {
@@ -692,13 +625,12 @@ impl OnlineLinkPredictor {
                 }
             });
         }
-        self.publish_cache_gauges();
         out
     }
 
     /// Publishes the current epoch as an immutable, `Arc`-shared
-    /// [`serve::ScoringSnapshot`]: the network, the serving model and a
-    /// frozen view of the warm extraction cache, captured together. The
+    /// [`serve::ScoringSnapshot`]: the network and the serving model,
+    /// captured together. The
     /// snapshot scores from any thread through `&self` while this writer
     /// keeps ingesting; its results are bit-identical to this predictor's
     /// serial paths at publish time.
@@ -721,19 +653,6 @@ impl OnlineLinkPredictor {
         };
         self.obs.gauge("ssf.serve.epoch_lag", lag as f64);
         snap
-    }
-
-    /// Drops every memoized entry from the batch-scoring extraction
-    /// cache (stats counters survive). Scores are unaffected — the next
-    /// `score_batch` simply starts cold. Exposed for memory pressure
-    /// and for repeatable cold-path benchmark measurements.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Hit/miss tallies from the batch-scoring extraction cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// `true` once a model has been fitted.
@@ -1591,26 +1510,40 @@ mod tests {
         }
     }
 
+    /// A cold batch whose pairs share an endpoint reuses their balls
+    /// inside the batch — fewer `ssf.core.ball` computations than two per
+    /// pair — and neither that reuse nor a graph move between batches
+    /// changes a bit: each batch matches the per-pair scores.
     #[test]
     fn repeated_batches_hit_the_cache_until_the_graph_moves() {
         let spec = DatasetSpec::coauthor().scaled(0.15);
         let g = spec.generate(9);
         let mut links: Vec<_> = g.links().collect();
         links.sort_by_key(|l| l.t);
-        let mut p = OnlineLinkPredictor::new(quick_config());
+        let registry = Arc::new(obs::Registry::new());
+        let mut p = OnlineLinkPredictor::with_recorder(
+            quick_config(),
+            ObsHandle::of_registry(Arc::clone(&registry)),
+        );
         for l in links {
             p.observe(l.u, l.v, l.t);
         }
         assert!(p.is_fitted());
         let pairs: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 2), (1, 2), (2, 5)];
-        let cold = p.cache_stats();
+        let balls = || {
+            registry
+                .snapshot()
+                .histogram("ssf.core.ball")
+                .map_or(0, |h| h.count())
+        };
+        let before = balls();
         let first = p.score_batch(&pairs);
-        // Pairs sharing a focal endpoint reuse its ball inside one cold
-        // batch, and the reuse moves no score bit.
+        let computed = balls() - before;
         assert!(
-            p.cache_stats().ball_hits > cold.ball_hits,
-            "a cold batch must reuse shared endpoint balls, got {:?}",
-            p.cache_stats()
+            computed < 2 * pairs.len() as u64,
+            "a cold batch must reuse shared endpoint balls, \
+             computed {computed} for {} pairs",
+            pairs.len()
         );
         let bits = |s: &[Option<f64>]| -> Vec<Option<u64>> {
             s.iter().map(|s| s.map(f64::to_bits)).collect()
@@ -1619,21 +1552,15 @@ mod tests {
             pairs.iter().map(|&(u, v)| p.score(u, v)).collect();
         assert_eq!(bits(&first), bits(&per_pair));
         let again = p.score_batch(&pairs);
-        assert_eq!(first, again, "warm batch must reproduce cold batch");
-        let stats = p.cache_stats();
-        assert!(
-            stats.pair_hits >= pairs.len() as u64,
-            "second batch should be pair-memo hits, got {stats:?}"
-        );
-        // An accepted observation bumps the revision; the next batch
-        // recomputes instead of serving stale features.
+        assert_eq!(bits(&first), bits(&again), "a batch repeats bit for bit");
+        // An accepted observation moves the graph; the next batch scores
+        // the new graph, exactly as the per-pair path does.
         let t = p.network().max_timestamp().unwrap_or(0) + 1;
         assert!(p.observe(0, 2, t).is_accepted());
-        let _ = p.score_batch(&pairs);
-        assert!(
-            p.cache_stats().invalidations >= 1,
-            "mutation must invalidate the memo"
-        );
+        let moved = p.score_batch(&pairs);
+        let per_pair: Vec<_> =
+            pairs.iter().map(|&(u, v)| p.score(u, v)).collect();
+        assert_eq!(bits(&moved), bits(&per_pair));
     }
 
     #[test]
@@ -1996,10 +1923,9 @@ mod tests {
         assert_eq!(w.score_batch(&pairs), individual);
     }
 
-    /// An advance that expires `d` links must invalidate cache entries
-    /// proportional to the touched nodes — never flush the whole memo —
-    /// and the batch path must stay bit-identical to the uncached path
-    /// afterwards.
+    /// An advance that expires links leaves scoring consistent: after
+    /// the expiry, batch scores match the per-pair path and a brand-new
+    /// thread's cache bit for bit.
     #[test]
     fn windowed_advance_invalidates_the_cache_proportionally() {
         let events = clean_events();
@@ -2016,8 +1942,6 @@ mod tests {
         assert!(p.is_fitted());
         let pairs: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 2), (1, 2), (2, 5)];
         let _ = p.score_batch(&pairs);
-        let _ = p.score_batch(&pairs); // warm
-        let before = p.cache_stats();
         // Advance so the cutoff lands exactly on the second distinct
         // tick: precisely the first tick's links expire.
         let report = p
@@ -2025,19 +1949,19 @@ mod tests {
             .expect("monotone")
             .expect("horizon moved");
         assert!(report.expired_links >= 1, "first tick must expire");
-        let after = p.cache_stats();
-        assert_eq!(
-            after.invalidations, before.invalidations,
-            "a window advance must never blanket-flush the memo"
-        );
-        assert!(
-            after.selective_invalidations > before.selective_invalidations,
-            "the advance re-keys the cache selectively"
-        );
-        // Post-expiry, cached and uncached scoring still agree bitwise.
+        // Post-expiry, batch, per-pair and fresh-thread scoring agree
+        // bitwise.
+        let bits = |s: &[Option<f64>]| -> Vec<Option<u64>> {
+            s.iter().map(|s| s.map(f64::to_bits)).collect()
+        };
         let individual: Vec<_> =
             pairs.iter().map(|&(a, b)| p.score(a, b)).collect();
-        assert_eq!(p.score_batch(&pairs), individual);
+        let batch = p.score_batch(&pairs);
+        assert_eq!(bits(&batch), bits(&individual));
+        let fresh =
+            std::thread::scope(|s| s.spawn(|| p.score_batch(&pairs)).join())
+                .unwrap_or_else(|_| panic!("fresh scorer panicked"));
+        assert_eq!(bits(&batch), bits(&fresh));
     }
 
     /// Kill-and-replay for windowed predictors: WAL-logged advances and

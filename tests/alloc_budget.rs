@@ -1,13 +1,14 @@
-//! Allocation budget of the snapshot read path: per-request cost must
+//! Allocation budget of the extraction paths: per-request cost must
 //! follow the ball, not the graph.
 //!
 //! Every extraction needs `HopScratch` stamp arrays indexed by global
 //! node id — 20 bytes per node of the graph. A cache built fresh per
 //! request writes them all, so on a graph with millions of node ids one
-//! tiny extraction allocated and zeroed tens of megabytes. Each scoring
-//! thread now keeps one cleared cache and reseeds it per snapshot, so
-//! after the first request on a thread, a cold request on a brand-new
-//! snapshot allocates only what its ball needs.
+//! tiny extraction allocated and zeroed tens of megabytes. Every path
+//! borrows the thread's one extraction cache instead, so after the first
+//! request on a thread, a cold request — on a brand-new snapshot, through
+//! the writer, or through uncached extraction — allocates only what its
+//! ball needs.
 //!
 //! The counting allocator tallies the bytes each thread requests, so
 //! the harness's own threads never leak into the measurement. This file
@@ -19,6 +20,7 @@ use std::cell::Cell;
 use ssf_repro::datasets::DatasetSpec;
 use ssf_repro::dyngraph::{GraphView, NodeId};
 use ssf_repro::methods::MethodOptions;
+use ssf_repro::ssf_core::{SsfConfig, SsfExtractor};
 use ssf_repro::{OnlineLinkPredictor, OnlinePredictorConfig};
 
 /// The system allocator, counting the bytes the current thread requests
@@ -132,6 +134,29 @@ fn cold_snapshot_score_allocates_for_the_ball_not_the_graph() {
     assert!(
         bytes < BUDGET_BYTES,
         "a cold score on a fresh snapshot requested {bytes} B \
+         (budget {BUDGET_BYTES} B) on a graph of {NODE_IDS} node ids"
+    );
+
+    // The writer's own score and an uncached extraction borrow the same
+    // thread cache: neither writes graph-sized scratch again.
+    let (writer, bytes) = requested_by(|| p.score(a, c));
+    assert_eq!(
+        writer.map(f64::to_bits),
+        warm_up.map(f64::to_bits),
+        "the writer scores what its snapshot scores"
+    );
+    assert!(
+        bytes < BUDGET_BYTES,
+        "a writer score requested {bytes} B (budget {BUDGET_BYTES} B) \
+         on a graph of {NODE_IDS} node ids"
+    );
+    let ex = SsfExtractor::new(SsfConfig::new(10));
+    let (feature, bytes) =
+        requested_by(|| ex.try_extract(p.network(), a, c, t + 2));
+    assert!(feature.is_ok(), "the pair is valid");
+    assert!(
+        bytes < BUDGET_BYTES,
+        "an uncached extraction requested {bytes} B \
          (budget {BUDGET_BYTES} B) on a graph of {NODE_IDS} node ids"
     );
 }

@@ -303,3 +303,33 @@ fn cli_broken_pipe_is_a_clean_exit() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.is_empty(), "{stderr}");
 }
+
+/// `ssf serve` replays a small network, scores its candidate sweep
+/// serially and on a fresh snapshot's parallel path, and reports the
+/// two bit-identical along with a health line.
+#[test]
+fn cli_serve_scores_bit_identically_and_reports_health() {
+    let (_, edges) = clean_edge_list();
+    let net = temp_file("serve-net.txt", &edges);
+    let out = Command::new(env!("CARGO_BIN_EXE_ssf"))
+        .arg("serve")
+        .arg(&net)
+        .args(["--pairs", "64", "--threads", "2", "--epochs", "15"])
+        .output()
+        .expect("run ssf serve");
+    let _ = std::fs::remove_file(&net);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stdout.lines().any(|l| l.starts_with("scored 64 pairs")
+            && l.ends_with("bit-identical")),
+        "{stdout}"
+    );
+    assert!(
+        stdout.lines().any(|l| l.starts_with("health: fitted=true")
+            && !l.contains("cache_hit_rate")),
+        "{stdout}"
+    );
+}

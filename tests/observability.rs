@@ -69,7 +69,7 @@ fn recorded_run() -> (OnlineLinkPredictor, Arc<Registry>) {
         let _ = p.score(u, v);
     }
     let _ = p.score_batch(&pairs);
-    let _ = p.score_batch(&pairs); // warm batch: exercises the pair memo
+    let _ = p.score_batch(&pairs); // a second borrow of the thread cache
     (p, registry)
 }
 
@@ -127,36 +127,6 @@ fn stage_histograms_are_present_and_internally_consistent() {
             "{name}: quantiles escape [min, max]"
         );
     }
-}
-
-/// The cache gauges published after `score_batch` must agree with the
-/// predictor's own [`CacheStats`], and hits + misses must account for
-/// every lookup.
-#[test]
-fn cache_gauges_match_cache_stats_after_score_batch() {
-    let (p, registry) = recorded_run();
-    let snap = registry.snapshot();
-    let stats = p.cache_stats();
-    let gauge = |name: &str| snap.gauge(name) as u64;
-    assert_eq!(gauge("ssf.stream.cache.ball_hits"), stats.ball_hits);
-    assert_eq!(gauge("ssf.stream.cache.ball_misses"), stats.ball_misses);
-    assert_eq!(gauge("ssf.stream.cache.pair_hits"), stats.pair_hits);
-    assert_eq!(gauge("ssf.stream.cache.pair_misses"), stats.pair_misses);
-    assert_eq!(gauge("ssf.stream.cache.invalidations"), stats.invalidations);
-    let total = stats.total_lookups();
-    assert_eq!(gauge("ssf.stream.cache.lookups"), total);
-    assert_eq!(
-        stats.ball_hits
-            + stats.ball_misses
-            + stats.pair_hits
-            + stats.pair_misses,
-        total,
-        "hit + miss tallies must cover every lookup"
-    );
-    assert!(
-        stats.pair_hits > 0,
-        "the warm batch must have hit the pair memo"
-    );
 }
 
 /// The snapshot's score memo counts one hit or one miss per
