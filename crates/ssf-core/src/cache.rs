@@ -1,39 +1,38 @@
 //! Extraction cache: the amortization layer of every scoring path.
 //!
-//! SSF extraction recomputes h-hop frontiers and full pipeline runs from
-//! scratch for every candidate pair, yet pairs scored in one batch share
-//! endpoints (so their BFS balls coincide) and repeated pairs share
-//! everything. The cache memoizes both levels:
+//! SSF extraction recomputes h-hop frontiers from scratch for every
+//! candidate pair, yet pairs scored in one batch share endpoints, so
+//! their BFS balls coincide. The cache memoizes those **per-endpoint
+//! balls** — `(node, h) →` bounded BFS frontier, the unit
+//! [`HopSubgraph::from_balls`](crate::HopSubgraph::from_balls) composes
+//! pairs from — and carries the scratch buffers of the whole pipeline.
+//! K-growth asks for radius `h` after `h − 1`, and the memo extends the
+//! smaller ball instead of rediscovering its layers.
 //!
-//! * **per-endpoint balls** — `(node, h) →` bounded BFS frontier, the unit
-//!   [`HopSubgraph::from_balls`](crate::HopSubgraph::from_balls) composes
-//!   pairs from, and
-//! * **per-pair K-structure results** — `(a, b) →` the selected
-//!   [`KStructureSubgraph`] (everything *upstream* of the prediction time
-//!   `l_t`; the cheap `K×K` matrix fill is redone per call so one cached
-//!   pair serves any `l_t`).
+//! Per-pair results are not memoized here: the pairs of one unit of work
+//! are almost always distinct, and the one pair memo is the score memo
+//! of a `ScoringSnapshot`, which answers repeats before extraction runs.
 //!
 //! **One owner, one lifetime.** Every library path gets its cache from
 //! [`ExtractionCache::borrow`], which lends out the current thread's one
 //! spare cache for one unit of work: a single extraction, a scoring
-//! batch, a fit fold or an extraction chunk. The memos die with the
+//! batch, a fit fold or an extraction chunk. The memo dies with the
 //! borrow; the scratch buffers stay with the thread, so the graph-sized
 //! [`HopScratch`] stamps (20 B per node id) are written once per thread,
 //! not once per call.
 //!
 //! A cache the caller keeps itself (the `try_*_cached` entry points take
-//! any `&mut ExtractionCache`) is keyed by graph revision:
+//! any `&mut ExtractionCache`) is keyed by graph revision only:
 //! [`dyngraph::GraphView::revision`] moves on every accepted mutation, and
-//! [`ExtractionCache::sync`] drops all memoized state whenever the
-//! observed revision moves, so stale entries never leak into a result.
+//! [`ExtractionCache::sync`] drops the memo whenever the observed revision
+//! moves, so stale balls never leak into a result. Balls do not depend on
+//! the extractor configuration, so one cache serves any `K`.
 //!
 //! Cached and uncached extractions are **bit-identical** by construction:
-//! uncached extraction is the cached pipeline run against a freshly
-//! borrowed (empty) cache, both go through the same canonical-order
-//! subgraph assembly and refinement code, and reusing scratch buffers or
-//! memoized balls never changes any intermediate value
-//! (`tests/properties.rs` proves this end to end against live
-//! `observe`/`score_batch` interleavings).
+//! each uncached entry point is its cached twin run against a freshly
+//! borrowed (empty) cache, and reusing scratch buffers or memoized balls
+//! never changes any intermediate value (`tests/properties.rs` proves
+//! this end to end against live `observe`/`score_batch` interleavings).
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -48,7 +47,7 @@ use obs::ObsHandle;
 
 use crate::feature::DijkstraScratch;
 use crate::hop::{ball, ball_extend, HopScratch};
-use crate::kstructure::{KStructureSubgraph, SelectScratch};
+use crate::kstructure::SelectScratch;
 use crate::palette::WlScratch;
 use crate::structure::StructureScratch;
 
@@ -135,18 +134,6 @@ impl<K: Eq + Hash, V> LruCache<K, V> {
     }
 }
 
-/// The `l_t`-independent prefix of one pair's extraction: Algorithm 3
-/// lines 1–8 (hop growth, structure combination, Palette-WL selection).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedPair {
-    /// The selected K-structure subgraph.
-    pub ks: KStructureSubgraph,
-    /// The hop radius the adaptive growth stopped at.
-    pub h_used: u32,
-    /// `|V_S|` of the final structure subgraph.
-    pub structure_nodes: usize,
-}
-
 /// Hit/miss/invalidation counters of an [`ExtractionCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -154,30 +141,25 @@ pub struct CacheStats {
     pub ball_hits: u64,
     /// Per-endpoint ball lookups that ran a fresh BFS.
     pub ball_misses: u64,
-    /// Per-pair lookups served from the memo.
-    pub pair_hits: u64,
-    /// Per-pair lookups that ran the full pipeline.
-    pub pair_misses: u64,
-    /// Times the graph revision moved and the memos were dropped.
+    /// Times the graph revision moved and the ball memo was dropped.
     pub invalidations: u64,
 }
 
 impl CacheStats {
-    /// Fraction of all lookups (balls + pairs) served from the memo;
-    /// 0.0 when nothing was looked up yet.
+    /// Fraction of ball lookups served from the memo; 0.0 when nothing
+    /// was looked up yet.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.ball_hits + self.pair_hits;
-        let total = hits + self.ball_misses + self.pair_misses;
+        let total = self.total_lookups();
         if total == 0 {
             0.0
         } else {
-            hits as f64 / total as f64
+            self.ball_hits as f64 / total as f64
         }
     }
 
-    /// Total lookups, hits and misses, balls and pairs combined.
+    /// Total ball lookups, hits and misses.
     pub fn total_lookups(&self) -> u64 {
-        self.ball_hits + self.ball_misses + self.pair_hits + self.pair_misses
+        self.ball_hits + self.ball_misses
     }
 
     /// Folds another cache's tallies into this one — the aggregation the
@@ -186,8 +168,6 @@ impl CacheStats {
     pub fn merge(&mut self, other: &CacheStats) {
         self.ball_hits += other.ball_hits;
         self.ball_misses += other.ball_misses;
-        self.pair_hits += other.pair_hits;
-        self.pair_misses += other.pair_misses;
         self.invalidations += other.invalidations;
     }
 }
@@ -196,7 +176,7 @@ impl CacheStats {
 /// in BFS layer order, the source first at distance 0.
 pub type CachedBall = Arc<Vec<(NodeId, u32)>>;
 
-/// Per-memo entry capacity of an [`ExtractionCache`].
+/// Entry capacity of an [`ExtractionCache`]'s ball memo.
 const MEMO_CAPACITY: usize = 8192;
 
 thread_local! {
@@ -206,27 +186,20 @@ thread_local! {
     static SPARE: Cell<Option<ExtractionCache>> = const { Cell::new(None) };
 }
 
-/// The extraction cache (see the [module docs](self)): a ball memo and a
-/// pair memo of at most 8192 entries each, the scratch buffers of the
-/// whole pipeline, and the recorder its extractions emit `ssf.core.*`
-/// spans through.
+/// The extraction cache (see the [module docs](self)): a ball memo of at
+/// most 8192 entries, the scratch buffers of the whole pipeline, and the
+/// recorder its extractions emit `ssf.core.*` spans through.
 ///
 /// Library paths never build one: they borrow the thread's cache with
 /// [`ExtractionCache::borrow`] for one pair, batch, fit fold or
 /// extraction chunk. A cache built with [`ExtractionCache::new`] and
 /// kept by the caller serves one graph value over time — any
 /// [`GraphView`] implementor works, since `sync` tracks the view's
-/// revision counter. Pair keys are directional — `(a, b)` and `(b, a)`
-/// are distinct targets because the endpoints pin Palette-WL orders 1
-/// and 2 respectively.
+/// revision counter.
 #[derive(Debug, Clone)]
 pub struct ExtractionCache {
     revision: u64,
-    /// `(k, max_h)` the pair memo was filled under; balls are
-    /// config-independent and survive config changes.
-    config_key: (usize, u32),
     balls: LruCache<(NodeId, u32), CachedBall>,
-    pairs: LruCache<(NodeId, NodeId), Arc<CachedPair>>,
     pub(crate) scratch: ExtractScratch,
     pub(crate) stats: CacheStats,
     pub(crate) obs: ObsHandle,
@@ -250,9 +223,7 @@ impl ExtractionCache {
     pub fn with_recorder(recorder: ObsHandle) -> Self {
         ExtractionCache {
             revision: 0,
-            config_key: (0, 0),
             balls: LruCache::new(MEMO_CAPACITY),
-            pairs: LruCache::new(MEMO_CAPACITY),
             scratch: ExtractScratch::default(),
             stats: CacheStats::default(),
             obs: recorder,
@@ -261,8 +232,8 @@ impl ExtractionCache {
 
     /// Borrows the current thread's spare cache in exactly the state
     /// [`ExtractionCache::with_recorder`]`(recorder)` builds — empty
-    /// memos, zeroed stats, `recorder` — but with the scratch buffers and
-    /// memo map allocations of earlier borrows. A thread without a spare
+    /// memo, zeroed stats, `recorder` — but with the scratch buffers and
+    /// memo map allocation of earlier borrows. A thread without a spare
     /// (its first borrow, or one nested inside another) gets a new cache.
     ///
     /// Dropping the [`ThreadCache`] hands the cache back to the thread
@@ -276,7 +247,6 @@ impl ExtractionCache {
         let reused = spare.is_some();
         let mut cache = spare.unwrap_or_default();
         cache.revision = 0;
-        cache.config_key = (0, 0);
         cache.stats = CacheStats::default();
         cache.obs = recorder;
         ThreadCache {
@@ -297,43 +267,33 @@ impl ExtractionCache {
         self.stats
     }
 
-    /// Live entry counts `(balls, pairs)`.
-    pub fn len(&self) -> (usize, usize) {
-        (self.balls.len(), self.pairs.len())
+    /// Number of memoized balls.
+    pub fn len(&self) -> usize {
+        self.balls.len()
     }
 
-    /// Whether both memos are empty.
+    /// Whether the ball memo is empty.
     pub fn is_empty(&self) -> bool {
-        self.balls.is_empty() && self.pairs.is_empty()
+        self.balls.is_empty()
     }
 
-    /// Drops every memoized ball and pair, keeping the stats counters and
-    /// the scratch buffers. The next lookup simply runs cold; results are
+    /// Drops every memoized ball, keeping the stats counters and the
+    /// scratch buffers. The next lookup simply runs cold; results are
     /// unaffected.
     pub fn clear(&mut self) {
         self.balls.clear();
-        self.pairs.clear();
     }
 
-    /// Re-keys the cache to `g`'s current revision, dropping every memo
-    /// entry if the graph changed since the last sync.
+    /// Re-keys the cache to `g`'s current revision, dropping every
+    /// memoized ball if the graph changed since the last sync.
     pub fn sync<G: GraphView + ?Sized>(&mut self, g: &G) {
         let rev = g.revision();
         if rev != self.revision {
             if !self.is_empty() {
                 self.stats.invalidations += 1;
+                self.clear();
             }
-            self.clear();
             self.revision = rev;
-        }
-    }
-
-    /// Drops the pair memo if the extractor configuration it was filled
-    /// under differs (balls survive: they depend only on the graph).
-    pub(crate) fn sync_config(&mut self, k: usize, max_h: u32) {
-        if self.config_key != (k, max_h) {
-            self.pairs.clear();
-            self.config_key = (k, max_h);
         }
     }
 
@@ -375,26 +335,6 @@ impl ExtractionCache {
         span.finish();
         self.balls.insert((src, h), Arc::clone(&b));
         b
-    }
-
-    /// Memoized pair lookup (no recording of misses: the caller decides
-    /// whether a miss leads to a computation).
-    pub(crate) fn pair(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-    ) -> Option<Arc<CachedPair>> {
-        self.pairs.get(&(a, b)).map(Arc::clone)
-    }
-
-    /// Stores a freshly computed pair result.
-    pub(crate) fn insert_pair(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        pair: Arc<CachedPair>,
-    ) {
-        self.pairs.insert((a, b), pair);
     }
 }
 
@@ -555,9 +495,9 @@ mod tests {
         let mut cache = ExtractionCache::new();
         cache.sync(&g);
         let _ = cache.ball(&g, 0, 1);
-        assert_eq!(cache.len().0, 1);
+        assert_eq!(cache.len(), 1);
         cache.sync(&g); // same revision: memo survives
-        assert_eq!(cache.len().0, 1);
+        assert_eq!(cache.len(), 1);
         g.add_link(0, 2, 3);
         cache.sync(&g); // revision moved: memo dropped
         assert!(cache.is_empty());
@@ -578,28 +518,6 @@ mod tests {
         assert!(cache.stats().hit_rate() > 0.0);
     }
 
-    #[test]
-    fn config_change_drops_pairs_but_keeps_balls() {
-        let mut g = DynamicNetwork::new();
-        g.extend([(0, 1, 1), (1, 2, 2)]);
-        let mut cache = ExtractionCache::new();
-        cache.sync(&g);
-        cache.sync_config(4, 10);
-        let _ = cache.ball(&g, 0, 1);
-        cache.insert_pair(
-            0,
-            1,
-            Arc::new(CachedPair {
-                ks: KStructureSubgraph::empty(3),
-                h_used: 1,
-                structure_nodes: 2,
-            }),
-        );
-        assert_eq!(cache.len(), (1, 1));
-        cache.sync_config(5, 10);
-        assert_eq!(cache.len(), (1, 0));
-    }
-
     fn ring() -> DynamicNetwork {
         (0..12u32)
             .map(|i| (i, (i + 1) % 12, i))
@@ -608,24 +526,18 @@ mod tests {
     }
 
     /// The whole observable state of a cache, scratch aside.
-    type State = (
-        (u64, (usize, u32)),
-        (usize, usize, u64),
-        (usize, usize, u64),
-        (CacheStats, bool),
-    );
+    type State = (u64, (usize, usize, u64), (CacheStats, bool));
 
     fn state(c: &ExtractionCache) -> State {
         (
-            (c.revision, c.config_key),
+            c.revision,
             (c.balls.len(), c.balls.capacity, c.balls.tick),
-            (c.pairs.len(), c.pairs.capacity, c.pairs.tick),
             (c.stats, c.obs.enabled()),
         )
     }
 
-    /// A borrow reuses a used cache — memos filled, a live recorder,
-    /// another graph's revision and config — yet is indistinguishable
+    /// A borrow reuses a used cache — balls memoized, a live recorder,
+    /// another graph's revision and another `K` — yet is indistinguishable
     /// from a new cache: same keys, capacities and counters, and the same
     /// lookups give the same results and the same stats.
     #[test]
@@ -644,7 +556,7 @@ mod tests {
                 ex5.try_k_structure_cached(&other, a, (a + 3) % 12, &mut used)
                     .unwrap();
             }
-            assert!(!used.is_empty() && used.stats().pair_misses > 0);
+            assert!(!used.is_empty() && used.stats().ball_misses > 0);
         }
         let mut used = ExtractionCache::borrow(ObsHandle::noop());
         assert!(used.reused(), "the thread's spare is lent again");
@@ -653,14 +565,14 @@ mod tests {
         for (a, b) in [(0u32, 1u32), (4, 9), (2, 5), (4, 9)] {
             let x = ex.try_k_structure_cached(&g, a, b, &mut used).unwrap();
             let y = ex.try_k_structure_cached(&g, a, b, &mut fresh).unwrap();
-            assert_eq!(*x, *y);
+            assert_eq!(x, y);
         }
         assert_eq!(state(&used), state(&fresh));
     }
 
     /// The calling thread's spare as `(entries, recording)`, or `None`
     /// when the thread holds none.
-    fn spare_state() -> Option<((usize, usize), bool)> {
+    fn spare_state() -> Option<(usize, bool)> {
         SPARE.with(|slot| {
             let cache = slot.take();
             let state = cache.as_ref().map(|c| (c.len(), c.obs.enabled()));
@@ -669,7 +581,7 @@ mod tests {
         })
     }
 
-    /// A healthy borrow goes back to the thread cleared — no memos, no
+    /// A healthy borrow goes back to the thread cleared — no balls, no
     /// recorder; a borrow a panic went through, caught or unwinding, is
     /// dropped; a nested borrow gets a cache of its own. Extractions
     /// before and after match a new cache bit for bit.
@@ -679,8 +591,7 @@ mod tests {
         let ex = SsfExtractor::new(SsfConfig::new(4));
         let want = ex.try_k_structure(&g, 0, 6).unwrap();
         let extract = |cache: &mut ExtractionCache| {
-            let p = ex.try_k_structure_cached(&g, 0, 6, cache).unwrap();
-            (p.ks.clone(), p.h_used, p.structure_nodes)
+            ex.try_k_structure_cached(&g, 0, 6, cache).unwrap()
         };
         thread::scope(|s| {
             s.spawn(|| {
@@ -693,7 +604,7 @@ mod tests {
                     let inner = ExtractionCache::borrow(ObsHandle::noop());
                     assert!(!inner.reused(), "the slot is empty while lent");
                 }
-                assert_eq!(spare_state(), Some(((0, 0), false)), "cleared");
+                assert_eq!(spare_state(), Some((0, false)), "cleared");
 
                 let mut caught = ExtractionCache::borrow(ObsHandle::noop());
                 assert!(caught.reused());

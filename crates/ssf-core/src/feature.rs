@@ -2,12 +2,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use dyngraph::{GraphView, NodeId, Timestamp};
 use obs::ObsHandle;
 
-use crate::cache::{CachedPair, ExtractionCache};
+use crate::cache::ExtractionCache;
 use crate::error::ExtractError;
 use crate::hop::HopSubgraph;
 use crate::influence::{normalized_influence, ExponentialDecay};
@@ -255,24 +254,17 @@ impl SsfExtractor {
         b: NodeId,
         l_t: Timestamp,
     ) -> Result<SsfFeature, ExtractError> {
-        let (ks, h_used, structure_nodes) = self.try_k_structure(g, a, b)?;
-        Ok(self.feature_from_ks(
-            &ks,
-            h_used,
-            structure_nodes,
-            l_t,
-            &ObsHandle::noop(),
-            &mut DijkstraScratch::default(),
-        ))
+        let mut cache = ExtractionCache::borrow(ObsHandle::noop());
+        self.try_extract_cached(g, a, b, l_t, &mut cache)
     }
 
     /// [`SsfExtractor::try_extract`] against an [`ExtractionCache`]:
-    /// bit-identical output, with the `l_t`-independent pipeline prefix
-    /// served from (and stored into) the cache's pair memo and the h-hop
-    /// frontiers from its ball memo.
+    /// bit-identical output, with the h-hop frontiers served from (and
+    /// stored into) the cache's ball memo and every stage running in its
+    /// scratch buffers.
     ///
-    /// The cache is synced to `g`'s revision and this extractor's
-    /// configuration first, so stale entries can never leak into a result.
+    /// The cache is synced to `g`'s revision first, so stale balls can
+    /// never leak into a result.
     ///
     /// # Errors
     ///
@@ -285,12 +277,13 @@ impl SsfExtractor {
         l_t: Timestamp,
         cache: &mut ExtractionCache,
     ) -> Result<SsfFeature, ExtractError> {
-        let p = self.try_k_structure_cached(g, a, b, cache)?;
+        let (ks, h_used, structure_nodes) =
+            self.try_k_structure_cached(g, a, b, cache)?;
         let obs = cache.recorder().clone();
         Ok(self.feature_from_ks(
-            &p.ks,
-            p.h_used,
-            p.structure_nodes,
+            &ks,
+            h_used,
+            structure_nodes,
             l_t,
             &obs,
             &mut cache.scratch.dijkstra,
@@ -368,22 +361,17 @@ impl SsfExtractor {
         a: NodeId,
         b: NodeId,
     ) -> Result<(KStructureSubgraph, u32, usize), ExtractError> {
-        HopSubgraph::validate(g, a, b)?;
         // One code path for cached and uncached extraction: the uncached
         // form simply runs against the thread's borrowed (empty) cache,
         // which is what makes "bit-identical" a structural guarantee
         // instead of a test hope.
         let mut cache = ExtractionCache::borrow(ObsHandle::noop());
-        let p = self.compute_pair(g, a, b, &mut cache);
-        Ok((p.ks, p.h_used, p.structure_nodes))
+        self.try_k_structure_cached(g, a, b, &mut cache)
     }
 
     /// Cached form of [`SsfExtractor::try_k_structure`]: syncs `cache` to
-    /// `g`'s revision and this extractor's configuration, then serves the
-    /// pair from the memo or computes and stores it.
-    ///
-    /// Pair keys are directional: `(a, b)` pins Palette-WL orders 1/2 to
-    /// `a`/`b`, so `(b, a)` is a different target.
+    /// `g`'s revision, then runs Algorithm 3 lines 1–8 against its ball
+    /// memo and scratch buffers.
     ///
     /// # Errors
     ///
@@ -394,18 +382,10 @@ impl SsfExtractor {
         a: NodeId,
         b: NodeId,
         cache: &mut ExtractionCache,
-    ) -> Result<Arc<CachedPair>, ExtractError> {
+    ) -> Result<(KStructureSubgraph, u32, usize), ExtractError> {
         HopSubgraph::validate(g, a, b)?;
         cache.sync(g);
-        cache.sync_config(self.config.k, self.config.max_h);
-        if let Some(p) = cache.pair(a, b) {
-            cache.stats.pair_hits += 1;
-            return Ok(p);
-        }
-        cache.stats.pair_misses += 1;
-        let p = Arc::new(self.compute_pair(g, a, b, cache));
-        cache.insert_pair(a, b, Arc::clone(&p));
-        Ok(p)
+        Ok(self.compute_pair(g, a, b, cache))
     }
 
     /// Algorithm 3 lines 1–8 against `cache`'s ball memo and scratch
@@ -416,7 +396,7 @@ impl SsfExtractor {
         a: NodeId,
         b: NodeId,
         cache: &mut ExtractionCache,
-    ) -> CachedPair {
+    ) -> (KStructureSubgraph, u32, usize) {
         let _pair_span = cache.recorder().span("ssf.core.pair");
         let k = self.config.k;
         let mut h = 1;
@@ -509,11 +489,7 @@ impl SsfExtractor {
             &mut cache.scratch.select,
         );
         select_span.finish();
-        CachedPair {
-            ks,
-            h_used: h,
-            structure_nodes: s.node_count(),
-        }
+        (ks, h, s.node_count())
     }
 
     /// Builds the dense `K×K` adjacency matrix `A` (Eq. 4) in row-major
@@ -864,10 +840,11 @@ mod tests {
         };
         assert_eq!(bits(&cold), bits(&plain));
         assert_eq!(bits(&warm), bits(&plain));
-        assert!(cache.stats().pair_hits >= 1);
+        let warm_hits = cache.stats().ball_hits;
+        assert!(warm_hits >= 2, "warm pair reuses both balls");
         // A second pair sharing endpoint 0 reuses its cached ball.
         let _ = ex.try_extract_cached(&g, 0, 3, 10, &mut cache).unwrap();
-        assert!(cache.stats().ball_hits >= 1, "endpoint balls shared");
+        assert!(cache.stats().ball_hits > warm_hits, "endpoint balls shared");
     }
 
     #[test]

@@ -202,20 +202,6 @@ impl KStructureSubgraph {
         }
     }
 
-    /// An all-padding subgraph with `k` unoccupied slots; the fixture the
-    /// cache tests use for slot-independent bookkeeping checks.
-    #[cfg(test)]
-    pub(crate) fn empty(k: usize) -> Self {
-        KStructureSubgraph {
-            k,
-            selected: vec![None; k],
-            link_keys: Vec::new(),
-            ts_offsets: vec![0],
-            ts: Vec::new(),
-            dist: vec![u32::MAX; k],
-        }
-    }
-
     /// The configured `K`.
     pub fn k(&self) -> usize {
         self.k

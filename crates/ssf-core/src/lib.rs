@@ -56,8 +56,7 @@ pub mod structure;
 pub mod viz;
 
 pub use cache::{
-    CacheStats, CachedPair, ExtractScratch, ExtractionCache, LruCache,
-    ThreadCache,
+    CacheStats, ExtractScratch, ExtractionCache, LruCache, ThreadCache,
 };
 pub use error::ExtractError;
 pub use feature::{

@@ -428,7 +428,7 @@ fn cmd_patterns(
         let p = ex
             .try_k_structure_cached(&g, u, v, &mut cache)
             .map_err(|e| e.to_string())?;
-        miner.observe(&p.ks);
+        miner.observe(&p.0);
     }
     writeln!(
         out,

@@ -139,17 +139,13 @@ impl SsfnmModel {
         v: NodeId,
         present: Timestamp,
     ) -> Result<f64, ExtractError> {
-        let mut f = self.extractor.try_extract(g, u, v, present)?.into_values();
-        for x in &mut f {
-            *x = x.ln_1p();
-        }
-        self.scaler.transform_row(&mut f);
-        Ok(self.model.score(&f))
+        let mut cache = ExtractionCache::borrow(ObsHandle::noop());
+        self.try_score_cached(g, u, v, present, &mut cache)
     }
 
     /// [`SsfnmModel::try_score`] against an [`ExtractionCache`]:
-    /// bit-identical scores, with the expensive extraction prefix
-    /// amortized across the pairs the cache has seen at `g`'s revision.
+    /// bit-identical scores, with the endpoint balls amortized across the
+    /// pairs the cache has seen at `g`'s revision.
     ///
     /// # Errors
     ///

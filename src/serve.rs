@@ -255,8 +255,8 @@ struct SnapshotInner {
     obs: ObsHandle,
 }
 
-/// Directed pairs one snapshot's score memo holds — the pair capacity of
-/// an [`ExtractionCache`], about 0.3 MB per full memo.
+/// Directed pairs one snapshot's score memo holds, about 0.3 MB per full
+/// memo. This is the one per-pair memo of the scoring path.
 const MEMO_CAPACITY: usize = 8192;
 
 fn empty_memo() -> Mutex<LruCache<(NodeId, NodeId), f64>> {
@@ -701,7 +701,7 @@ mod tests {
     }
 
     /// After a healthy chunk the thread keeps its cache (the borrow API's
-    /// own test checks it comes back cleared: no memos, no recorder);
+    /// own test checks it comes back cleared: no balls, no recorder);
     /// after a chunk in which a pair panicked it keeps none. Scores
     /// before and after match a fresh cache (a new thread) bit for bit.
     #[test]

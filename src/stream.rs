@@ -570,9 +570,9 @@ impl OnlineLinkPredictor {
     /// value [`score`] would return for that pair — bit-identical,
     /// including the `None` cases and the common-neighbor degradation —
     /// but the batch extracts against one borrow of the thread's
-    /// extraction cache, so repeated pairs and shared endpoints reuse
-    /// memoized h-hop frontiers and structure-subgraph results instead of
-    /// recomputing them. Nothing memoized outlives the call.
+    /// extraction cache, so pairs that share an endpoint reuse its
+    /// memoized h-hop frontiers instead of recomputing them. Nothing
+    /// memoized outlives the call.
     ///
     /// [`score`]: OnlineLinkPredictor::score
     pub fn score_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
@@ -853,44 +853,9 @@ impl OnlineLinkPredictor {
     ) -> Result<(Self, RecoveryReport), SsfError> {
         std::fs::create_dir_all(dir)?;
         let span = obs.span("ssf.persist.open");
-        let fingerprint = durability::config_fingerprint(&config);
         let mut predictor = Self::with_recorder(config, obs);
-        let mut report = RecoveryReport::default();
-        let mut from_seq = 0u64;
-        if let Some(state) = load_newest_snapshot(
-            dir,
-            fingerprint,
-            None,
-            &mut report,
-            predictor.obs.clone(),
-        )? {
-            report.snapshot_revision = Some(state.graph.revision());
-            from_seq = state.meta.next_seq;
-            predictor.restore_state(state)?;
-        }
-        let wal_report = {
-            let p = &mut predictor;
-            replay(dir, from_seq, true, |rec| {
-                match rec.op {
-                    WalOp::Event { u, v, t } => {
-                        p.observe(u, v, t);
-                    }
-                    // Replays the logged horizon move; a regression
-                    // that was rejected (but still logged ahead of the
-                    // mutation) at ingest time is rejected again here,
-                    // reproducing the same state either way.
-                    WalOp::Advance { horizon } => {
-                        let _ = p.advance(horizon);
-                    }
-                }
-                Ok(ReplayStep::Continue)
-            })?
-        };
-        report.records_replayed = wal_report.records_replayed;
-        report.bytes_dropped = wal_report.bytes_dropped;
-        report.tail_truncated = wal_report.tail_truncated;
-        report.segments_removed = wal_report.segments_removed;
-        let next_seq = from_seq + wal_report.records_replayed;
+        let (mut report, from_seq) = predictor.recover(dir, None, true)?;
+        let next_seq = from_seq + report.records_replayed;
         let mut wal = WalWriter::create(dir, next_seq, wal_options(policy))?;
         // A lossy recovery can leave the repaired WAL prefix ending
         // below the snapshot's coverage (`from_seq`) — e.g. a crash
@@ -942,41 +907,8 @@ impl OnlineLinkPredictor {
         dir: &Path,
         revision: u64,
     ) -> Result<(Self, RecoveryReport), SsfError> {
-        let fingerprint = durability::config_fingerprint(&config);
         let mut predictor = Self::with_recorder(config, ObsHandle::noop());
-        let mut report = RecoveryReport::default();
-        let mut from_seq = 0u64;
-        if let Some(state) = load_newest_snapshot(
-            dir,
-            fingerprint,
-            Some(revision),
-            &mut report,
-            predictor.obs.clone(),
-        )? {
-            report.snapshot_revision = Some(state.graph.revision());
-            from_seq = state.meta.next_seq;
-            predictor.restore_state(state)?;
-        }
-        let wal_report = {
-            let p = &mut predictor;
-            replay(dir, from_seq, false, |rec| {
-                if p.network.revision() >= revision {
-                    return Ok(ReplayStep::Stop);
-                }
-                match rec.op {
-                    WalOp::Event { u, v, t } => {
-                        p.observe(u, v, t);
-                    }
-                    WalOp::Advance { horizon } => {
-                        let _ = p.advance(horizon);
-                    }
-                }
-                Ok(ReplayStep::Continue)
-            })?
-        };
-        report.records_replayed = wal_report.records_replayed;
-        report.bytes_dropped = wal_report.bytes_dropped;
-        report.tail_truncated = wal_report.tail_truncated;
+        let (report, _) = predictor.recover(dir, Some(revision), false)?;
         if predictor.network.revision() < revision {
             return Err(SsfError::Corrupt {
                 section: "recovery".to_string(),
@@ -1098,6 +1030,56 @@ impl OnlineLinkPredictor {
             d.wal.sync()?;
         }
         Ok(())
+    }
+
+    /// Loads `dir`'s newest valid snapshot (none beyond `target` when
+    /// set) into this fresh predictor and replays the WAL tail through
+    /// the normal ingest path, stopping once the revision reaches
+    /// `target`; `repair` truncates a torn tail in place. Returns the
+    /// report and the sequence number the snapshot covers up to.
+    fn recover(
+        &mut self,
+        dir: &Path,
+        target: Option<u64>,
+        repair: bool,
+    ) -> Result<(RecoveryReport, u64), SsfError> {
+        let fingerprint = durability::config_fingerprint(&self.config);
+        let mut report = RecoveryReport::default();
+        let mut from_seq = 0u64;
+        if let Some(state) = load_newest_snapshot(
+            dir,
+            fingerprint,
+            target,
+            &mut report,
+            self.obs.clone(),
+        )? {
+            report.snapshot_revision = Some(state.graph.revision());
+            from_seq = state.meta.next_seq;
+            self.restore_state(state)?;
+        }
+        let wal_report = replay(dir, from_seq, repair, |rec| {
+            if target.is_some_and(|r| self.network.revision() >= r) {
+                return Ok(ReplayStep::Stop);
+            }
+            match rec.op {
+                WalOp::Event { u, v, t } => {
+                    self.observe(u, v, t);
+                }
+                // Replays the logged horizon move; a regression that was
+                // rejected (but still logged ahead of the mutation) at
+                // ingest time is rejected again here, reproducing the
+                // same state either way.
+                WalOp::Advance { horizon } => {
+                    let _ = self.advance(horizon);
+                }
+            }
+            Ok(ReplayStep::Continue)
+        })?;
+        report.records_replayed = wal_report.records_replayed;
+        report.bytes_dropped = wal_report.bytes_dropped;
+        report.tail_truncated = wal_report.tail_truncated;
+        report.segments_removed = wal_report.segments_removed;
+        Ok((report, from_seq))
     }
 
     /// Installs a decoded snapshot: graph (as the frozen base of the
@@ -1490,7 +1472,7 @@ mod tests {
             (3, 3),     // degenerate: self pair
             (0, n + 4), // degenerate: beyond the id space
             (1, 0),     // direction matters to the extractor, not validity
-            (0, 1),     // repeat: must hit the pair memo, same bits
+            (0, 1),     // repeat: reuses both endpoint balls, same bits
         ];
         let individual: Vec<_> =
             pairs.iter().map(|&(u, v)| p.score(u, v)).collect();

@@ -333,3 +333,34 @@ fn cli_serve_scores_bit_identically_and_reports_health() {
         "{stdout}"
     );
 }
+
+/// `ssf patterns` over a generated coauthor network prints the same
+/// pattern ranking, byte for byte, as the checked-in fixture.
+#[test]
+fn cli_patterns_output_matches_fixture() {
+    let net = std::env::temp_dir()
+        .join(format!("ssf-chaos-{}-patterns-net.txt", std::process::id()));
+    let generated = Command::new(env!("CARGO_BIN_EXE_ssf"))
+        .args(["generate", "coauthor", "--scale", "0.2", "--out"])
+        .arg(&net)
+        .output()
+        .expect("run ssf generate");
+    assert!(
+        generated.status.success(),
+        "{}",
+        String::from_utf8_lossy(&generated.stderr)
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_ssf"))
+        .arg("patterns")
+        .arg(&net)
+        .args(["--samples", "200", "--k", "10"])
+        .output()
+        .expect("run ssf patterns");
+    let _ = std::fs::remove_file(&net);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("fixtures/patterns_coauthor_k10.txt")
+    );
+}

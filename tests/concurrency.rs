@@ -147,7 +147,7 @@ fn score_batch_parallel_is_bit_identical_at_every_thread_count() {
 
 /// Fitted writer states over two graphs of different sizes, unbounded
 /// and windowed, each captured halfway through its stream and at its
-/// end, with a warm writer cache (so snapshots carry frozen memos).
+/// end, each after one writer `score_batch`.
 fn reuse_states() -> &'static [OnlineLinkPredictor] {
     static STATES: OnceLock<Vec<OnlineLinkPredictor>> = OnceLock::new();
     STATES.get_or_init(|| {
@@ -190,7 +190,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Batches from snapshots of different graphs, sizes and windows,
-    /// interleaved on one thread (one spare cache, reseeded per chunk),
+    /// interleaved on one thread (one spare cache, borrowed per batch),
     /// score bit-identically to the same batch on a fresh twin snapshot
     /// scored on a new thread (a fresh cache).
     #[test]

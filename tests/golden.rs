@@ -250,7 +250,8 @@ fn dijkstra_fixture_max_radius_pair_caps_growth() {
 }
 
 /// The golden vectors hold under the cache too — same bits through
-/// `try_extract_cached`, cold and warm.
+/// `try_extract_cached`, cold and warm (the warm pass reuses both
+/// endpoint balls).
 #[test]
 fn cached_extraction_reproduces_golden_vectors() {
     let (g, _) = load_fixture();
@@ -263,5 +264,5 @@ fn cached_extraction_reproduces_golden_vectors() {
             .expect("valid target");
         assert_eq!(bits(cached.values()), bits(plain.values()));
     }
-    assert!(cache.stats().pair_hits >= 1);
+    assert!(cache.stats().ball_hits >= 2);
 }

@@ -434,7 +434,7 @@ proptest! {
     /// Random graphs, random encoding/K/target: uncached and cached
     /// optimized extraction are bit-identical to the reference pipeline.
     /// The cache is reused across all targets of a case, so warm ball
-    /// reuse, pair memo hits and K-growth all run under the comparison.
+    /// reuse, repeated targets and K-growth all run under the comparison.
     #[test]
     fn kernels_match_reference(
         g in network(12, 50),
@@ -452,8 +452,8 @@ proptest! {
     }
 
     /// One warm cache serving a *growing* K (3 → 6) on the same graph:
-    /// the pair memo is keyed per configuration, so K-growth must re-run
-    /// the kernels, never serve a stale smaller-K selection.
+    /// balls are shared across configurations, and every K re-runs the
+    /// kernels, never serving a stale smaller-K selection.
     #[test]
     fn cache_survives_k_growth(
         g in network(10, 40),

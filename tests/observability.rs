@@ -336,34 +336,38 @@ fn observed_extraction_rows_are_bit_identical() {
 
 /// Regression test for the per-chunk cache-stats bug: the parallel batch
 /// path used to return only the *last* worker chunk's [`CacheStats`],
-/// under-counting on any multi-threaded batch. Every valid sample does
-/// exactly one pair-memo lookup, so across all chunks
-/// `pair_hits + pair_misses` must equal the sample count.
+/// under-counting on any multi-threaded batch. Every valid sample looks
+/// up both endpoint balls once at `h = 1` and once more per K-growth
+/// round, so across all chunks `ball_hits + ball_misses` must equal
+/// 2 × (samples + `ssf.core.kgrowth_rounds`).
 #[test]
 fn extract_batch_stats_cover_all_chunks() {
     let split = eval_split();
-    let opts = MethodOptions::default();
+    // K = 30 makes some samples grow past h = 1, so the K-growth term
+    // of the invariant is exercised too.
+    let opts = MethodOptions {
+        k: 30,
+        ..MethodOptions::default()
+    };
     // ≥ 64 samples forces the threaded path; 4 threads → 4 worker chunks,
-    // each with its own cache.
+    // each with its own cache. One thread counts in one cache.
     let samples: Vec<LinkSample> =
         split.train.iter().cycle().take(80).copied().collect();
-    let (rows, stats) =
-        Method::Ssflr.extract_batch_stats(&split, &opts, &samples, 4);
-    assert_eq!(rows.len(), samples.len());
-    assert_eq!(
-        stats.pair_hits + stats.pair_misses,
-        samples.len() as u64,
-        "stats must aggregate every worker chunk, not just the last: \
-         {stats:?}"
-    );
-    // The single-threaded path counts the same lookups in one cache.
-    let (_, seq) =
-        Method::Ssflr.extract_batch_stats(&split, &opts, &samples, 1);
-    assert_eq!(
-        seq.pair_hits + seq.pair_misses,
-        samples.len() as u64,
-        "sequential path lost lookups: {seq:?}"
-    );
+    for threads in [4, 1] {
+        let registry = Arc::new(Registry::new());
+        let obs = ObsHandle::of_registry(Arc::clone(&registry));
+        let (rows, stats) = Method::Ssflr
+            .extract_batch_observed(&split, &opts, &samples, threads, &obs);
+        assert_eq!(rows.len(), samples.len());
+        let rounds = registry.snapshot().counter("ssf.core.kgrowth_rounds");
+        assert!(rounds > 0, "threads={threads}: no sample grew");
+        assert_eq!(
+            stats.ball_hits + stats.ball_misses,
+            2 * (samples.len() as u64 + rounds),
+            "threads={threads}: stats must aggregate every worker chunk, \
+             not just the last: {stats:?}"
+        );
+    }
 }
 
 /// Scores every pair 0.5; enough to drive the coalescer's bookkeeping.
