@@ -183,8 +183,10 @@ impl FrozenGraph {
     /// * `min_ts`/`max_ts` match the timestamp array (`(0, 0)` when
     ///   empty).
     ///
-    /// O(E log E) for the symmetry check — reconstruction is a startup
-    /// cost, so correctness wins over speed here.
+    /// O(V + E log d_max), `d_max` the largest number of links sharing
+    /// a smaller endpoint: each row is checked in O(deg) against a
+    /// stamp array, and symmetry sorts one small link group per node
+    /// instead of every link at once.
     ///
     /// # Errors
     ///
@@ -272,7 +274,11 @@ impl FrozenGraphParts {
         Ok(())
     }
 
-    pub(crate) fn validate(&self) -> Result<(), GraphError> {
+    /// The length checks every row walk relies on: both offset arrays
+    /// well formed over their flat arrays and agreeing on the node
+    /// count, `timestamps` parallel to `neighbors`, two slots per link.
+    /// Returns the node count.
+    fn check_shape(&self) -> Result<usize, GraphError> {
         Self::check_offsets("offsets", &self.offsets, self.neighbors.len())?;
         Self::check_offsets(
             "nbr_offsets",
@@ -286,7 +292,6 @@ impl FrozenGraphParts {
                 self.nbr_offsets.len() - 1
             )));
         }
-        let n = self.offsets.len() - 1;
         if self.timestamps.len() != self.neighbors.len() {
             return Err(Self::fail(format!(
                 "timestamps length {} != neighbors length {}",
@@ -294,62 +299,19 @@ impl FrozenGraphParts {
                 self.neighbors.len()
             )));
         }
-        if self.neighbors.len() != 2 * self.num_links {
+        if self.num_links.checked_mul(2) != Some(self.neighbors.len()) {
             return Err(Self::fail(format!(
                 "neighbors length {} != 2 * num_links {}",
                 self.neighbors.len(),
                 self.num_links
             )));
         }
-        // Per-row structure: id range, self-loops, sorted distinct rows
-        // and distinct == sorted-dedup(links).
-        let mut fwd = Vec::with_capacity(self.num_links);
-        let mut bwd = Vec::with_capacity(self.num_links);
-        for u in 0..n {
-            let row = &self.neighbors[self.offsets[u]..self.offsets[u + 1]];
-            let times = &self.timestamps[self.offsets[u]..self.offsets[u + 1]];
-            let distinct =
-                &self.nbr_ids[self.nbr_offsets[u]..self.nbr_offsets[u + 1]];
-            for (&v, &t) in row.iter().zip(times) {
-                if v as usize >= n {
-                    return Err(Self::fail(format!(
-                        "node {u} links to out-of-range id {v}"
-                    )));
-                }
-                if v as usize == u {
-                    return Err(Self::fail(format!("self-loop on node {u}")));
-                }
-                if (u as NodeId) < v {
-                    fwd.push((u as NodeId, v, t));
-                } else {
-                    bwd.push((v, u as NodeId, t));
-                }
-            }
-            if distinct.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(Self::fail(format!(
-                    "distinct row of node {u} not strictly ascending"
-                )));
-            }
-            let mut derived: Vec<NodeId> = row.to_vec();
-            derived.sort_unstable();
-            derived.dedup();
-            if derived != distinct {
-                return Err(Self::fail(format!(
-                    "distinct row of node {u} disagrees with its links"
-                )));
-            }
-        }
-        // Undirected symmetry: each (u, v, t) must appear in both
-        // endpoint rows the same number of times.
-        fwd.sort_unstable();
-        bwd.sort_unstable();
-        if fwd != bwd {
-            return Err(Self::fail(
-                "link multiset is asymmetric across endpoint rows",
-            ));
-        }
-        // Timestamp bounds match the flat array ((0, 0) sentinel when
-        // no links exist, as `from_view` writes).
+        Ok(self.offsets.len() - 1)
+    }
+
+    /// Timestamp bounds match the flat array ((0, 0) sentinel when no
+    /// links exist, as `from_view` writes).
+    fn check_timestamp_bounds(&self) -> Result<(), GraphError> {
         if self.num_links == 0 {
             if (self.min_ts, self.max_ts) != (0, 0) {
                 return Err(Self::fail(
@@ -367,6 +329,129 @@ impl FrozenGraphParts {
             }
         }
         Ok(())
+    }
+
+    /// Checks every invariant [`FrozenGraph::try_from_parts`] lists, in
+    /// the order the reference check does, so both report the same
+    /// first violation.
+    ///
+    /// Rows are checked in O(deg) each: a stamp array marks the
+    /// distinct row, and each incident slot must land on a mark, first
+    /// visits counted, so the row equals the sorted deduplication of
+    /// its links without sorting anything. Symmetry is checked per
+    /// smaller endpoint: the slots of row `a` pointing up (`a < v`) are
+    /// the links whose smaller endpoint is `a`, and the slots pointing
+    /// down are counting-sorted by their smaller endpoint into the same
+    /// groups, so each link group is sorted and compared on its own —
+    /// O(E log d_max) instead of one O(E log E) sort of every link.
+    pub(crate) fn validate(&self) -> Result<(), GraphError> {
+        let n = self.check_shape()?;
+        let offsets = &self.offsets;
+        let row = |u: usize| offsets[u]..offsets[u + 1];
+        // Stamps `2u + 1` (in the distinct row of u) and `2u + 2` (also
+        // seen among its links); never reset, since each row's values
+        // are larger than every earlier row's.
+        let mut stamp = vec![0usize; n];
+        // Per node, the number of slots pointing down to it: links
+        // whose smaller endpoint it is, as seen from the larger one.
+        let mut down = vec![0usize; n + 1];
+        for u in 0..n {
+            let slots = row(u);
+            for &v in &self.neighbors[slots.clone()] {
+                if v as usize >= n {
+                    return Err(Self::fail(format!(
+                        "node {u} links to out-of-range id {v}"
+                    )));
+                }
+                if v as usize == u {
+                    return Err(Self::fail(format!("self-loop on node {u}")));
+                }
+                if (v as usize) < u {
+                    down[v as usize] += 1;
+                }
+            }
+            let distinct =
+                &self.nbr_ids[self.nbr_offsets[u]..self.nbr_offsets[u + 1]];
+            if distinct.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(Self::fail(format!(
+                    "distinct row of node {u} not strictly ascending"
+                )));
+            }
+            let disagree = || {
+                Self::fail(format!(
+                    "distinct row of node {u} disagrees with its links"
+                ))
+            };
+            let (listed, seen) = (2 * u + 1, 2 * u + 2);
+            for &d in distinct {
+                *stamp.get_mut(d as usize).ok_or_else(disagree)? = listed;
+            }
+            let mut first_visits = 0;
+            for &v in &self.neighbors[slots] {
+                let mark = &mut stamp[v as usize];
+                if *mark == listed {
+                    *mark = seen;
+                    first_visits += 1;
+                } else if *mark != seen {
+                    return Err(disagree());
+                }
+            }
+            if first_visits != distinct.len() {
+                return Err(disagree());
+            }
+        }
+        // Counting sort of the downward slots into per-endpoint groups:
+        // group `a` holds `(larger endpoint, t)` for each link `(a, u)`
+        // as row `u` records it, packed into one sortable word.
+        let mut start = 0;
+        for count in &mut down {
+            let c = *count;
+            *count = start;
+            start += c;
+        }
+        let group = down.clone();
+        let pack =
+            |v: NodeId, t: Timestamp| (u64::from(v) << 32) | u64::from(t);
+        let mut mirrored = vec![0u64; start];
+        for u in 0..n {
+            let slots = row(u);
+            let links = self.neighbors[slots.clone()]
+                .iter()
+                .zip(&self.timestamps[slots]);
+            for (&v, &t) in links {
+                if (v as usize) < u {
+                    mirrored[down[v as usize]] = pack(u as NodeId, t);
+                    down[v as usize] += 1;
+                }
+            }
+        }
+        // Undirected symmetry: each (u, v, t) must appear in both
+        // endpoint rows the same number of times.
+        let asymmetric =
+            || Self::fail("link multiset is asymmetric across endpoint rows");
+        let mut upward: Vec<u64> = Vec::new();
+        for a in 0..n {
+            let slots = row(a);
+            upward.clear();
+            let links = self.neighbors[slots.clone()]
+                .iter()
+                .zip(&self.timestamps[slots]);
+            upward.extend(
+                links
+                    .filter(|&(&v, _)| v as usize > a)
+                    .map(|(&v, &t)| pack(v, t)),
+            );
+            let mirror = &mut mirrored[group[a]..group[a + 1]];
+            if upward.len() != mirror.len() {
+                return Err(asymmetric());
+            }
+            upward.sort_unstable();
+            mirror.sort_unstable();
+            if upward != mirror {
+                return Err(asymmetric());
+            }
+        }
+        self.check_timestamp_bounds()
     }
 }
 
@@ -1115,5 +1200,205 @@ mod tests {
         assert_send_sync::<FrozenGraph>();
         assert_send_sync::<DeltaGraph>();
         assert_send_sync::<OverlayView>();
+    }
+
+    /// The direct statement of `validate`'s invariants: a sorted copy
+    /// per row and one global sort of every link, O(E log E). The
+    /// differential oracle the fast check is tested against.
+    fn validate_reference(p: &FrozenGraphParts) -> Result<(), GraphError> {
+        let n = p.check_shape()?;
+        // Per-row structure: id range, self-loops, sorted distinct rows
+        // and distinct == sorted-dedup(links).
+        let mut fwd = Vec::with_capacity(p.num_links);
+        let mut bwd = Vec::with_capacity(p.num_links);
+        for u in 0..n {
+            let row = &p.neighbors[p.offsets[u]..p.offsets[u + 1]];
+            let times = &p.timestamps[p.offsets[u]..p.offsets[u + 1]];
+            let distinct = &p.nbr_ids[p.nbr_offsets[u]..p.nbr_offsets[u + 1]];
+            for (&v, &t) in row.iter().zip(times) {
+                if v as usize >= n {
+                    return Err(FrozenGraphParts::fail(format!(
+                        "node {u} links to out-of-range id {v}"
+                    )));
+                }
+                if v as usize == u {
+                    return Err(FrozenGraphParts::fail(format!(
+                        "self-loop on node {u}"
+                    )));
+                }
+                if (u as NodeId) < v {
+                    fwd.push((u as NodeId, v, t));
+                } else {
+                    bwd.push((v, u as NodeId, t));
+                }
+            }
+            if distinct.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(FrozenGraphParts::fail(format!(
+                    "distinct row of node {u} not strictly ascending"
+                )));
+            }
+            let mut derived: Vec<NodeId> = row.to_vec();
+            derived.sort_unstable();
+            derived.dedup();
+            if derived != distinct {
+                return Err(FrozenGraphParts::fail(format!(
+                    "distinct row of node {u} disagrees with its links"
+                )));
+            }
+        }
+        // Undirected symmetry: each (u, v, t) must appear in both
+        // endpoint rows the same number of times.
+        fwd.sort_unstable();
+        bwd.sort_unstable();
+        if fwd != bwd {
+            return Err(FrozenGraphParts::fail(
+                "link multiset is asymmetric across endpoint rows",
+            ));
+        }
+        p.check_timestamp_bounds()
+    }
+
+    /// Inserts the slot `(v, t)` at position `at` (wrapped into the
+    /// row) of row `u`, shifting every later row bound.
+    fn insert_slot(
+        p: &mut FrozenGraphParts,
+        u: usize,
+        at: usize,
+        v: NodeId,
+        t: Timestamp,
+    ) {
+        let (lo, hi) = (p.offsets[u], p.offsets[u + 1]);
+        let at = lo + at % (hi - lo + 1);
+        p.neighbors.insert(at, v);
+        p.timestamps.insert(at, t);
+        for bound in &mut p.offsets[u + 1..] {
+            *bound += 1;
+        }
+    }
+
+    /// Rewrites row `u`'s distinct neighbors as the sorted
+    /// deduplication of its links, so only the other invariants can
+    /// fail.
+    fn rederive_distinct(p: &mut FrozenGraphParts, u: usize) {
+        let mut row = p.neighbors[p.offsets[u]..p.offsets[u + 1]].to_vec();
+        row.sort_unstable();
+        row.dedup();
+        let (lo, hi) = (p.nbr_offsets[u], p.nbr_offsets[u + 1]);
+        let grown = row.len() as isize - (hi - lo) as isize;
+        p.nbr_ids.splice(lo..hi, row);
+        for bound in &mut p.nbr_offsets[u + 1..] {
+            *bound = bound.checked_add_signed(grown).unwrap();
+        }
+    }
+
+    /// One single mutation of a valid multigraph's parts: a swapped
+    /// neighbor, a changed timestamp, a one-sided link, a duplicated
+    /// slot or an out-of-range id. `picks` choose the slots, rows and
+    /// values; `rederive` keeps the distinct rows consistent with the
+    /// links so the symmetry check is the one under test.
+    fn mutate(
+        p: &mut FrozenGraphParts,
+        kind: usize,
+        picks: &[usize],
+        rederive: bool,
+    ) {
+        let n = p.offsets.len() - 1;
+        let slots = p.neighbors.len();
+        let slot = |i: usize| picks[i] % slots.max(1);
+        let row_of = |p: &FrozenGraphParts, s: usize| {
+            p.offsets.partition_point(|&b| b <= s) - 1
+        };
+        let mut touched = Vec::new();
+        match kind {
+            0 if slots > 0 => {
+                let (i, j) = (slot(0), slot(1));
+                p.neighbors.swap(i, j);
+                touched = vec![row_of(p, i), row_of(p, j)];
+            }
+            1 if slots > 0 => {
+                let i = slot(0);
+                p.timestamps[i] = (picks[1] % 6) as Timestamp;
+            }
+            2 if n > 1 => {
+                // Two one-sided slots make a whole link's worth: the
+                // graph is only valid if they happen to mirror.
+                for k in [0, 2] {
+                    let u = picks[k] % n;
+                    let v = (u + 1 + picks[k + 1] % (n - 1)) % n;
+                    let t = (picks[k + 1] % 3) as Timestamp;
+                    insert_slot(p, u, picks[k], v as NodeId, t);
+                    touched.push(u);
+                }
+                p.num_links += 1;
+            }
+            3 if slots > 0 => {
+                // Duplicate a slot, and with `picks[2]` odd its mirror:
+                // a parallel link with the same timestamp is valid.
+                let i = slot(0);
+                let u = row_of(p, i);
+                let (v, t) = (p.neighbors[i], p.timestamps[i]);
+                insert_slot(p, u, picks[1], v, t);
+                if picks[2] % 2 == 1 {
+                    let v = v as usize;
+                    insert_slot(p, v, picks[3], u as NodeId, t);
+                    p.num_links += 1;
+                }
+            }
+            4 if slots > 0 => {
+                p.neighbors[slot(0)] = (n + picks[1] % 3) as NodeId;
+            }
+            5 if !p.nbr_ids.is_empty() => {
+                let i = picks[0] % p.nbr_ids.len();
+                p.nbr_ids[i] = (n + picks[1] % 3) as NodeId;
+            }
+            _ => {}
+        }
+        if rederive {
+            for u in touched.into_iter().filter(|&u| u < n) {
+                let ids_ok = p.neighbors[p.offsets[u]..p.offsets[u + 1]]
+                    .iter()
+                    .all(|&v| (v as usize) < n);
+                if ids_ok {
+                    rederive_distinct(p, u);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+        /// The O(E log d_max) check and the O(E log E) reference agree
+        /// on every verdict, detail included, for random multigraphs
+        /// under single mutations (`kind` 6 leaves the graph valid).
+        #[test]
+        fn fast_validation_matches_the_reference(
+            n in 1usize..10,
+            links in proptest::collection::vec(
+                (0u32..10, 0u32..10, 0u32..4),
+                0..24,
+            ),
+            kind in 0usize..7,
+            picks in proptest::collection::vec(
+                proptest::arbitrary::any::<usize>(),
+                4,
+            ),
+            rederive in proptest::arbitrary::any::<bool>(),
+        ) {
+            let mut g = DynamicNetwork::new();
+            g.ensure_node(n as NodeId - 1);
+            for (u, v, t) in links {
+                let (u, v) = (u % n as NodeId, v % n as NodeId);
+                if u != v {
+                    g.add_link(u, v, t);
+                }
+            }
+            let mut p = FrozenGraph::from_view(&g).to_parts();
+            mutate(&mut p, kind, &picks, rederive);
+            let want = validate_reference(&p);
+            proptest::prop_assert_eq!(p.validate(), want);
+            if kind == 6 {
+                proptest::prop_assert!(want.is_ok());
+            }
+        }
     }
 }

@@ -99,22 +99,41 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    /// Consumes `count` fixed-width elements of `width` bytes each as
+    /// one slice. The byte length is checked before anything is
+    /// allocated, so a hostile count is a typed error, never an
+    /// allocation the input cannot back.
+    fn take_array(
+        &mut self,
+        count: usize,
+        width: usize,
+    ) -> Result<&'a [u8], PersistError> {
+        let n = count.checked_mul(width).ok_or_else(|| {
+            corrupt(
+                self.section,
+                format!("{count} elements of {width} bytes overflow usize"),
+            )
+        })?;
+        self.take(n)
+    }
+
     /// Reads `count` little-endian `u64`s as `usize`s.
     pub fn usizes(&mut self, count: usize) -> Result<Vec<usize>, PersistError> {
+        let mut array = Cursor::new(self.section, self.take_array(count, 8)?);
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
-            out.push(self.usize()?);
+            out.push(array.usize()?);
         }
         Ok(out)
     }
 
     /// Reads `count` little-endian `u32`s.
     pub fn u32s(&mut self, count: usize) -> Result<Vec<u32>, PersistError> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        let bytes = self.take_array(count, 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
     }
 
     /// Asserts the section is fully consumed — trailing garbage in a
@@ -160,6 +179,24 @@ mod tests {
         let err = c.u32().unwrap_err();
         let msg = err.to_string();
         assert!(msg.starts_with("corrupt meta:"), "{msg}");
+    }
+
+    #[test]
+    fn hostile_array_counts_are_typed_corruption() {
+        let buf = [0u8; 16];
+        for count in [5, 1 << 40, usize::MAX / 4 + 1, usize::MAX] {
+            let mut c = Cursor::new("nbrs", &buf);
+            let err = c.u32s(count).unwrap_err();
+            assert!(matches!(err, PersistError::Corrupt { .. }), "{err}");
+            let mut c = Cursor::new("offs", &buf);
+            let err = c.usizes(count).unwrap_err();
+            assert!(matches!(err, PersistError::Corrupt { .. }), "{err}");
+        }
+        // A failed read consumes nothing.
+        let mut c = Cursor::new("nbrs", &buf);
+        assert!(c.u32s(5).is_err());
+        assert_eq!(c.u32s(4).unwrap(), vec![0; 4]);
+        c.finish().unwrap();
     }
 
     #[test]

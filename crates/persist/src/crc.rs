@@ -1,14 +1,20 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 //!
-//! Table-driven, built at compile time — no dependency, no runtime
-//! initialization. This is the checksum every snapshot section and WAL
-//! record carries; the exact parameters match the ubiquitous zlib/PNG
-//! CRC so fixtures can be cross-checked with any external tool.
+//! Slicing-by-8 over tables built at compile time — no dependency, no
+//! runtime initialization. This is the checksum every snapshot section
+//! and WAL record carries; the exact parameters match the ubiquitous
+//! zlib/PNG CRC so fixtures can be cross-checked with any external
+//! tool.
+//!
+//! `TABLES[0]` is the classic bytewise table; `TABLES[k][b]` is the
+//! CRC contribution of byte `b` followed by `k` zero bytes, so eight
+//! lookups fold eight input bytes at once. Inputs shorter than eight
+//! bytes, and the tail of longer ones, go through the bytewise loop.
 
 const POLY: u32 = 0xEDB8_8320;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -21,13 +27,28 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+/// One bytewise CRC step.
+fn step(state: u32, b: u8) -> u32 {
+    (state >> 8) ^ TABLES[0][((state ^ b as u32) & 0xFF) as usize]
+}
 
 /// Streaming CRC-32 state, for writers that checksum as they go.
 #[derive(Debug, Clone, Copy)]
@@ -49,10 +70,24 @@ impl Crc32 {
 
     /// Feeds `bytes` through the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let i = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ TABLE[i];
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][c[4] as usize]
+                ^ t[2][c[5] as usize]
+                ^ t[1][c[6] as usize]
+                ^ t[0][c[7] as usize];
         }
+        for &b in chunks.remainder() {
+            crc = step(crc, b);
+        }
+        self.state = crc;
     }
 
     /// The final checksum value.
@@ -70,7 +105,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The bytewise reference the slicing kernel must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0, |state, &b| step(state, b))
+    }
 
     #[test]
     fn known_vectors() {
@@ -78,6 +120,10 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]
@@ -100,6 +146,32 @@ mod tests {
                 flipped[i] ^= 1 << bit;
                 assert_ne!(crc32(&flipped), base, "byte {i} bit {bit}");
             }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn slicing_matches_bytewise_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+        }
+
+        #[test]
+        fn any_update_split_matches_one_shot(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let mut cuts: Vec<usize> =
+                cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                c.update(&data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(c.finish(), crc32_bytewise(&data));
         }
     }
 }

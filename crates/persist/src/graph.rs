@@ -17,7 +17,7 @@
 use dyngraph::{FrozenGraph, FrozenGraphParts, GraphView, NodeId};
 
 use crate::codec::{put_u32, put_u64, put_usize, Cursor};
-use crate::error::PersistError;
+use crate::error::{corrupt, PersistError};
 use crate::snapshot::{SnapshotReader, SnapshotWriter};
 
 /// Section names for the graph payload.
@@ -105,10 +105,19 @@ pub fn decode_graph(r: &SnapshotReader) -> Result<FrozenGraph, PersistError> {
         Ok::<_, PersistError>(out)
     };
 
-    let offsets = read_usizes(SEC_GRAPH_OFFSETS, node_count + 1)?;
-    let neighbors = read_u32s(SEC_GRAPH_NEIGHBORS, 2 * num_links)?;
-    let timestamps = read_u32s(SEC_GRAPH_TIMESTAMPS, 2 * num_links)?;
-    let nbr_offsets = read_usizes(SEC_GRAPH_NBR_OFFSETS, node_count + 1)?;
+    // Both counts come off the disk: derive the array lengths with
+    // checked arithmetic, and let the bounds-checked reads refuse any
+    // length the section bytes do not back.
+    let rows = node_count
+        .checked_add(1)
+        .ok_or_else(|| corrupt(SEC_GRAPH_META, "node count overflows"))?;
+    let slots = num_links
+        .checked_mul(2)
+        .ok_or_else(|| corrupt(SEC_GRAPH_META, "link count overflows"))?;
+    let offsets = read_usizes(SEC_GRAPH_OFFSETS, rows)?;
+    let neighbors = read_u32s(SEC_GRAPH_NEIGHBORS, slots)?;
+    let timestamps = read_u32s(SEC_GRAPH_TIMESTAMPS, slots)?;
+    let nbr_offsets = read_usizes(SEC_GRAPH_NBR_OFFSETS, rows)?;
     let nbr_count = *nbr_offsets.last().unwrap_or(&0);
     let nbr_ids = read_u32s(SEC_GRAPH_NBR_IDS, nbr_count)?;
 
@@ -205,22 +214,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cross_section_lies_are_caught_by_the_validator() {
-        // A snapshot whose sections each checksum fine but which
-        // disagree with each other: claim one fewer link than the
-        // arrays hold.
-        let g = sample();
+    /// `g`'s snapshot with its `graph.meta` counts replaced: every
+    /// section still checksums, but the meta lies about the arrays.
+    fn with_counts(g: &FrozenGraph, links: u64, nodes: u64) -> SnapshotReader {
         let mut w = SnapshotWriter::new();
-        encode_graph(&g, &mut w);
+        encode_graph(g, &mut w);
         let r = SnapshotReader::from_bytes(&w.to_bytes()).unwrap();
         let (min_ts, max_ts) = g.raw_timestamp_bounds();
         let mut meta = Vec::new();
-        crate::codec::put_u64(&mut meta, g.link_count() as u64 - 1);
-        crate::codec::put_u64(&mut meta, g.node_count() as u64);
-        crate::codec::put_u64(&mut meta, g.revision());
-        crate::codec::put_u32(&mut meta, min_ts);
-        crate::codec::put_u32(&mut meta, max_ts);
+        put_u64(&mut meta, links);
+        put_u64(&mut meta, nodes);
+        put_u64(&mut meta, g.revision());
+        put_u32(&mut meta, min_ts);
+        put_u32(&mut meta, max_ts);
         let mut lying = SnapshotWriter::new();
         lying.section(SEC_GRAPH_META, meta);
         for name in r.section_names() {
@@ -228,10 +234,42 @@ mod tests {
                 lying.section(name, r.require(name).unwrap().to_vec());
             }
         }
-        let r = SnapshotReader::from_bytes(&lying.to_bytes()).unwrap();
+        SnapshotReader::from_bytes(&lying.to_bytes()).unwrap()
+    }
+
+    #[test]
+    fn cross_section_lies_are_caught_by_the_validator() {
+        // Sections that each checksum fine but disagree with each
+        // other: claim one fewer link than the arrays hold.
+        let g = sample();
+        let r =
+            with_counts(&g, g.link_count() as u64 - 1, g.node_count() as u64);
         assert!(matches!(
             decode_graph(&r),
             Err(PersistError::Corrupt { .. })
         ));
+    }
+
+    /// Counts no section can back are refused before anything is
+    /// allocated for them: 2^40 links would ask for 8.8 TB, `i64::MAX`
+    /// links overflow a `Vec` capacity and `u64::MAX` nodes the row
+    /// count.
+    #[test]
+    fn hostile_counts_are_corrupt_not_an_abort() {
+        let g = sample();
+        let nodes = g.node_count() as u64;
+        let links = g.link_count() as u64;
+        for (links, nodes) in [
+            (1 << 40, nodes),
+            (i64::MAX as u64, nodes),
+            (u64::MAX, nodes),
+            (links, u64::MAX),
+            (links, 1 << 40),
+        ] {
+            match decode_graph(&with_counts(&g, links, nodes)) {
+                Err(PersistError::Corrupt { .. }) => {}
+                other => panic!("({links}, {nodes}): {other:?}"),
+            }
+        }
     }
 }
