@@ -24,6 +24,8 @@
 //!   adjacency (after the paper's reference \[28\], the source of its
 //!   influence-decay function).
 
+#![forbid(unsafe_code)]
+
 pub mod katz;
 pub mod local;
 pub mod lp;

@@ -188,7 +188,6 @@ fn run_tier(
 
     let config = CoalesceConfig::builder()
         .max_batch(32)
-        .max_delay_ns(100_000)
         .queue_capacity(pairs.len())
         .build()
         .expect("valid coalescer configuration");

@@ -18,6 +18,7 @@
 // Bench harness, not the serving data path: a failed expectation
 // aborts the run and IS the failure report.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 

@@ -60,6 +60,8 @@
 //! # Ok::<(), datasets::SpecError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod generators;
 pub mod io;
 pub mod spec;

@@ -15,6 +15,8 @@
 //! * [`report`] — aligned text tables in the shape of the paper's
 //!   Table III, plus CSV export.
 
+#![forbid(unsafe_code)]
+
 pub mod backtest;
 pub mod metrics;
 pub mod report;

@@ -20,6 +20,8 @@
 //! assert_eq!(a.matmul(&b), a);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod matrix;
 pub mod solve;
 pub mod vector;

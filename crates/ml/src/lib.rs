@@ -13,6 +13,8 @@
 //!
 //! [`StandardScaler`] provides the usual feature standardization.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod linreg;
 pub mod nn;

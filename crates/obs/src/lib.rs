@@ -51,6 +51,8 @@
 //! assert!(snap.to_json().contains("\"schema\": \"ssf.metrics.v1\""));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod recorder;
 pub mod registry;

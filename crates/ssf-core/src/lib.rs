@@ -42,6 +42,8 @@
 //! assert_eq!(feature.values().len(), SsfConfig::new(5).feature_dim());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod error;
 pub mod feature;

@@ -8,21 +8,25 @@
 //! where pairs repeat or share endpoints. The [`Coalescer`] routes live
 //! traffic into that path: requests from any number of submitter threads
 //! queue in FIFO order, and a worker closes them into `score_batch`
-//! calls. Three policies close a batch:
+//! calls.
 //!
-//! * **`max_batch`** — the queue holds a full batch.
-//! * **`max_delay`** — the oldest queued request has waited long enough
-//!   (latency bound; a lone request never waits forever).
-//! * **Epoch change** — a new snapshot was staged with
-//!   [`Coalescer::set_snapshot`]; pending requests flush against the
-//!   epoch they were admitted under before the swap takes effect.
+//! One rule closes a batch, and it is work-conserving: whenever a step
+//! finds the queue non-empty, it takes up to `max_batch` of the oldest
+//! requests at once. A lone request never waits for company. Batches
+//! form from what queued while the previous batch was being scored,
+//! which is exactly when there is load to share. A snapshot staged with
+//! [`Coalescer::set_snapshot`] is installed on the step that drains the
+//! queue, so pending requests score against the epoch they were
+//! admitted under and no batch mixes two.
 //!
 //! Admission is controlled, never blocking and never panicking: a full
 //! queue returns [`Rejection::Overloaded`] immediately, and a request
 //! whose deadline budget is already spent returns
 //! [`Rejection::DeadlineExceeded`]. Requests that expire *while queued*
 //! are rejected at batch-close time, strictly before any extraction work
-//! is spent on them. Every rejected request increments exactly one of
+//! is spent on them. That needs no timer: a request sits in the queue
+//! only while the worker is busy, and the worker's next step expires it.
+//! Every rejected request increments exactly one of
 //! `ssf.serve.rejected` (overload) or `ssf.serve.deadline_miss`
 //! (deadline, at admission or in queue).
 //!
@@ -32,15 +36,15 @@
 //! recompute identically — the PR 2/4 contract). `tests/serving_slo.rs`
 //! pins this with an interleaving proptest.
 //!
-//! Time is injected through [`Clock`], so every close policy is testable
-//! with a [`MockClock`] and zero wall-clock sleeps; production uses
-//! [`SystemClock`] and [`Coalescer::run_worker`].
+//! Time is injected through [`Clock`], so deadline expiry and queue-wait
+//! ages are testable with a [`MockClock`] and zero wall-clock sleeps;
+//! production uses [`SystemClock`] and [`Coalescer::run_worker`].
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dyngraph::NodeId;
 use obs::ObsHandle;
@@ -51,8 +55,8 @@ use crate::serve::ScoringSnapshot;
 /// A monotonic nanosecond clock the coalescer schedules against.
 ///
 /// Production uses [`SystemClock`]; deterministic tests inject a
-/// [`MockClock`] and advance it explicitly, so `max_delay` and deadline
-/// behaviour is exact rather than sleep-and-hope.
+/// [`MockClock`] and advance it explicitly, so deadline behaviour and
+/// queue-wait ages are exact rather than sleep-and-hope.
 pub trait Clock: Send + Sync {
     /// Nanoseconds since an arbitrary fixed origin. Must never decrease.
     fn now_ns(&self) -> u64;
@@ -125,8 +129,9 @@ impl Clock for MockClock {
 /// pair alone, at every thread count and batch split.
 pub trait BatchScorer: Send + Sync {
     /// A value that changes whenever the scorer's answers could change
-    /// (the snapshot epoch). [`Coalescer::set_snapshot`] flushes pending
-    /// requests before installing a scorer with a different key.
+    /// (the snapshot epoch), reported by [`Coalescer::current_epoch_key`].
+    /// The coalescer compares no keys: [`Coalescer::set_snapshot`] stages
+    /// any scorer it is given.
     fn epoch_key(&self) -> u64;
 
     /// Scores `pairs` in order, fanned over up to `threads` workers.
@@ -182,7 +187,8 @@ pub enum Rejection {
     /// The request's deadline passed — at admission, or while it sat in
     /// the queue (always before any extraction work was spent on it).
     DeadlineExceeded,
-    /// The coalescer was shut down before the request could be scored.
+    /// The coalescer was shut down before admission, or its last handle
+    /// was dropped while the request was still queued.
     ShutDown,
 }
 
@@ -210,10 +216,8 @@ impl std::error::Error for Rejection {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CoalesceConfig {
-    /// Requests per batch at which the batch closes immediately.
+    /// Most requests one batch takes from the queue.
     pub max_batch: usize,
-    /// Oldest-request age (ns) at which a partial batch closes.
-    pub max_delay_ns: u64,
     /// Bound on queued requests; admissions beyond it are
     /// [`Rejection::Overloaded`].
     pub queue_capacity: usize,
@@ -230,7 +234,6 @@ impl Default for CoalesceConfig {
     fn default() -> Self {
         CoalesceConfig {
             max_batch: 64,
-            max_delay_ns: 200_000, // 200 µs
             queue_capacity: 1024,
             worker_threads: 1,
             default_deadline_ns: None,
@@ -261,10 +264,14 @@ impl CoalesceConfigBuilder {
         self
     }
 
-    /// Sets [`CoalesceConfig::max_delay_ns`] (0 closes every batch at
-    /// the first worker pass — valid, just batchless under low load).
-    pub fn max_delay_ns(mut self, ns: u64) -> Self {
-        self.config.max_delay_ns = ns;
+    /// Ignores `_ns`: a batch closes as soon as a step finds a request
+    /// queued, so there is no delay window to set. Kept only so the
+    /// `ssfbench` harness still builds; it goes with the next change to
+    /// that harness.
+    #[deprecated(
+        note = "ignored: a batch closes as soon as a request is queued"
+    )]
+    pub fn max_delay_ns(self, _ns: u64) -> Self {
         self
     }
 
@@ -331,7 +338,8 @@ pub struct CoalesceStats {
     pub submitted: u64,
     /// Requests admitted into the queue.
     pub accepted: u64,
-    /// Requests rejected at admission because the queue was full.
+    /// Requests rejected at admission because the queue was full or the
+    /// coalescer was shut down.
     pub rejected_overload: u64,
     /// Requests rejected at admission with an already-spent deadline.
     pub rejected_deadline: u64,
@@ -459,8 +467,8 @@ struct State<S> {
     /// this bound is due, and then makes it exact again.
     earliest_deadline: u64,
     scorer: Arc<S>,
-    /// Snapshot staged by [`Coalescer::set_snapshot`]; installed once
-    /// the pre-swap queue has flushed.
+    /// Snapshot staged by [`Coalescer::set_snapshot`]; installed by the
+    /// step that drains the queue.
     staged: Option<Arc<S>>,
     shutdown: bool,
 }
@@ -470,7 +478,7 @@ struct Shared<S> {
     clock: Arc<dyn Clock>,
     obs: ObsHandle,
     state: Mutex<State<S>>,
-    /// Wakes the worker on submissions, snapshot swaps and shutdown.
+    /// Wakes the worker on submissions and shutdown.
     work: Condvar,
     /// Serializes dispatches so batches retire in FIFO order; submitters
     /// never touch it.
@@ -482,6 +490,18 @@ struct Shared<S> {
     expired: AtomicU64,
     completed: AtomicU64,
     batches: AtomicU64,
+}
+
+impl<S> Drop for Shared<S> {
+    /// The last handle is gone, so no step will ever score what is still
+    /// queued: reject it rather than leave its tickets waiting forever.
+    fn drop(&mut self) {
+        let state =
+            self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for p in state.queue.drain(..) {
+            fulfill(&p.ticket, Err(Rejection::ShutDown));
+        }
+    }
 }
 
 /// The micro-batching request queue. Cheap to clone (all clones share
@@ -568,11 +588,6 @@ impl<S: BatchScorer> Coalescer<S> {
         &self.shared.config
     }
 
-    /// The injected clock's current reading, in nanoseconds.
-    pub fn now_ns(&self) -> u64 {
-        self.shared.clock.now_ns()
-    }
-
     /// Submits one pair under the configured default deadline budget.
     ///
     /// Never blocks and never panics.
@@ -608,23 +623,6 @@ impl<S: BatchScorer> Coalescer<S> {
     ) -> Result<Ticket, Rejection> {
         let now = self.shared.clock.now_ns();
         self.admit(u, v, now, Some(now.saturating_add(budget_ns)))
-    }
-
-    /// Submits with an absolute deadline on the coalescer's clock
-    /// ([`Self::now_ns`]); a deadline at or before "now" is rejected at
-    /// admission, before the request ever occupies a queue slot.
-    ///
-    /// # Errors
-    ///
-    /// [`Rejection::DeadlineExceeded`] for a spent deadline, plus every
-    /// [`Self::submit`] rejection.
-    pub fn submit_with_deadline(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        deadline_ns: u64,
-    ) -> Result<Ticket, Rejection> {
-        self.admit(u, v, self.shared.clock.now_ns(), Some(deadline_ns))
     }
 
     fn admit(
@@ -681,10 +679,10 @@ impl<S: BatchScorer> Coalescer<S> {
         Ok(ticket)
     }
 
-    /// Stages a new snapshot. Requests already queued flush against the
-    /// snapshot they were admitted under — the staged one is installed
-    /// by the worker only once that queue has drained, so no batch ever
-    /// mixes epochs. When the queue is empty the swap is immediate.
+    /// Stages a new snapshot. Requests already queued score against the
+    /// snapshot they were admitted under: the staged one is installed on
+    /// the step that drains the queue, so no batch ever mixes epochs.
+    /// When the queue is empty the swap is immediate.
     pub fn set_snapshot(&self, scorer: S) {
         let mut state = lock(&self.shared.state);
         if state.queue.is_empty() {
@@ -693,8 +691,6 @@ impl<S: BatchScorer> Coalescer<S> {
         } else {
             state.staged = Some(Arc::new(scorer));
         }
-        drop(state);
-        self.shared.work.notify_one();
     }
 
     /// The epoch key currently being scored against (staged snapshots
@@ -703,26 +699,17 @@ impl<S: BatchScorer> Coalescer<S> {
         lock(&self.shared.state).scorer.epoch_key()
     }
 
-    /// Runs one scheduling pass at the clock's current instant:
-    /// expires dead requests, closes at most one batch if any close
-    /// policy fires, and installs a staged snapshot once the queue
-    /// drains. This is the deterministic core the worker loop — and the
-    /// mock-clock tests — drive.
+    /// Runs one scheduling pass at the clock's current instant: expires
+    /// dead requests, closes one batch of up to `max_batch` of the oldest
+    /// queued requests if any remain, and installs a staged snapshot once
+    /// the queue drains. This is the deterministic core the worker loop —
+    /// and the mock-clock tests — drive.
     pub fn step(&self) -> StepReport {
-        self.step_at(self.shared.clock.now_ns(), false)
-    }
-
-    /// [`Self::step`], but closes any non-empty batch immediately,
-    /// ignoring `max_batch`/`max_delay`. Used at shutdown and by tests.
-    pub fn flush(&self) -> StepReport {
-        self.step_at(self.shared.clock.now_ns(), true)
-    }
-
-    fn step_at(&self, now: u64, force: bool) -> StepReport {
         let shared = &*self.shared;
         // One dispatch at a time: batches retire in FIFO order and the
         // staged-snapshot install can't race another dispatch.
         let _dispatch = lock(&shared.step);
+        let now = shared.clock.now_ns();
         let mut report = StepReport::default();
         let mut state = lock(&shared.state);
 
@@ -746,29 +733,12 @@ impl<S: BatchScorer> Coalescer<S> {
             state.earliest_deadline = earliest;
         }
 
-        // 2. Decide whether a batch closes.
-        let depth = state.queue.len();
-        let oldest_age = state
-            .queue
-            .front()
-            .map(|p| now.saturating_sub(p.enqueued_ns));
-        let close = depth > 0
-            && (force
-                || depth >= shared.config.max_batch
-                || oldest_age >= Some(shared.config.max_delay_ns)
-                || state.staged.is_some()
-                || state.shutdown);
-
-        // 3. Take the batch (FIFO) and the scorer it was admitted under.
-        let batch: Vec<Pending> = if close {
-            let n = depth.min(shared.config.max_batch);
-            state.queue.drain(..n).collect()
-        } else {
-            Vec::new()
-        };
+        // 2. Take the batch (FIFO) and the scorer it was admitted under.
+        let n = state.queue.len().min(shared.config.max_batch);
+        let batch: Vec<Pending> = state.queue.drain(..n).collect();
         let scorer = Arc::clone(&state.scorer);
 
-        // 4. Install a staged snapshot once the pre-swap queue drained.
+        // 3. Install a staged snapshot once the pre-swap queue drained.
         if state.queue.is_empty() {
             state.earliest_deadline = u64::MAX;
             if let Some(next) = state.staged.take() {
@@ -779,7 +749,7 @@ impl<S: BatchScorer> Coalescer<S> {
         report.remaining = state.queue.len();
         drop(state);
 
-        // 5. Reject the expired (no scoring was spent on them).
+        // 4. Reject the expired (no scoring was spent on them).
         report.expired = expired.len();
         if !expired.is_empty() {
             shared
@@ -793,7 +763,7 @@ impl<S: BatchScorer> Coalescer<S> {
             }
         }
 
-        // 6. Score the batch outside every lock, then deliver in order.
+        // 5. Score the batch outside every lock, then deliver in order.
         if !batch.is_empty() {
             let span = shared.obs.span("ssf.serve.coalesce_batch");
             let pairs: Vec<(NodeId, NodeId)> =
@@ -830,82 +800,38 @@ impl<S: BatchScorer> Coalescer<S> {
         report
     }
 
-    /// The production worker loop: sleeps until a close policy can
-    /// fire (full batch, `max_delay` on the oldest request, a request
-    /// deadline, a staged snapshot, shutdown), then steps. Returns once
-    /// [`Self::shutdown`] was called and the queue has drained.
+    /// The production worker loop: sleeps until a request is queued or
+    /// [`Self::shutdown`] is called, then steps. Returns once shutdown
+    /// was called and the queue has drained.
     ///
-    /// On Linux the calling thread runs at the minimum timer slack
-    /// (1 ns) while this loop runs, so a timed park ends when
-    /// `max_delay` says rather than up to the default 50 µs later; the
-    /// thread's previous slack is restored on return. Other platforms
-    /// keep their default timer behaviour.
+    /// The wait has no timeout. Every close, expiry and snapshot install
+    /// happens in a step, and a step follows as soon as the queue is
+    /// non-empty; while the worker is scoring, arrivals queue up and
+    /// form the next batch.
     ///
     /// Meant for a dedicated thread; spawn it on a clone:
     /// `std::thread::spawn(move || worker.run_worker())`.
     pub fn run_worker(&self) {
-        // Re-check period: bounds the race between reading the clock
-        // and parking, so a concurrent clock advance is never missed
-        // for long.
-        const MAX_PARK: Duration = Duration::from_millis(5);
-        let _slack = timer_slack::MinSlack::engage();
         loop {
-            let mut state = lock(&self.shared.state);
-            loop {
-                let now = self.shared.clock.now_ns();
-                if state.shutdown && state.queue.is_empty() {
-                    return;
-                }
-                if self.due_locked(&state, now) {
-                    break;
-                }
-                let park =
-                    self.next_due_ns(&state, now).map_or(MAX_PARK, |ns| {
-                        Duration::from_nanos(ns).min(MAX_PARK)
-                    });
-                state = self
-                    .shared
-                    .work
-                    .wait_timeout(state, park)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+            let state = self
+                .shared
+                .work
+                .wait_while(lock(&self.shared.state), |s| {
+                    s.queue.is_empty() && !s.shutdown
+                })
+                .unwrap_or_else(PoisonError::into_inner);
+            if state.queue.is_empty() {
+                return; // shut down and drained
             }
             drop(state);
             self.step();
         }
     }
 
-    /// Whether any close/expiry/install policy fires at `now`.
-    fn due_locked(&self, state: &State<S>, now: u64) -> bool {
-        if state.shutdown && !state.queue.is_empty() {
-            return true;
-        }
-        if state.staged.is_some() {
-            return true;
-        }
-        let Some(front) = state.queue.front() else {
-            return false;
-        };
-        state.queue.len() >= self.shared.config.max_batch
-            || now.saturating_sub(front.enqueued_ns)
-                >= self.shared.config.max_delay_ns
-            || state.earliest_deadline <= now
-    }
-
-    /// Nanoseconds until the earliest scheduled event (`max_delay` on
-    /// the oldest request, or the deadline bound); `None` when idle.
-    fn next_due_ns(&self, state: &State<S>, now: u64) -> Option<u64> {
-        let front = state.queue.front()?;
-        let delay = front
-            .enqueued_ns
-            .saturating_add(self.shared.config.max_delay_ns);
-        Some(delay.min(state.earliest_deadline).saturating_sub(now))
-    }
-
     /// Initiates shutdown: future submissions are rejected with
-    /// [`Rejection::ShutDown`], already-queued requests are flushed
-    /// (scored) by the worker — or by direct [`Self::flush`] calls —
-    /// and [`Self::run_worker`] returns once the queue drains.
+    /// [`Rejection::ShutDown`], already-queued requests are still scored
+    /// by the worker — or by direct [`Self::step`] calls — and
+    /// [`Self::run_worker`] returns once the queue drains.
     pub fn shutdown(&self) {
         lock(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
@@ -925,78 +851,6 @@ impl<S: BatchScorer> Coalescer<S> {
             completed: shared.completed.load(Ordering::Relaxed),
             batches: shared.batches.load(Ordering::Relaxed),
             queue_depth,
-        }
-    }
-}
-
-/// The worker thread's timer slack: how late the kernel may end a timed
-/// wait so it can coalesce wakeups. Linux adds a 50 µs default to every
-/// `Condvar::wait_timeout`, half of a 100 µs `max_delay`.
-#[cfg(target_os = "linux")]
-mod timer_slack {
-    use std::ffi::{c_int, c_ulong};
-
-    const PR_SET_TIMERSLACK: c_int = 29;
-    const PR_GET_TIMERSLACK: c_int = 30;
-
-    extern "C" {
-        fn prctl(option: c_int, ...) -> c_int;
-    }
-
-    /// `prctl(PR_SET_TIMERSLACK, ns)` for `Some(ns)`, otherwise
-    /// `prctl(PR_GET_TIMERSLACK)`; no other option can be passed.
-    fn timerslack_prctl(set: Option<c_ulong>) -> c_int {
-        let (option, arg) = match set {
-            Some(ns) => (PR_SET_TIMERSLACK, ns),
-            None => (PR_GET_TIMERSLACK, 0),
-        };
-        // SAFETY: prctl(2) is a system call wrapper in the C library.
-        // With PR_GET_TIMERSLACK or PR_SET_TIMERSLACK, the only options
-        // this function passes, it dereferences no argument and only
-        // reads or writes the calling thread's timer slack. Every
-        // variadic argument is an unsigned long, the type prctl(2) reads
-        // them as, and the unused ones are zero.
-        unsafe { prctl(option, arg, 0 as c_ulong, 0 as c_ulong, 0 as c_ulong) }
-    }
-
-    /// The calling thread's current timer slack in nanoseconds.
-    pub(super) fn current_ns() -> Option<u64> {
-        u64::try_from(timerslack_prctl(None)).ok()
-    }
-
-    /// Lowers the calling thread's timer slack to its 1 ns minimum
-    /// until dropped, then restores the value it replaced.
-    pub(super) struct MinSlack {
-        previous: Option<c_ulong>,
-    }
-
-    impl MinSlack {
-        pub(super) fn engage() -> Self {
-            let previous = current_ns()
-                .and_then(|ns| c_ulong::try_from(ns).ok())
-                .filter(|&ns| ns > 1)
-                .filter(|_| timerslack_prctl(Some(1)) == 0);
-            MinSlack { previous }
-        }
-    }
-
-    impl Drop for MinSlack {
-        fn drop(&mut self) {
-            if let Some(ns) = self.previous {
-                let _ = timerslack_prctl(Some(ns));
-            }
-        }
-    }
-}
-
-/// Other platforms keep their default timer behaviour.
-#[cfg(not(target_os = "linux"))]
-mod timer_slack {
-    pub(super) struct MinSlack;
-
-    impl MinSlack {
-        pub(super) fn engage() -> Self {
-            MinSlack
         }
     }
 }
@@ -1069,17 +923,19 @@ mod tests {
     fn submit_then_full_batch_dispatches_in_fifo_order() {
         let config = CoalesceConfig::builder()
             .max_batch(2)
-            .max_delay_ns(u64::MAX >> 1)
             .build()
             .expect("valid");
         let (c, _clock) = coalescer(config);
-        let t1 = c.submit(1, 2).expect("admitted");
-        assert_eq!(c.step().scored, 0, "half a batch must wait");
-        let t2 = c.submit(3, 4).expect("admitted");
-        let report = c.step();
-        assert_eq!(report.scored, 2);
-        assert_eq!(t1.wait(), Ok(Some(3.0)));
-        assert_eq!(t2.wait(), Ok(Some(7.0)));
+        let tickets: Vec<_> = [(1, 2), (3, 4), (5, 6)]
+            .into_iter()
+            .map(|(u, v)| c.submit(u, v).expect("admitted"))
+            .collect();
+        let first = c.step();
+        assert_eq!((first.scored, first.remaining), (2, 1), "max_batch caps");
+        let second = c.step();
+        assert_eq!((second.scored, second.remaining), (1, 0));
+        let got: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+        assert_eq!(got, [Ok(Some(3.0)), Ok(Some(7.0)), Ok(Some(11.0))]);
     }
 
     #[test]
@@ -1108,59 +964,14 @@ mod tests {
         assert!(Rejection::ShutDown.to_string().contains("shut down"));
     }
 
-    /// Records the scoring thread's timer slack at every batch.
-    #[cfg(target_os = "linux")]
-    struct SlackProbe {
-        seen: Mutex<Vec<Option<u64>>>,
-    }
-
-    #[cfg(target_os = "linux")]
-    impl BatchScorer for SlackProbe {
-        fn epoch_key(&self) -> u64 {
-            0
-        }
-
-        fn score_batch_threads(
-            &self,
-            pairs: &[(NodeId, NodeId)],
-            _threads: usize,
-        ) -> Vec<Option<f64>> {
-            lock(&self.seen).push(timer_slack::current_ns());
-            vec![Some(0.0); pairs.len()]
-        }
-    }
-
-    /// `run_worker` runs at the minimum timer slack and hands the
-    /// thread back with the slack it found.
-    #[cfg(target_os = "linux")]
+    /// Dropping the last handle rejects what is still queued instead of
+    /// leaving its tickets to wait forever.
     #[test]
-    fn run_worker_restores_the_thread_timer_slack() {
-        let before = timer_slack::current_ns();
-        assert!(before.is_some(), "PR_GET_TIMERSLACK must succeed");
-        let c = Coalescer::new(
-            SlackProbe {
-                seen: Mutex::new(Vec::new()),
-            },
-            CoalesceConfig::builder()
-                .max_delay_ns(0)
-                .build()
-                .expect("valid"),
-        );
-        let submitter = {
-            let c = c.clone();
-            std::thread::spawn(move || {
-                let t = c.submit(1, 2).expect("admitted");
-                let outcome = t.wait();
-                c.shutdown();
-                outcome
-            })
-        };
-        c.run_worker(); // on this thread
-        assert_eq!(submitter.join().expect("submitter"), Ok(Some(0.0)));
-        let scorer = Arc::clone(&lock(&c.shared.state).scorer);
-        let seen = lock(&scorer.seen).clone();
-        assert_eq!(seen, vec![before.map(|ns| ns.min(1))], "minimum inside");
-        assert_eq!(timer_slack::current_ns(), before, "slack restored");
+    fn dropping_the_coalescer_rejects_queued_tickets() {
+        let (c, _clock) = coalescer(CoalesceConfig::default());
+        let t = c.submit(1, 2).expect("admitted");
+        drop(c);
+        assert_eq!(t.try_take(), Some(Err(Rejection::ShutDown)));
     }
 
     #[test]

@@ -65,6 +65,8 @@
 //! assert_eq!(scores.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod coalesce;
 pub mod durability;
 pub mod error;

@@ -394,8 +394,7 @@ fn queue_wait_histogram_records_each_dispatched_age() {
     let registry = Arc::new(Registry::new());
     let clock = Arc::new(MockClock::new());
     let config = CoalesceConfig::builder()
-        .max_batch(3)
-        .max_delay_ns(1_000)
+        .max_batch(2)
         .build()
         .expect("valid");
     let c = Coalescer::with_clock_and_recorder(
@@ -406,23 +405,23 @@ fn queue_wait_histogram_records_each_dispatched_age() {
     );
     let mut tickets = Vec::new();
     let mut want_sum = 0u64;
-    // Requests at t = 0, 400, 700 close as a full batch at 700; one at
-    // 700 + 250 closes alone on max_delay at 1 950; an expired request
-    // is never dispatched and never sampled.
+    // Requests at t = 0, 400, 700 close at 700 over two steps of at
+    // most two; one at 950 closes alone at 1 950, where an expired
+    // request queued behind it is never dispatched and never sampled.
     for at in [0u64, 400, 700] {
         clock.set(at);
         tickets.push(c.submit(1, 2).expect("admitted"));
         want_sum += 700 - at;
     }
-    assert_eq!(c.step().scored, 3);
+    let first = c.step();
+    assert_eq!((first.scored, first.remaining), (2, 1));
+    assert_eq!(c.step().scored, 1);
     clock.set(950);
     tickets.push(c.submit(3, 4).expect("admitted"));
     let doomed = c.submit_with_budget(5, 6, 10).expect("admitted");
-    clock.set(1_949);
-    let early = c.step();
-    assert_eq!((early.scored, early.expired), (0, 1), "one tick early");
     clock.set(1_950);
-    assert_eq!(c.step().scored, 1);
+    let last = c.step();
+    assert_eq!((last.scored, last.expired), (1, 1));
     want_sum += 1_000;
     assert!(doomed.wait().is_err());
     assert!(tickets.into_iter().all(|t| t.wait().is_ok()));

@@ -1,14 +1,15 @@
 //! Serving-SLO suite: the request-coalescing front-end under a mock
 //! clock.
 //!
-//! Coalescing reorders *work* — requests queue, batch, and flush on
-//! three policies — so the headline obligation is that it never
-//! reorders *values*: every score delivered through the [`Coalescer`]
-//! must be bit-identical to [`ScoringSnapshot::score_batch`] on the
-//! same pairs, at every batch boundary and worker-thread count. The
-//! batching policies themselves (`max_batch`, `max_delay`,
-//! snapshot-epoch change) are pinned with an injected [`MockClock`]:
-//! no wall-clock sleeps, every close decision is exact.
+//! Coalescing reorders *work* — requests queue, and each step closes a
+//! batch of up to `max_batch` of them — so the headline obligation is
+//! that it never reorders *values*: every score delivered through the
+//! [`Coalescer`] must be bit-identical to [`ScoringSnapshot::score_batch`]
+//! on the same pairs, at every batch boundary and worker-thread count.
+//! The close rule itself (a step takes up to `max_batch` queued
+//! requests in FIFO order, and a staged snapshot lands on the step that
+//! drains the queue) is pinned with an injected [`MockClock`]: no
+//! wall-clock sleeps, every close decision is exact.
 //!
 //! The admission contract rides along: a full queue rejects with
 //! [`Rejection::Overloaded`] without blocking the submitter, a spent
@@ -95,37 +96,53 @@ fn mock_coalescer(
 fn batch_closes_on_max_batch() {
     let config = CoalesceConfig::builder()
         .max_batch(3)
-        .max_delay_ns(u64::MAX >> 1)
         .build()
         .expect("valid");
-    let (c, _clock) = mock_coalescer(config);
-    let pairs = [(0u32, 1u32), (2, 5), (1, 4)];
-    let t0 = c.submit(pairs[0].0, pairs[0].1).expect("admitted");
-    let t1 = c.submit(pairs[1].0, pairs[1].1).expect("admitted");
-    assert_eq!(c.step().scored, 0, "2 of 3: no close policy fires");
-    let t2 = c.submit(pairs[2].0, pairs[2].1).expect("admitted");
+    let batches = Batches::default();
+    let scorer = RecordingScorer {
+        inner: shared_snapshot().clone(),
+        batches: Arc::clone(&batches),
+    };
+    let c = Coalescer::with_clock(
+        scorer,
+        config,
+        Arc::new(MockClock::new()) as Arc<dyn ssf_repro::Clock>,
+    );
+    let pairs = [(0u32, 1u32), (2, 5), (1, 4), (3, 7)];
+    let tickets: Vec<_> = pairs
+        .iter()
+        .map(|&(u, v)| c.submit(u, v).expect("admitted"))
+        .collect();
     let report = c.step();
-    assert_eq!(report.scored, 3, "full batch closes immediately");
-    assert_eq!(report.remaining, 0);
+    assert_eq!(report.scored, 3, "one step takes at most max_batch");
+    assert_eq!(report.remaining, 1);
+    let report = c.step();
+    assert_eq!((report.scored, report.remaining), (1, 0));
+    assert_eq!(
+        *batches.lock().expect("batches"),
+        vec![pairs[..3].to_vec(), pairs[3..].to_vec()],
+        "batches take the oldest requests first"
+    );
     let direct = shared_snapshot().score_batch(&pairs);
-    let got = [t0, t1, t2].map(|t| t.wait().expect("scored"));
+    let got: Vec<_> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("scored"))
+        .collect();
     assert_eq!(bits(&got), bits(&direct));
 }
 
 #[test]
-fn batch_closes_on_max_delay_exactly() {
+fn lone_request_closes_at_the_next_step() {
     let config = CoalesceConfig::builder()
         .max_batch(100)
-        .max_delay_ns(1_000)
         .build()
         .expect("valid");
-    let (c, clock) = mock_coalescer(config);
+    let (c, _clock) = mock_coalescer(config);
     let t = c.submit(0, 1).expect("admitted");
-    clock.advance(999);
-    assert_eq!(c.step().scored, 0, "one tick early: batch stays open");
-    clock.advance(1);
+    // The mock clock never advances: the request closes with age 0.
     let report = c.step();
-    assert_eq!(report.scored, 1, "age == max_delay closes the batch");
+    assert_eq!(report.scored, 1, "a lone request closes at once");
+    assert_eq!(report.remaining, 0);
     assert_eq!(
         bits(&[t.wait().expect("scored")]),
         bits(&shared_snapshot().score_batch(&[(0, 1)]))
@@ -143,8 +160,7 @@ fn batch_closes_on_snapshot_epoch_change() {
     assert_ne!(snap1.epoch_key(), snap2.epoch_key());
 
     let config = CoalesceConfig::builder()
-        .max_batch(100)
-        .max_delay_ns(u64::MAX >> 1)
+        .max_batch(1)
         .build()
         .expect("valid");
     let clock = Arc::new(MockClock::new());
@@ -156,23 +172,28 @@ fn batch_closes_on_snapshot_epoch_change() {
     let pairs = [(0u32, 5u32), (2, 9)];
     let t0 = c.submit(pairs[0].0, pairs[0].1).expect("admitted");
     let t1 = c.submit(pairs[1].0, pairs[1].1).expect("admitted");
-    assert_eq!(c.step().scored, 0, "no policy fires yet");
 
     c.set_snapshot(snap2.clone());
+    assert_eq!(c.current_epoch_key(), snap1.epoch_key(), "staged only");
     let report = c.step();
-    assert_eq!(report.scored, 2, "staging a new epoch flushes the queue");
+    assert_eq!((report.scored, report.remaining), (1, 1));
+    assert!(!report.snapshot_installed, "the queue has not drained");
+    assert_eq!(c.current_epoch_key(), snap1.epoch_key());
+    let report = c.step();
+    assert_eq!((report.scored, report.remaining), (1, 0));
     assert!(
         report.snapshot_installed,
-        "swap lands once the queue drains"
+        "the swap lands on the step that drains the queue"
     );
-    // The flushed batch scored against the epoch it was admitted under.
+    // Both queued requests scored against the epoch they were admitted
+    // under.
     let old = [t0, t1].map(|t| t.wait().expect("scored"));
     assert_eq!(bits(&old), bits(&snap1.score_batch(&pairs)));
     assert_eq!(c.current_epoch_key(), snap2.epoch_key());
 
     // Requests after the swap score against the new epoch.
     let t2 = c.submit(0, 7).expect("admitted");
-    assert_eq!(c.flush().scored, 1);
+    assert_eq!(c.step().scored, 1);
     assert_eq!(
         bits(&[t2.wait().expect("scored")]),
         bits(&snap2.score_batch(&[(0, 7)]))
@@ -182,11 +203,10 @@ fn batch_closes_on_snapshot_epoch_change() {
 #[test]
 fn step_on_empty_queue_is_a_noop() {
     let (c, _clock) = mock_coalescer(CoalesceConfig::default());
-    for report in [c.step(), c.flush()] {
-        assert_eq!(report.scored, 0);
-        assert_eq!(report.expired, 0);
-        assert_eq!(report.remaining, 0);
-    }
+    let report = c.step();
+    assert_eq!(report.scored, 0);
+    assert_eq!(report.expired, 0);
+    assert_eq!(report.remaining, 0);
     let stats = c.stats();
     assert_eq!(stats.batches, 0, "empty batches are never dispatched");
     assert_eq!(stats.submitted, 0);
@@ -227,7 +247,6 @@ fn full_queue_rejects_overloaded_with_depth_and_capacity() {
     let config = CoalesceConfig::builder()
         .queue_capacity(2)
         .max_batch(100)
-        .max_delay_ns(u64::MAX >> 1)
         .build()
         .expect("valid");
     let (c, _clock) = mock_coalescer(config);
@@ -320,12 +339,68 @@ fn admission_does_not_block_behind_an_in_flight_dispatch() {
     // Drain the second request (its dispatch parks too).
     let drainer = {
         let c = c.clone();
-        std::thread::spawn(move || c.flush())
+        std::thread::spawn(move || c.step())
     };
     entered_rx.recv().expect("second dispatch");
     release_tx.send(()).expect("release second dispatch");
     drainer.join().expect("drainer thread");
     assert!(t1.wait().is_ok());
+}
+
+/// Batches still form under load: what queues while a batch is being
+/// scored closes at the next steps, `max_batch` at a time, oldest first.
+#[test]
+fn requests_queued_behind_a_dispatch_form_the_next_batches() {
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let pairs_scored = Arc::new(AtomicU64::new(0));
+    let scorer = GatedScorer {
+        inner: shared_snapshot().clone(),
+        pairs_scored: Arc::clone(&pairs_scored),
+        entered: std::sync::Mutex::new(entered_tx),
+        release: std::sync::Mutex::new(release_rx),
+    };
+    let config = CoalesceConfig::builder()
+        .max_batch(4)
+        .build()
+        .expect("valid");
+    let c = Coalescer::with_clock(
+        scorer,
+        config,
+        Arc::new(MockClock::new()) as Arc<dyn ssf_repro::Clock>,
+    );
+    let first = c.submit(0, 1).expect("admitted");
+    let stepper = {
+        let c = c.clone();
+        std::thread::spawn(move || c.step())
+    };
+    // The first dispatch is parked inside scoring; five more arrive.
+    entered_rx.recv().expect("dispatch entered the scorer");
+    let pairs = [(2u32, 5u32), (1, 4), (3, 7), (5, 2), (0, 3)];
+    let tickets: Vec<_> = pairs
+        .iter()
+        .map(|&(u, v)| c.submit(u, v).expect("admitted"))
+        .collect();
+    for _ in 0..3 {
+        release_tx.send(()).expect("release a dispatch");
+    }
+    assert_eq!(stepper.join().expect("stepper thread").scored, 1);
+    assert!(first.wait().is_ok());
+
+    let report = c.step();
+    assert_eq!((report.scored, report.remaining), (4, 1));
+    assert_eq!(pairs_scored.load(Ordering::SeqCst), 5);
+    assert_eq!(tickets[4].try_take(), None, "the newest request waits");
+    let report = c.step();
+    assert_eq!((report.scored, report.remaining), (1, 0));
+    assert_eq!(pairs_scored.load(Ordering::SeqCst), 6);
+
+    let direct = shared_snapshot().score_batch(&pairs);
+    let got: Vec<_> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("scored"))
+        .collect();
+    assert_eq!(bits(&got), bits(&direct));
 }
 
 #[test]
@@ -345,7 +420,6 @@ fn expired_deadline_is_rejected_before_extraction() {
     let clock = Arc::new(MockClock::new());
     let config = CoalesceConfig::builder()
         .max_batch(100)
-        .max_delay_ns(10_000)
         .build()
         .expect("valid");
     let c = Coalescer::with_clock_and_recorder(
@@ -379,7 +453,6 @@ fn expired_deadline_is_rejected_before_extraction() {
     // the expired pair never reached the scorer.
     let live = c.submit(2, 5).expect("admitted");
     release_tx.send(()).expect("pre-release second dispatch");
-    clock.advance(10_000);
     assert_eq!(c.step().scored, 1);
     assert!(live.wait().is_ok());
     let c_stats = c.stats();
@@ -422,7 +495,8 @@ impl BatchScorer for RecordingScorer {
 /// requests wherever they sit, survivors keep FIFO order, a request
 /// admitted later with an earlier deadline still expires on time, and
 /// a batch that takes the earliest-deadline request does not make a
-/// later one expire early.
+/// later one expire early. One request per batch keeps requests queued
+/// across steps.
 #[test]
 fn mixed_budgets_expire_in_place_and_keep_fifo_order() {
     let registry = Arc::new(Registry::new());
@@ -433,8 +507,7 @@ fn mixed_budgets_expire_in_place_and_keep_fifo_order() {
     };
     let clock = Arc::new(MockClock::new());
     let config = CoalesceConfig::builder()
-        .max_batch(4)
-        .max_delay_ns(u64::MAX >> 1)
+        .max_batch(1)
         .build()
         .expect("valid");
     let c = Coalescer::with_clock_and_recorder(
@@ -462,17 +535,21 @@ fn mixed_budgets_expire_in_place_and_keep_fifo_order() {
         .expect("admitted")
     };
 
-    // t = 0: deadlines 500, -, 100, -, 100.
-    let mut tickets: Vec<_> = [Some(500), None, Some(100), None, Some(100)]
+    // t = 0: deadlines -, 500, 100, -, 100.
+    let mut tickets: Vec<_> = [None, Some(500), Some(100), None, Some(100)]
         .into_iter()
         .enumerate()
         .map(|(i, b)| submit(i, b))
         .collect();
     clock.set(150);
     let report = c.step();
-    assert_eq!((report.expired, report.scored, report.remaining), (2, 0, 3));
+    assert_eq!(
+        (report.expired, report.scored, report.remaining),
+        (2, 1, 2),
+        "requests 2 and 4 expire, request 0 closes"
+    );
 
-    // t = 150: deadlines 250 (earlier than request 0's), -, 900.
+    // t = 150: deadlines 250 (earlier than request 1's), -, 900.
     tickets.push(submit(5, Some(100)));
     tickets.push(submit(6, None));
     tickets.push(submit(7, Some(750)));
@@ -480,15 +557,17 @@ fn mixed_budgets_expire_in_place_and_keep_fifo_order() {
     let report = c.step();
     assert_eq!(
         (report.expired, report.scored, report.remaining),
-        (1, 4, 1),
-        "request 5 expires, then a full batch closes"
+        (1, 1, 3),
+        "request 5 expires, then request 1 closes"
     );
 
-    // The batch took request 0 (deadline 500); request 7 (900) must
-    // survive a step past 500 and expire only at 900.
+    // That batch took request 1 (deadline 500); request 7 (900) must
+    // survive steps past 500 and expire only at 900.
     clock.set(600);
     let report = c.step();
-    assert_eq!((report.expired, report.scored, report.remaining), (0, 0, 1));
+    assert_eq!((report.expired, report.scored, report.remaining), (0, 1, 2));
+    let report = c.step();
+    assert_eq!((report.expired, report.scored, report.remaining), (0, 1, 1));
     clock.set(900);
     let report = c.step();
     assert_eq!((report.expired, report.scored, report.remaining), (1, 0, 0));
@@ -498,8 +577,8 @@ fn mixed_budgets_expire_in_place_and_keep_fifo_order() {
     let want_pairs: Vec<_> = survivors.iter().map(|&i| pairs[i]).collect();
     assert_eq!(
         *batches.lock().expect("batches"),
-        vec![want_pairs.clone()],
-        "one batch, survivors in FIFO order"
+        want_pairs.iter().map(|&p| vec![p]).collect::<Vec<_>>(),
+        "survivors close in FIFO order"
     );
     let direct = shared_snapshot().score_batch(&want_pairs);
     let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
@@ -538,16 +617,14 @@ fn spent_deadline_is_rejected_at_admission() {
         Arc::<MockClock>::clone(&clock) as Arc<dyn ssf_repro::Clock>,
         ObsHandle::of_registry(Arc::clone(&registry)),
     );
-    clock.advance(1_000);
-    // An absolute deadline at or before "now" never takes a queue slot.
-    match c.submit_with_deadline(0, 1, 500) {
-        Err(Rejection::DeadlineExceeded) => {}
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
-    // A zero budget is spent on arrival by definition.
-    match c.submit_with_budget(0, 1, 0) {
-        Err(Rejection::DeadlineExceeded) => {}
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    // A zero budget is spent on arrival by definition, at any instant,
+    // and never takes a queue slot.
+    for (u, v) in [(0, 1), (2, 5)] {
+        match c.submit_with_budget(u, v, 0) {
+            Err(Rejection::DeadlineExceeded) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        clock.advance(1_000);
     }
     let stats = c.stats();
     assert_eq!(stats.rejected_deadline, 2);
@@ -565,7 +642,6 @@ fn counters_reconcile_under_multithreaded_stress() {
     let config = CoalesceConfig::builder()
         .queue_capacity(8) // small: forces Overloaded under the burst
         .max_batch(4)
-        .max_delay_ns(50_000)
         .build()
         .expect("valid");
     let c = Coalescer::with_clock_and_recorder(
@@ -734,14 +810,12 @@ proptest! {
             1..40,
         ),
         max_batch in 1..6usize,
-        max_delay_us in 1..300u64,
     ) {
         let snap = shared_snapshot().clone();
         let n = snap.graph().node_count() as u32;
         for worker_threads in [1usize, 2, 8] {
             let config = CoalesceConfig::builder()
                 .max_batch(max_batch)
-                .max_delay_ns(max_delay_us * 1_000)
                 .worker_threads(worker_threads)
                 .queue_capacity(4096)
                 .build()
@@ -770,8 +844,8 @@ proptest! {
                     }
                 }
             }
-            // Drain: flush closes pending batches regardless of policy.
-            while c.flush().remaining > 0 {}
+            // Drain whatever the interleaving left queued.
+            while c.step().remaining > 0 {}
             let direct = snap.score_batch(&submitted);
             for (i, (t, want)) in
                 tickets.into_iter().zip(&direct).enumerate()
@@ -835,7 +909,7 @@ fn coalesced(
         .iter()
         .map(|&(u, v)| c.submit(u, v).expect("queue holds every pair"))
         .collect();
-    while c.flush().remaining > 0 {}
+    while c.step().remaining > 0 {}
     tickets
         .into_iter()
         .map(|t| t.wait().expect("scored"))
