@@ -15,9 +15,11 @@
 //! requests at once. A lone request never waits for company. Batches
 //! form from what queued while the previous batch was being scored,
 //! which is exactly when there is load to share. A snapshot staged with
-//! [`Coalescer::set_snapshot`] is installed on the step that drains the
-//! queue, so pending requests score against the epoch they were
-//! admitted under and no batch mixes two.
+//! [`Coalescer::set_snapshot`] is installed on the step that takes the
+//! last request queued before it, and until then steps take only those:
+//! pending requests score against the epoch they were admitted under,
+//! no batch mixes two, and sustained arrivals cannot hold the install
+//! off.
 //!
 //! Admission is controlled, never blocking and never panicking: a full
 //! queue returns [`Rejection::Overloaded`] immediately, and a request
@@ -468,9 +470,27 @@ struct State<S> {
     earliest_deadline: u64,
     scorer: Arc<S>,
     /// Snapshot staged by [`Coalescer::set_snapshot`]; installed by the
-    /// step that drains the queue.
+    /// step that takes the last of the `owed` requests.
     staged: Option<Arc<S>>,
+    /// While a snapshot is staged: how many requests at the head of the
+    /// queue were admitted before it and still score on `scorer`.
+    owed: usize,
     shutdown: bool,
+}
+
+impl<S> State<S> {
+    /// Installs the staged snapshot if no request admitted before it is
+    /// left to score on the current one; `true` if it did.
+    fn install_when_owed_nothing(&mut self) -> bool {
+        if self.owed > 0 {
+            return false;
+        }
+        let Some(next) = self.staged.take() else {
+            return false;
+        };
+        self.scorer = next;
+        true
+    }
 }
 
 struct Shared<S> {
@@ -568,6 +588,7 @@ impl<S: BatchScorer> Coalescer<S> {
                     earliest_deadline: u64::MAX,
                     scorer: Arc::new(scorer),
                     staged: None,
+                    owed: 0,
                     shutdown: false,
                 }),
                 work: Condvar::new(),
@@ -680,15 +701,22 @@ impl<S: BatchScorer> Coalescer<S> {
     }
 
     /// Stages a new snapshot. Requests already queued score against the
-    /// snapshot they were admitted under: the staged one is installed on
-    /// the step that drains the queue, so no batch ever mixes epochs.
-    /// When the queue is empty the swap is immediate.
+    /// snapshot they were admitted under: until they have all been taken
+    /// (or expired), steps take no request admitted after the stage, and
+    /// the step that takes the last of them installs the staged one. So
+    /// no batch ever mixes epochs, and the install waits for at most the
+    /// requests queued at the stage, however fast new ones arrive. When
+    /// the queue is empty the swap is immediate. Staging again before
+    /// the install replaces the staged snapshot and keeps the count.
     pub fn set_snapshot(&self, scorer: S) {
         let mut state = lock(&self.shared.state);
         if state.queue.is_empty() {
             state.scorer = Arc::new(scorer);
             state.staged = None;
         } else {
+            if state.staged.is_none() {
+                state.owed = state.queue.len();
+            }
             state.staged = Some(Arc::new(scorer));
         }
     }
@@ -701,9 +729,11 @@ impl<S: BatchScorer> Coalescer<S> {
 
     /// Runs one scheduling pass at the clock's current instant: expires
     /// dead requests, closes one batch of up to `max_batch` of the oldest
-    /// queued requests if any remain, and installs a staged snapshot once
-    /// the queue drains. This is the deterministic core the worker loop —
-    /// and the mock-clock tests — drive.
+    /// queued requests if any remain — only ones admitted before a
+    /// staged snapshot, while one is staged — and installs the staged
+    /// snapshot once the last of those is taken. This is the
+    /// deterministic core the worker loop — and the mock-clock tests —
+    /// drive.
     pub fn step(&self) -> StepReport {
         let shared = &*self.shared;
         // One dispatch at a time: batches retire in FIFO order and the
@@ -720,31 +750,40 @@ impl<S: BatchScorer> Coalescer<S> {
         let mut expired: Vec<Arc<TicketInner>> = Vec::new();
         if state.earliest_deadline <= now {
             let mut earliest = u64::MAX;
-            state.queue.retain(|p| match p.deadline_ns {
-                Some(d) if d <= now => {
-                    expired.push(Arc::clone(&p.ticket));
-                    false
-                }
-                d => {
-                    earliest = earliest.min(d.unwrap_or(u64::MAX));
-                    true
+            let (owed, mut index, mut owed_expired) = (state.owed, 0, 0);
+            state.queue.retain(|p| {
+                index += 1;
+                match p.deadline_ns {
+                    Some(d) if d <= now => {
+                        expired.push(Arc::clone(&p.ticket));
+                        owed_expired += usize::from(index <= owed);
+                        false
+                    }
+                    d => {
+                        earliest = earliest.min(d.unwrap_or(u64::MAX));
+                        true
+                    }
                 }
             });
             state.earliest_deadline = earliest;
+            state.owed -= owed_expired;
         }
 
-        // 2. Take the batch (FIFO) and the scorer it was admitted under.
-        let n = state.queue.len().min(shared.config.max_batch);
+        // 2. Take the batch (FIFO) and the scorer it was admitted under:
+        // while a snapshot is staged, only requests admitted before it.
+        // A staged snapshot installs once none of those is left — here
+        // if they all expired, or after the batch that takes the last.
+        report.snapshot_installed |= state.install_when_owed_nothing();
+        let mut n = state.queue.len().min(shared.config.max_batch);
+        if state.staged.is_some() {
+            n = n.min(state.owed);
+            state.owed -= n;
+        }
         let batch: Vec<Pending> = state.queue.drain(..n).collect();
         let scorer = Arc::clone(&state.scorer);
-
-        // 3. Install a staged snapshot once the pre-swap queue drained.
+        report.snapshot_installed |= state.install_when_owed_nothing();
         if state.queue.is_empty() {
             state.earliest_deadline = u64::MAX;
-            if let Some(next) = state.staged.take() {
-                state.scorer = next;
-                report.snapshot_installed = true;
-            }
         }
         report.remaining = state.queue.len();
         drop(state);

@@ -9,7 +9,11 @@
 //! * `tests/fixtures/format_v3.ssf1` — the checkpoint taken before the
 //!   last [`WAL_EVENTS`] events, with a fitted model;
 //! * `tests/fixtures/format_v1.wal` — the live WAL segment holding
-//!   those last events, logged after that checkpoint.
+//!   those last events, logged after that checkpoint;
+//! * `tests/fixtures/format_v1_model.wal` — the live segment of the
+//!   same history checkpointed [`MODEL_WAL_EVENTS`] events before its
+//!   end, a tail that crosses one refit and so holds one model record
+//!   (kind 3) between its events.
 //!
 //! Only a deliberate format change may regenerate them.
 //!
@@ -29,6 +33,8 @@ use ssf_repro::ssf_persist::{
 
 /// Events after the checkpoint, which only the WAL holds.
 const WAL_EVENTS: usize = 40;
+/// A longer tail, which crosses the history's last refit.
+const MODEL_WAL_EVENTS: usize = 80;
 
 /// Refits every 5 ticks so the checkpoint carries a fitted model.
 #[allow(clippy::expect_used)] // test helper
@@ -70,14 +76,14 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Replays [`history`] into a durable predictor at `dir`, checkpoints
-/// before its last [`WAL_EVENTS`] events and logs those. Returns the
-/// snapshot and the live WAL segment.
+/// before its last `tail` events and logs those. Returns the snapshot
+/// and the live WAL segment.
 #[allow(clippy::expect_used)] // test helper
-fn write_history(dir: &Path) -> (PathBuf, PathBuf) {
+fn write_history(dir: &Path, tail: usize) -> (PathBuf, PathBuf) {
     let mut p = OnlineLinkPredictor::with_durability(config(), dir, policy())
         .expect("open a fresh durable predictor");
     let events = history();
-    let (before, after) = events.split_at(events.len() - WAL_EVENTS);
+    let (before, after) = events.split_at(events.len() - tail);
     for &(u, v, t) in before {
         p.observe(u, v, t);
     }
@@ -101,7 +107,7 @@ fn write_history(dir: &Path) -> (PathBuf, PathBuf) {
 #[allow(clippy::expect_used)]
 fn snapshot_and_wal_bytes_match_the_fixtures() {
     let dir = scratch("pin");
-    let (snapshot, wal) = write_history(&dir);
+    let (snapshot, wal) = write_history(&dir, WAL_EVENTS);
     let snapshot = fs::read(snapshot).expect("read snapshot");
     let wal = fs::read(wal).expect("read WAL segment");
     assert!(
@@ -114,6 +120,28 @@ fn snapshot_and_wal_bytes_match_the_fixtures() {
         "WAL bytes moved ({} bytes written)",
         wal.len()
     );
+    fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+/// The model record's framing, payload layout and checksum are pinned
+/// too: a tail that crosses a refit logs the installed model right
+/// after the event that made it due.
+#[test]
+#[allow(clippy::expect_used)]
+fn wal_with_a_model_record_matches_its_fixture() {
+    let dir = scratch("pin-model");
+    let (_, wal) = write_history(&dir, MODEL_WAL_EVENTS);
+    let wal = fs::read(wal).expect("read WAL segment");
+    let events_only = 16 + 29 * MODEL_WAL_EVENTS;
+    assert!(wal.len() > events_only, "the tail must hold a model record");
+    assert!(
+        wal == include_bytes!("fixtures/format_v1_model.wal"),
+        "WAL bytes moved ({} bytes written)",
+        wal.len()
+    );
+    // Its last events are the short tail's, record for record.
+    let short = include_bytes!("fixtures/format_v1.wal");
+    assert!(wal.ends_with(&short[16..]));
     fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
@@ -146,7 +174,7 @@ fn rewrite_counts(path: &Path, links: u64, nodes: u64) {
 #[allow(clippy::expect_used)]
 fn hostile_graph_counts_are_corrupt_on_every_load_path() {
     let dir = scratch("hostile");
-    let (snapshot, _) = write_history(&dir);
+    let (snapshot, _) = write_history(&dir, WAL_EVENTS);
     let original = fs::read(&snapshot).expect("read snapshot");
     let nodes = {
         let r = SnapshotReader::open(&snapshot).expect("open snapshot");

@@ -8,8 +8,8 @@
 //! on the same pairs, at every batch boundary and worker-thread count.
 //! The close rule itself (a step takes up to `max_batch` queued
 //! requests in FIFO order, and a staged snapshot lands on the step that
-//! drains the queue) is pinned with an injected [`MockClock`]: no
-//! wall-clock sleeps, every close decision is exact.
+//! takes the last request queued before it) is pinned with an injected
+//! [`MockClock`]: no wall-clock sleeps, every close decision is exact.
 //!
 //! The admission contract rides along: a full queue rejects with
 //! [`Rejection::Overloaded`] without blocking the submitter, a spent
@@ -198,6 +198,133 @@ fn batch_closes_on_snapshot_epoch_change() {
         bits(&[t2.wait().expect("scored")]),
         bits(&snap2.score_batch(&[(0, 7)]))
     );
+}
+
+/// A scorer that answers every pair with its own epoch, so each ticket
+/// shows which snapshot scored it.
+struct EpochScorer(u64);
+
+impl BatchScorer for EpochScorer {
+    fn epoch_key(&self) -> u64 {
+        self.0
+    }
+
+    fn score_batch_threads(
+        &self,
+        pairs: &[(NodeId, NodeId)],
+        _threads: usize,
+    ) -> Vec<Option<f64>> {
+        vec![Some(self.0 as f64); pairs.len()]
+    }
+}
+
+fn epoch_coalescer(
+    config: CoalesceConfig,
+) -> (Coalescer<EpochScorer>, Arc<MockClock>) {
+    let clock = Arc::new(MockClock::new());
+    let c = Coalescer::with_clock(
+        EpochScorer(1),
+        config,
+        Arc::<MockClock>::clone(&clock) as Arc<dyn ssf_repro::Clock>,
+    );
+    (c, clock)
+}
+
+/// A staged snapshot installs under sustained load: with a full batch
+/// arriving before every step, the queue never drains, yet the step
+/// that takes the requests queued before the stage installs it, and
+/// every request admitted after the stage scores on the new epoch.
+#[test]
+fn staged_snapshot_installs_under_sustained_load() {
+    let config = CoalesceConfig::builder()
+        .max_batch(4)
+        .build()
+        .expect("valid");
+    let (c, _clock) = epoch_coalescer(config);
+    let before: Vec<_> = (0..4)
+        .map(|i| c.submit(i, i + 1).expect("admitted"))
+        .collect();
+    c.set_snapshot(EpochScorer(2));
+    let mut after = Vec::new();
+    let mut installs = Vec::new();
+    for round in 0..1000u32 {
+        for i in 0..4 {
+            after.push(c.submit(round, i + 10).expect("admitted"));
+        }
+        let report = c.step();
+        assert_eq!(report.scored, 4);
+        if report.snapshot_installed {
+            installs.push(round);
+        }
+    }
+    while c.step().scored > 0 {}
+    assert_eq!(installs, [0], "one install, on the first step");
+    assert_eq!(c.current_epoch_key(), 2);
+    for t in before {
+        assert_eq!(t.wait().expect("scored"), Some(1.0));
+    }
+    assert_eq!(after.len(), 4000);
+    for t in after {
+        assert_eq!(t.wait().expect("scored"), Some(2.0));
+    }
+}
+
+/// While a snapshot is staged, a batch closes at the last request queued
+/// before the stage even when `max_batch` has room for more, so the
+/// requests behind it score on the new epoch and no batch mixes two.
+#[test]
+fn staged_batch_stops_at_the_last_request_before_the_stage() {
+    let config = CoalesceConfig::builder()
+        .max_batch(4)
+        .build()
+        .expect("valid");
+    let (c, _clock) = epoch_coalescer(config);
+    let before: Vec<_> = (0..3)
+        .map(|i| c.submit(i, i + 1).expect("admitted"))
+        .collect();
+    c.set_snapshot(EpochScorer(2));
+    let after: Vec<_> = (0..4)
+        .map(|i| c.submit(i, i + 9).expect("admitted"))
+        .collect();
+    let report = c.step();
+    assert_eq!((report.scored, report.remaining), (3, 4));
+    assert!(report.snapshot_installed);
+    assert_eq!(c.step().scored, 4);
+    for t in before {
+        assert_eq!(t.wait().expect("scored"), Some(1.0));
+    }
+    for t in after {
+        assert_eq!(t.wait().expect("scored"), Some(2.0));
+    }
+}
+
+/// Requests queued before a stage that expire count as taken: once the
+/// last of them is gone the staged snapshot installs before the batch
+/// closes, so that batch already scores on it.
+#[test]
+fn staged_snapshot_installs_once_its_requests_expire() {
+    let config = CoalesceConfig::builder()
+        .max_batch(2)
+        .build()
+        .expect("valid");
+    let (c, clock) = epoch_coalescer(config);
+    let doomed: Vec<_> = (0..2)
+        .map(|i| c.submit_with_budget(i, i + 1, 100).expect("admitted"))
+        .collect();
+    c.set_snapshot(EpochScorer(2));
+    let later: Vec<_> = (0..2)
+        .map(|i| c.submit_with_budget(i, i + 5, 10_000).expect("admitted"))
+        .collect();
+    clock.advance(200);
+    let report = c.step();
+    assert_eq!((report.expired, report.scored), (2, 2));
+    assert!(report.snapshot_installed);
+    for t in doomed {
+        assert_eq!(t.wait(), Err(Rejection::DeadlineExceeded));
+    }
+    for t in later {
+        assert_eq!(t.wait().expect("scored"), Some(2.0));
+    }
 }
 
 #[test]
