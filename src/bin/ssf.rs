@@ -1021,6 +1021,13 @@ fn report_warnings(report: &ssf_repro::RecoveryReport) {
     for path in &report.corrupt_snapshots {
         eprintln!("warning: skipped corrupt snapshot {}", path.display());
     }
+    if report.models_rejected > 0 {
+        eprintln!(
+            "warning: {} logged model(s) could not be installed; the \
+             refit state may differ from the writer's",
+            report.models_rejected
+        );
+    }
 }
 
 /// Replays an edge list through a durable predictor — every event hits
@@ -1117,10 +1124,11 @@ fn cmd_restore(
     if strict && report.is_lossy() {
         return Err(format!(
             "recovery dropped data ({} WAL bytes truncated, {} corrupt \
-             snapshot(s) skipped); rerun without --strict to accept the \
-             recovered prefix",
+             snapshot(s) skipped, {} logged model(s) rejected); rerun \
+             without --strict to accept the recovered prefix",
             report.bytes_dropped,
             report.corrupt_snapshots.len(),
+            report.models_rejected,
         )
         .into());
     }
