@@ -34,7 +34,8 @@ use ssf_repro::ssf_core::{
     SsfExtractor, StructureSubgraph,
 };
 use ssf_repro::ssf_eval::{
-    backtest_splits, BacktestConfig, ResultsTable, Split, SplitConfig,
+    backtest_splits, evaluate_supervised_scores, BacktestConfig, ResultsTable,
+    Split, SplitConfig,
 };
 use ssf_repro::{
     CoalesceConfig, Coalescer, DurabilityPolicy, FsyncPolicy,
@@ -491,7 +492,16 @@ fn cmd_train(
     model
         .save(std::io::BufWriter::new(file))
         .map_err(|e| e.to_string())?;
-    let r = Method::Ssfnm.evaluate_augmented(&split, &extra, &opts);
+    // The model just saved scores the held-out pairs exactly as the
+    // offline SSFNM evaluation would.
+    let present = split.history.max_timestamp().ok_or("empty history")? + 1;
+    let scores = split
+        .test
+        .iter()
+        .map(|s| model.try_score(&split.history, s.u, s.v, present))
+        .collect::<Result<Vec<f64>, _>>()
+        .map_err(|e| e.to_string())?;
+    let r = evaluate_supervised_scores(Method::Ssfnm.name(), &split, &scores);
     writeln!(
         out,
         "trained SSFNM on {} samples (held-out AUC {:.3}, F1 {:.3}); wrote {model_path}",

@@ -4,9 +4,13 @@
 //! Unsupervised ranking baselines (CN … NMF) score pairs directly on the
 //! static view of the history network; supervised methods (WLLR, WLNM,
 //! SSFLR-W, SSFNM-W, SSFLR, SSFNM) extract a link feature per sample,
-//! standardize, train their model on the training samples and score the
-//! test samples. [`Method::evaluate`] runs any of them on a prepared
+//! take `ln_1p` and standardize, train their model on the training
+//! samples and score the test samples. The deployable
+//! [`crate::model::SsfnmModel`] runs the same training set, extraction
+//! and input transform as SSFNM here. [`Method::evaluate`] runs any of them on a prepared
 //! [`Split`] and returns the Table III cell (AUC, F1).
+
+use std::borrow::Cow;
 
 use baselines::{
     local, KatzIndex, LocalPathIndex, LocalRandomWalk, Nmf, NmfConfig,
@@ -129,33 +133,36 @@ impl Method {
         )
     }
 
-    /// Runs the method on a prepared split, augmenting the supervised
-    /// training set with labeled samples from earlier prediction windows
-    /// (`extra_train`, e.g. from [`ssf_eval::backtest_splits`]).
-    ///
-    /// Each extra fold's samples are featurized against *that fold's own
-    /// history*, so no future information reaches the model; the folds
-    /// predate the evaluation window by construction. Ranking methods have
-    /// nothing to train and ignore the extra folds.
-    pub fn evaluate_augmented(
-        &self,
-        split: &Split,
-        extra_train: &[Split],
-        opts: &MethodOptions,
-    ) -> MethodResult {
-        if !self.is_supervised() {
-            return self.evaluate(split, opts);
-        }
-        let stat = split.history.to_static();
-        self.supervised(split, extra_train, opts, &stat, self.model_kind())
-    }
-
     /// Runs the method on a prepared split.
     pub fn evaluate(
         &self,
         split: &Split,
         opts: &MethodOptions,
     ) -> MethodResult {
+        self.evaluate_augmented(split, &[], opts)
+    }
+
+    /// Runs the method on a prepared split, augmenting the supervised
+    /// training set with labeled samples from earlier prediction windows
+    /// (`extra_train`, e.g. from [`ssf_eval::backtest_splits`]).
+    ///
+    /// The training set is the split's train samples, then every extra
+    /// fold's train and test samples, each featurized against *that
+    /// fold's own history*, so no future information reaches the model;
+    /// the folds predate the evaluation window by construction.
+    /// [`crate::model::SsfnmModel::try_fit`] trains on the same set
+    /// through the same extraction and input transform, so its scores
+    /// over `split.test` equal SSFNM's `test_scores` bit for bit.
+    /// Ranking methods have nothing to train and ignore the extra folds.
+    pub fn evaluate_augmented(
+        &self,
+        split: &Split,
+        extra_train: &[Split],
+        opts: &MethodOptions,
+    ) -> MethodResult {
+        if self.is_supervised() {
+            return self.supervised(split, extra_train, opts);
+        }
         let stat = split.history.to_static();
         match self {
             Method::Cn => evaluate_ranking(self.name(), split, |u, v| {
@@ -204,13 +211,7 @@ impl Method {
                 );
                 evaluate_ranking(self.name(), split, |u, v| tmf.score(u, v))
             }
-            supervised => self.supervised(
-                split,
-                &[],
-                opts,
-                &stat,
-                supervised.model_kind(),
-            ),
+            supervised => unreachable!("{supervised:?} returned above"),
         }
     }
 
@@ -227,12 +228,19 @@ impl Method {
         }
     }
 
-    /// This method's prepared feature extractor, built once per batch
-    /// instead of once per sample; `None` for unsupervised methods.
-    fn feature_extractor(&self, opts: &MethodOptions) -> Option<FeatureKind> {
+    /// This method's feature extractor for one fold's batch, built once
+    /// per batch instead of once per sample; `None` for unsupervised
+    /// methods. Only WLF reads the fold's static view, so only WLF pays
+    /// for building it.
+    fn feature_extractor(
+        &self,
+        opts: &MethodOptions,
+        fold: &Split,
+    ) -> Option<FeatureKind> {
         match self {
             Method::Wllr | Method::Wlnm => Some(FeatureKind::Wlf(
                 WlfExtractor::new(WlfConfig::new(opts.k)),
+                fold.history.to_static(),
             )),
             Method::SsflrW | Method::SsfnmW => {
                 let cfg = SsfConfig::new(opts.k)
@@ -240,10 +248,7 @@ impl Method {
                 Some(FeatureKind::Ssf(SsfExtractor::new(cfg)))
             }
             Method::Ssflr | Method::Ssfnm => {
-                let cfg = SsfConfig::new(opts.k)
-                    .with_theta(opts.theta)
-                    .with_encoding(opts.ssf_encoding);
-                Some(FeatureKind::Ssf(SsfExtractor::new(cfg)))
+                Some(FeatureKind::Ssf(SsfExtractor::new(opts.ssf_config())))
             }
             _ => None,
         }
@@ -273,68 +278,8 @@ impl Method {
         }
     }
 
-    /// Extracts one sample's feature behind the borrowed cache's panic
-    /// guard: a degenerate pair (typed error) or a panicking extraction
-    /// (pathological subgraph) yields `None` instead of tearing the run
-    /// down, and a panic retires the chunk's cache.
-    ///
-    /// The SSF arm runs the [`dyngraph::GraphView`]-generic extraction
-    /// pipeline against the fold's mutable history network; the serving
-    /// layer drives the same code over frozen CSR views, and the outputs
-    /// are bit-identical by the view contract.
-    fn feature_caught(
-        &self,
-        ex: &FeatureKind,
-        cache: &mut ThreadCache,
-        fold: &Split,
-        fold_stat: &StaticGraph,
-        sample: &LinkSample,
-        present: Timestamp,
-    ) -> Option<Vec<f64>> {
-        cache
-            .catch(|cache| match ex {
-                FeatureKind::Wlf(w) => {
-                    Some(w.extract(fold_stat, sample.u, sample.v))
-                }
-                FeatureKind::Ssf(s) => s
-                    .try_extract_cached(
-                        &fold.history,
-                        sample.u,
-                        sample.v,
-                        present,
-                        cache,
-                    )
-                    .ok()
-                    .map(ssf_core::SsfFeature::into_values),
-            })
-            .ok()
-            .flatten()
-    }
-
-    /// Extracts features for a batch of samples, fanning out across the
-    /// available cores with scoped threads (extraction is embarrassingly
-    /// parallel and dominates the supervised methods' wall-clock). Output
-    /// order matches the input order, so runs stay deterministic.
-    fn extract_parallel(
-        &self,
-        fold: &Split,
-        opts: &MethodOptions,
-        fold_stat: &StaticGraph,
-        samples: &[LinkSample],
-    ) -> Vec<Vec<f64>> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.extract_with_threads(fold, opts, fold_stat, samples, threads)
-    }
-
-    /// Parallel extraction with an explicit worker count — the
-    /// public batch-extraction entry point. Output is identical for every
-    /// `threads` value (the determinism property tests pin this): chunking
-    /// only changes which worker computes a row, and each chunk's borrowed
-    /// [`ExtractionCache`] is bit-identical to no cache at all.
-    ///
-    /// Unsupervised methods have no feature and yield empty rows.
+    /// [`Method::extract_batch_observed`] with the no-op recorder, rows
+    /// only.
     pub fn extract_batch(
         &self,
         fold: &Split,
@@ -342,24 +287,6 @@ impl Method {
         samples: &[LinkSample],
         threads: usize,
     ) -> Vec<Vec<f64>> {
-        self.extract_batch_stats(fold, opts, samples, threads).0
-    }
-
-    /// [`Method::extract_batch`] that also returns the combined
-    /// [`CacheStats`] of every worker's extraction cache.
-    ///
-    /// Each chunk runs against one borrow of its thread's cache; the
-    /// returned stats are the merge across *all* chunks (an earlier
-    /// revision reported only the last chunk's counters, under-counting
-    /// hits and misses on any multi-threaded batch —
-    /// `extract_batch_stats_cover_all_chunks` pins the fix).
-    pub fn extract_batch_stats(
-        &self,
-        fold: &Split,
-        opts: &MethodOptions,
-        samples: &[LinkSample],
-        threads: usize,
-    ) -> (Vec<Vec<f64>>, CacheStats) {
         self.extract_batch_observed(
             fold,
             opts,
@@ -367,13 +294,38 @@ impl Method {
             threads,
             &ObsHandle::noop(),
         )
+        .0
     }
 
-    /// [`Method::extract_batch_stats`] with telemetry: the batch runs
-    /// under an `ssf.methods.extract` span, sample/degraded-row counts
-    /// land in `ssf.methods.samples` / `ssf.methods.degraded_rows`, and
-    /// every chunk's cache carries the recorder so `ssf.core.*` stage
-    /// timings flow from inside extraction.
+    /// Extracts the features of a batch of samples against `fold`'s
+    /// history: the one batch-extraction body behind every supervised
+    /// method and the SSFNM fit. Returns the rows in input order plus
+    /// the [`CacheStats`] merged across every worker chunk.
+    ///
+    /// With `threads > 1` and at least 64 samples the batch fans out
+    /// over scoped threads, one borrow of each worker thread's
+    /// [`ExtractionCache`] per chunk; otherwise it runs on the caller
+    /// against one borrow. The rows are identical for every `threads`
+    /// value: chunking only changes which worker computes a row, and a
+    /// borrowed cache is bit-identical to no cache at all.
+    ///
+    /// Robustness: each sample extracts behind the cache's panic guard,
+    /// so a degenerate pair (equal or out-of-range endpoints) or a
+    /// panicking extraction yields an all-zero row (width from
+    /// [`Method::feature_dim`], even when *every* sample degrades)
+    /// instead of poisoning the batch, and a worker thread that dies
+    /// anyway has its chunk recomputed on the caller. Unsupervised
+    /// methods have no feature and yield empty rows.
+    ///
+    /// Temporal decay is measured from the first tick after the history
+    /// ends, not from the (possibly later) prediction time: when the
+    /// evaluation window spans several ticks, measuring from `l_t` would
+    /// insert a dead gap that exponentially suppresses *all* history.
+    ///
+    /// Telemetry: the batch runs under an `ssf.methods.extract` span,
+    /// sample and degraded-row counts land in `ssf.methods.samples` /
+    /// `ssf.methods.degraded_rows`, and every chunk's cache carries
+    /// `obs`, so `ssf.core.*` stage timings flow from inside extraction.
     pub fn extract_batch_observed(
         &self,
         fold: &Split,
@@ -382,59 +334,9 @@ impl Method {
         threads: usize,
         obs: &ObsHandle,
     ) -> (Vec<Vec<f64>>, CacheStats) {
-        let stat = fold.history.to_static();
-        self.extract_with_threads_observed(
-            fold, opts, &stat, samples, threads, obs,
-        )
-    }
-
-    /// Shared worker-pool body of [`Method::extract_parallel`] /
-    /// [`Method::extract_batch`].
-    ///
-    /// Robustness: each sample extracts behind [`Method::feature_caught`],
-    /// so one bad sample degrades to an all-zero feature row (width from
-    /// [`Method::feature_dim`], even when *every* sample degrades) instead
-    /// of poisoning the batch; a worker thread that dies anyway has its
-    /// chunk recomputed sequentially.
-    ///
-    /// Temporal decay is measured from the first tick after the history
-    /// ends, not from the (possibly later) prediction time: when the
-    /// evaluation window spans several ticks, measuring from `l_t` would
-    /// insert a dead gap that exponentially suppresses *all* history.
-    fn extract_with_threads(
-        &self,
-        fold: &Split,
-        opts: &MethodOptions,
-        fold_stat: &StaticGraph,
-        samples: &[LinkSample],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        self.extract_with_threads_observed(
-            fold,
-            opts,
-            fold_stat,
-            samples,
-            threads,
-            &ObsHandle::noop(),
-        )
-        .0
-    }
-
-    /// Worker-pool body of the batch extraction entry points: returns the
-    /// feature rows plus the [`CacheStats`] merged across every worker
-    /// chunk (not just the last one).
-    fn extract_with_threads_observed(
-        &self,
-        fold: &Split,
-        opts: &MethodOptions,
-        fold_stat: &StaticGraph,
-        samples: &[LinkSample],
-        threads: usize,
-        obs: &ObsHandle,
-    ) -> (Vec<Vec<f64>>, CacheStats) {
         let _span = obs.span("ssf.methods.extract");
         obs.counter("ssf.methods.samples", samples.len() as u64);
-        let Some(ex) = self.feature_extractor(opts) else {
+        let Some(ex) = self.feature_extractor(opts, fold) else {
             let empty = samples.iter().map(|_| Vec::new()).collect();
             return (empty, CacheStats::default());
         };
@@ -445,11 +347,7 @@ impl Method {
                 let mut cache = ExtractionCache::borrow(obs.clone());
                 let rows = part
                     .iter()
-                    .map(|s| {
-                        self.feature_caught(
-                            &ex, &mut cache, fold, fold_stat, s, present,
-                        )
-                    })
+                    .map(|s| ex.extract_caught(&mut cache, fold, s, present))
                     .collect();
                 (rows, cache.stats())
             };
@@ -490,56 +388,52 @@ impl Method {
         (rows, stats)
     }
 
+    /// Trains this supervised method on [`training_folds`] and scores the
+    /// split's test samples. Extraction fans out over the available
+    /// cores.
     fn supervised(
         &self,
         split: &Split,
         extra_train: &[Split],
         opts: &MethodOptions,
-        stat: &StaticGraph,
-        model: ModelKind,
     ) -> MethodResult {
-        let extract_fold =
-            |fold: &Split, fold_stat: &StaticGraph, samples: &[LinkSample]| {
-                self.extract_parallel(fold, opts, fold_stat, samples)
-            };
-        let mut train_rows = extract_fold(split, stat, &split.train);
-        let mut train_labels: Vec<bool> =
-            split.train.iter().map(|s| s.label).collect();
-        for fold in extra_train {
-            let fold_stat = fold.history.to_static();
-            for samples in [&fold.train, &fold.test] {
-                train_rows.extend(extract_fold(fold, &fold_stat, samples));
-                train_labels.extend(samples.iter().map(|s| s.label));
-            }
+        let threads = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let extract = |fold: &Split, samples: &[LinkSample]| {
+            self.extract_batch(fold, opts, samples, threads)
+        };
+        let (mut train_rows, mut train_labels) = (Vec::new(), Vec::new());
+        for (fold, samples) in training_folds(split, extra_train) {
+            train_rows.extend(extract(fold, &samples));
+            train_labels.extend(samples.iter().map(|s| s.label));
         }
-        let dim = train_rows.first().map_or(0, Vec::len);
-        if dim == 0 {
-            // No usable training features survived extraction (empty train
-            // set or every sample degraded): fall back to ranking the test
-            // pairs by common neighbors rather than refusing to serve.
+        // Degrade to ranking the test pairs by common neighbors rather
+        // than refusing to serve.
+        let cn_fallback = || {
+            let stat = split.history.to_static();
             let scores: Vec<f64> = split
                 .test
                 .iter()
-                .map(|s| local::common_neighbors(stat, s.u, s.v))
+                .map(|s| local::common_neighbors(&stat, s.u, s.v))
                 .collect();
-            return evaluate_supervised_scores(self.name(), split, &scores);
+            evaluate_supervised_scores(self.name(), split, &scores)
+        };
+        let dim = train_rows.first().map_or(0, Vec::len);
+        if dim == 0 {
+            // No usable training features: an empty train set, or a `K`
+            // too small for any feature entry.
+            return cn_fallback();
         }
-        // log1p compresses the heavy-tailed multi-link counts of SSF-W /
-        // normalized-influence entries before standardization; without it
-        // the count variance swamps the presence/absence signal. All
-        // entries are non-negative; bounded encodings pass monotonically.
-        let x_train_raw =
-            Matrix::from_fn(train_rows.len(), dim, |i, j| train_rows[i][j])
-                .map(f64::ln_1p);
-        let test_rows = extract_fold(split, stat, &split.test);
-        let x_test_raw =
-            Matrix::from_fn(test_rows.len(), dim, |i, j| test_rows[i][j])
-                .map(f64::ln_1p);
-        let scaler = StandardScaler::fit(&x_train_raw);
-        let x_train = scaler.transform(&x_train_raw);
-        let x_test = scaler.transform(&x_test_raw);
+        let mut x_train =
+            Matrix::from_fn(train_rows.len(), dim, |i, j| train_rows[i][j]);
+        let scaler = model_input(&mut x_train, None).into_owned();
+        let test_rows = extract(split, &split.test);
+        let mut x_test =
+            Matrix::from_fn(test_rows.len(), dim, |i, j| test_rows[i][j]);
+        model_input(&mut x_test, Some(&scaler));
 
-        let scores: Vec<f64> = match model {
+        let scores: Vec<f64> = match self.model_kind() {
             ModelKind::Lr => {
                 let y: Vec<f64> = train_labels
                     .iter()
@@ -549,24 +443,14 @@ impl Method {
                     Ok(lr) => (0..x_test.rows())
                         .map(|i| lr.predict(x_test.row(i)))
                         .collect(),
-                    // Degenerate design (e.g. λ = 0 on collinear features):
-                    // degrade to common-neighbor ranking instead of dying.
-                    Err(_) => split
-                        .test
-                        .iter()
-                        .map(|s| local::common_neighbors(stat, s.u, s.v))
-                        .collect(),
+                    // Degenerate design (e.g. λ = 0 on collinear features).
+                    Err(_) => return cn_fallback(),
                 }
             }
             ModelKind::Nm => {
                 let y: Vec<usize> =
                     train_labels.iter().map(|&l| usize::from(l)).collect();
-                let cfg = MlpConfig {
-                    epochs: opts.nm_epochs,
-                    seed: opts.seed,
-                    ..MlpConfig::default()
-                };
-                let nm = NeuralMachine::train(&x_train, &y, cfg);
+                let nm = NeuralMachine::train(&x_train, &y, opts.mlp_config());
                 (0..x_test.rows())
                     .map(|i| nm.score(x_test.row(i)))
                     .collect()
@@ -576,6 +460,49 @@ impl Method {
     }
 }
 
+/// The supervised training set, fold by fold: the split's own train
+/// samples, then every extra fold's train and test samples. Each batch
+/// is featurized against the history of the fold it comes with, so no
+/// future information reaches the model.
+pub(crate) fn training_folds<'a>(
+    split: &'a Split,
+    extra_train: &'a [Split],
+) -> impl Iterator<Item = (&'a Split, Vec<LinkSample>)> {
+    std::iter::once((split, split.train.clone())).chain(
+        extra_train
+            .iter()
+            .map(|fold| (fold, [fold.train.as_slice(), &fold.test].concat())),
+    )
+}
+
+/// The supervised models' input transform, in place on a matrix of raw
+/// feature rows: `ln_1p` on every entry, then standardization by
+/// `scaler` — or, for a training set (`None`), by a scaler first fitted
+/// to these `ln_1p` rows, which is returned. `ln_1p` compresses the
+/// heavy-tailed multi-link counts of SSF-W / normalized-influence
+/// entries; without it the count variance swamps the presence/absence
+/// signal. All entries are non-negative; bounded encodings pass
+/// monotonically.
+///
+/// # Panics
+///
+/// When fitting on a matrix without rows, or when `x`'s width differs
+/// from `scaler`'s.
+pub(crate) fn model_input<'s>(
+    x: &mut Matrix,
+    scaler: Option<&'s StandardScaler>,
+) -> Cow<'s, StandardScaler> {
+    for v in x.as_mut_slice() {
+        *v = v.ln_1p();
+    }
+    let scaler = scaler
+        .map_or_else(|| Cow::Owned(StandardScaler::fit(x)), Cow::Borrowed);
+    for i in 0..x.rows() {
+        scaler.transform_row(x.row_mut(i));
+    }
+    scaler
+}
+
 /// LR vs NM model choice for the supervised methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ModelKind {
@@ -583,12 +510,51 @@ enum ModelKind {
     Nm,
 }
 
-/// A prepared per-batch feature extractor (WLF is static-graph based, SSF
-/// timestamped), hoisted out of the per-sample loop.
+/// A prepared per-batch feature extractor, hoisted out of the
+/// per-sample loop: WLF with the fold's static view it reads, SSF over
+/// the timestamped history.
 #[derive(Debug, Clone)]
 enum FeatureKind {
-    Wlf(WlfExtractor),
+    Wlf(WlfExtractor, StaticGraph),
     Ssf(SsfExtractor),
+}
+
+impl FeatureKind {
+    /// Extracts one sample's feature behind the borrowed cache's panic
+    /// guard: a degenerate pair (typed error) or a panicking extraction
+    /// (pathological subgraph) yields `None` instead of tearing the run
+    /// down, and a panic retires the chunk's cache.
+    ///
+    /// The SSF arm runs the [`dyngraph::GraphView`]-generic extraction
+    /// pipeline against the fold's mutable history network; the serving
+    /// layer drives the same code over frozen CSR views, and the outputs
+    /// are bit-identical by the view contract.
+    fn extract_caught(
+        &self,
+        cache: &mut ThreadCache,
+        fold: &Split,
+        sample: &LinkSample,
+        present: Timestamp,
+    ) -> Option<Vec<f64>> {
+        cache
+            .catch(|cache| match self {
+                FeatureKind::Wlf(w, stat) => {
+                    Some(w.extract(stat, sample.u, sample.v))
+                }
+                FeatureKind::Ssf(s) => s
+                    .try_extract_cached(
+                        &fold.history,
+                        sample.u,
+                        sample.v,
+                        present,
+                        cache,
+                    )
+                    .ok()
+                    .map(ssf_core::SsfFeature::into_values),
+            })
+            .ok()
+            .flatten()
+    }
 }
 
 /// Shared hyperparameters (paper defaults).
@@ -624,6 +590,25 @@ pub struct MethodOptions {
 }
 
 impl MethodOptions {
+    /// The extractor configuration of the full SSF methods (SSFLR,
+    /// SSFNM and [`crate::model::SsfnmModel`]): `K`, the influence decay
+    /// θ and the entry encoding.
+    pub(crate) fn ssf_config(&self) -> SsfConfig {
+        SsfConfig::new(self.k)
+            .with_theta(self.theta)
+            .with_encoding(self.ssf_encoding)
+    }
+
+    /// The neural machine's training configuration: the epochs and seed
+    /// here, every other setting at its default.
+    pub(crate) fn mlp_config(&self) -> MlpConfig {
+        MlpConfig {
+            epochs: self.nm_epochs,
+            seed: self.seed,
+            ..MlpConfig::default()
+        }
+    }
+
     /// Checks the hyperparameters a predictor cannot recover from at
     /// runtime: `K` below the K-structure minimum of 3 and a negative or
     /// non-finite influence decay θ. Called by
@@ -798,18 +783,17 @@ mod tests {
     #[test]
     fn degenerate_samples_degrade_to_zero_rows() {
         let eval_split = split();
-        let stat = eval_split.history.to_static();
         let good = eval_split.train[0];
         let bad = LinkSample {
             u: 3,
             v: 3, // self-pair: extraction would panic
             label: false,
         };
-        let rows = Method::Ssflr.extract_parallel(
+        let rows = Method::Ssflr.extract_batch(
             &eval_split,
             &MethodOptions::default(),
-            &stat,
             &[good, bad, good],
+            1,
         );
         assert_eq!(rows.len(), 3);
         let dim = rows[0].len();
@@ -825,7 +809,6 @@ mod tests {
     #[test]
     fn all_degenerate_batch_keeps_feature_width() {
         let eval_split = split();
-        let stat = eval_split.history.to_static();
         let bad = LinkSample {
             u: 3,
             v: 3,
@@ -833,8 +816,7 @@ mod tests {
         };
         let opts = MethodOptions::default();
         for m in [Method::Ssfnm, Method::Wlnm, Method::SsflrW] {
-            let rows =
-                m.extract_parallel(&eval_split, &opts, &stat, &[bad, bad]);
+            let rows = m.extract_batch(&eval_split, &opts, &[bad, bad], 1);
             let dim = m.feature_dim(&opts).unwrap();
             assert!(dim > 0, "{m:?}");
             assert_eq!(rows.len(), 2);
@@ -849,7 +831,6 @@ mod tests {
     #[test]
     fn feature_dim_matches_extracted_rows() {
         let eval_split = split();
-        let stat = eval_split.history.to_static();
         let opts = MethodOptions::default();
         let good = eval_split.train[0];
         for m in Method::all() {
@@ -857,7 +838,7 @@ mod tests {
                 assert!(!m.is_supervised(), "{m:?}");
                 continue;
             };
-            let rows = m.extract_parallel(&eval_split, &opts, &stat, &[good]);
+            let rows = m.extract_batch(&eval_split, &opts, &[good], 1);
             assert_eq!(rows[0].len(), dim, "{m:?}");
         }
     }

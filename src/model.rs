@@ -4,7 +4,10 @@
 //! (all the paper's experiments need is the metrics). Applications want to
 //! keep the fitted model and score arbitrary candidate pairs later;
 //! [`SsfnmModel`] packages the extractor configuration, the fitted feature
-//! scaler and the neural machine together.
+//! scaler and the neural machine together. Both run one pipeline — the
+//! same training set, batch extraction and `ln_1p`/scaler input
+//! transform — so a fitted model reproduces the offline SSFNM scores bit
+//! for bit.
 
 use std::io::{self, BufRead, Write};
 
@@ -12,13 +15,14 @@ use dyngraph::{GraphView, NodeId, Timestamp};
 use linalg::Matrix;
 use obs::ObsHandle;
 use ssf_core::{
-    EntryEncoding, ExtractError, ExtractionCache, SsfConfig, SsfExtractor,
+    EntryEncoding, ExtractError, ExtractionCache, HopSubgraph, SsfConfig,
+    SsfExtractor,
 };
 use ssf_eval::Split;
-use ssf_ml::{persist, FitError, MlpConfig, NeuralMachine, StandardScaler};
+use ssf_ml::{persist, FitError, NeuralMachine, StandardScaler};
 
 use crate::error::SsfError;
-use crate::methods::MethodOptions;
+use crate::methods::{model_input, training_folds, Method, MethodOptions};
 
 /// A fitted SSF + neural-machine link predictor.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,8 +33,10 @@ pub struct SsfnmModel {
 }
 
 impl SsfnmModel {
-    /// Trains on a split (plus optional earlier-window folds, as in
-    /// [`crate::methods::Method::evaluate_augmented`]).
+    /// Trains on a split plus optional earlier-window folds: the training
+    /// set, extraction and input transform of
+    /// [`crate::methods::Method::evaluate_augmented`], so the fitted
+    /// model scores `split.test` exactly as SSFNM's `test_scores` do.
     ///
     /// # Errors
     ///
@@ -52,6 +58,10 @@ impl SsfnmModel {
     /// [`NeuralMachine::train_observed`]. The fitted model is identical to
     /// the unobserved path.
     ///
+    /// Extraction is serial, on one borrow of the thread's extraction
+    /// cache per fold, with the no-op recorder: a refit inside the
+    /// online predictor records no `ssf.core.*` stage timings.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`SsfnmModel::try_fit`].
@@ -62,63 +72,37 @@ impl SsfnmModel {
         obs: &ObsHandle,
     ) -> Result<Self, SsfError> {
         let _fit_span = obs.span("ssf.model.fit");
-        let cfg = SsfConfig::new(opts.k)
-            .with_theta(opts.theta)
-            .with_encoding(opts.ssf_encoding);
-        let extractor = SsfExtractor::new(cfg);
-
         let mut rows: Vec<Vec<f64>> = Vec::new();
         let mut labels: Vec<usize> = Vec::new();
         let extract_span = obs.span("ssf.model.extract");
-        for fold in std::iter::once(split).chain(extra_train) {
-            let present =
-                fold.history.max_timestamp().map_or(fold.l_t, |t| t + 1);
-            let samples: Vec<_> = if std::ptr::eq(fold, split) {
-                fold.train.iter().collect()
-            } else {
-                fold.train.iter().chain(&fold.test).collect()
-            };
-            // One borrow per fold, never shared: two fold histories can
-            // carry equal revision counters, so a shared cache could serve
-            // one fold's balls to another.
-            let mut cache = ExtractionCache::borrow(ObsHandle::noop());
-            for s in samples {
-                rows.push(
-                    extractor
-                        .try_extract_cached(
-                            &fold.history,
-                            s.u,
-                            s.v,
-                            present,
-                            &mut cache,
-                        )?
-                        .into_values(),
-                );
-                labels.push(usize::from(s.label));
+        for (fold, samples) in training_folds(split, extra_train) {
+            // The batch body degrades a degenerate sample to a zero row;
+            // a fit refuses it instead.
+            for s in &samples {
+                HopSubgraph::validate(&fold.history, s.u, s.v)?;
             }
+            let (fold_rows, _) = Method::Ssfnm.extract_batch_observed(
+                fold,
+                opts,
+                &samples,
+                1,
+                &ObsHandle::noop(),
+            );
+            rows.extend(fold_rows);
+            labels.extend(samples.iter().map(|s| usize::from(s.label)));
         }
         extract_span.finish();
         obs.counter("ssf.model.train_rows", rows.len() as u64);
         if rows.is_empty() {
             return Err(SsfError::Fit(FitError::EmptyDesign));
         }
-        let dim = rows[0].len();
-        let x_raw =
-            Matrix::from_fn(rows.len(), dim, |i, j| rows[i][j]).map(f64::ln_1p);
-        let scaler = StandardScaler::fit(&x_raw);
-        let x = scaler.transform(&x_raw);
-        let model = NeuralMachine::train_observed(
-            &x,
-            &labels,
-            MlpConfig {
-                epochs: opts.nm_epochs,
-                seed: opts.seed,
-                ..MlpConfig::default()
-            },
-            obs,
-        );
+        let mut x =
+            Matrix::from_fn(rows.len(), rows[0].len(), |i, j| rows[i][j]);
+        let scaler = model_input(&mut x, None).into_owned();
+        let model =
+            NeuralMachine::train_observed(&x, &labels, opts.mlp_config(), obs);
         Ok(SsfnmModel {
-            extractor,
+            extractor: SsfExtractor::new(opts.ssf_config()),
             scaler,
             model,
         })
@@ -158,15 +142,13 @@ impl SsfnmModel {
         present: Timestamp,
         cache: &mut ExtractionCache,
     ) -> Result<f64, ExtractError> {
-        let mut f = self
+        let f = self
             .extractor
             .try_extract_cached(g, u, v, present, cache)?
             .into_values();
-        for x in &mut f {
-            *x = x.ln_1p();
-        }
-        self.scaler.transform_row(&mut f);
-        Ok(self.model.score(&f))
+        let mut x = Matrix::from_vec(1, f.len(), f);
+        model_input(&mut x, Some(&self.scaler));
+        Ok(self.model.score(x.row(0)))
     }
 
     /// The extractor configuration the model was trained with.

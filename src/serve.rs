@@ -38,6 +38,7 @@ use ssf_persist::SnapshotReader;
 
 use crate::durability::{self, PersistedState};
 use crate::error::SsfError;
+use crate::model::SsfnmModel;
 use crate::stream::{FittedModel, OnlineLinkPredictor};
 
 /// Why an event was quarantined instead of entering the network.
@@ -251,7 +252,7 @@ struct SnapshotInner {
     degraded_scores: AtomicU64,
     /// Model scores this snapshot has already served, by directed pair.
     /// Holds only model outputs: never `None` and never a fallback.
-    memo: Mutex<LruCache<(NodeId, NodeId), f64>>,
+    memo: Memo,
     obs: ObsHandle,
 }
 
@@ -259,8 +260,98 @@ struct SnapshotInner {
 /// memo. This is the one per-pair memo of the scoring path.
 const MEMO_CAPACITY: usize = 8192;
 
-fn empty_memo() -> Mutex<LruCache<(NodeId, NodeId), f64>> {
+/// A snapshot's score memo: model scores by directed pair.
+type Memo = Mutex<LruCache<(NodeId, NodeId), f64>>;
+
+fn empty_memo() -> Memo {
     Mutex::new(LruCache::new(MEMO_CAPACITY))
+}
+
+fn lock(memo: &Memo) -> MutexGuard<'_, LruCache<(NodeId, NodeId), f64>> {
+    // The memo only holds finished scores, so a panic elsewhere can
+    // never leave it half-written.
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the one pair-scoring loop reads: the graph and serving model of
+/// the writer or of a snapshot, with the caller's memo, degraded tally
+/// and recorder.
+pub(crate) struct Scorer<'a, G: ?Sized> {
+    pub(crate) graph: &'a G,
+    /// The serving model and the prediction time; `None` when either is
+    /// missing, and then every pair scores `None`.
+    pub(crate) model: Option<(&'a SsfnmModel, Timestamp)>,
+    /// A snapshot's score memo; the writer scores without one.
+    pub(crate) memo: Option<&'a Memo>,
+    /// The caller's tally of common-neighbor fallbacks, and the counter
+    /// it reports them under.
+    pub(crate) degraded: (&'a AtomicU64, &'static str),
+    pub(crate) obs: &'a ObsHandle,
+}
+
+impl<G: GraphView + ?Sized> Scorer<'_, G> {
+    /// The one pair-scoring loop, behind the writer's
+    /// [`score`](OnlineLinkPredictor::score) and
+    /// [`score_batch`](OnlineLinkPredictor::score_batch) and every
+    /// snapshot path: validate, read the memo (when there is one),
+    /// extract and score the misses against this thread's borrowed cache
+    /// (taken on the first miss), degrade to the common-neighbor
+    /// fallback on error or panic. The cache goes back to the thread
+    /// cleared, unless a pair panicked in it. Memo hits and misses are
+    /// counted under `ssf.serve.memo.*`, so a memo-less caller never
+    /// touches those counters.
+    pub(crate) fn score(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
+        let n = self.graph.node_count() as NodeId;
+        let mut cache: Option<ThreadCache> = None;
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut out = Vec::with_capacity(pairs.len());
+        for &(u, v) in pairs {
+            if u == v || u >= n || v >= n {
+                out.push(None);
+                continue;
+            }
+            let Some((model, present)) = self.model else {
+                out.push(None);
+                continue;
+            };
+            if let Some(memo) = self.memo {
+                let memoised = lock(memo).get(&(u, v)).copied();
+                if let Some(p) = memoised {
+                    hits += 1;
+                    out.push(Some(p));
+                    continue;
+                }
+                misses += 1;
+            }
+            let cache = cache.get_or_insert_with(|| {
+                ExtractionCache::borrow(self.obs.clone())
+            });
+            let attempt = cache.catch(|cache| {
+                model.try_score_cached(self.graph, u, v, present, cache)
+            });
+            out.push(match attempt {
+                Ok(Ok(p)) => {
+                    if let Some(memo) = self.memo {
+                        lock(memo).insert((u, v), p);
+                    }
+                    Some(p)
+                }
+                Ok(Err(_)) | Err(_) => {
+                    let (tally, counter) = self.degraded;
+                    tally.fetch_add(1, Ordering::Relaxed);
+                    self.obs.counter(counter, 1);
+                    Some(common_neighbor_fallback(self.graph, u, v))
+                }
+            });
+        }
+        if hits > 0 {
+            self.obs.counter("ssf.serve.memo.hits", hits);
+        }
+        if misses > 0 {
+            self.obs.counter("ssf.serve.memo.misses", misses);
+        }
+        out
+    }
 }
 
 impl ScoringSnapshot {
@@ -387,7 +478,7 @@ impl ScoringSnapshot {
     /// Directed pairs whose model score this snapshot has memoised
     /// (at most 8192; the memo is dropped with the snapshot).
     pub fn memo_entries(&self) -> usize {
-        self.memo().len()
+        lock(&self.inner.memo).len()
     }
 
     /// Scores one candidate pair — same contract and same bits as
@@ -396,7 +487,7 @@ impl ScoringSnapshot {
     /// a pair this snapshot already scored is served from its memo.
     pub fn score(&self, u: NodeId, v: NodeId) -> Option<f64> {
         let _span = self.inner.obs.span("ssf.serve.score");
-        self.score_chunk(&[(u, v)]).pop().flatten()
+        self.scorer().score(&[(u, v)]).pop().flatten()
     }
 
     /// Scores a batch serially: each pair is read from the snapshot's
@@ -408,7 +499,7 @@ impl ScoringSnapshot {
         self.inner
             .obs
             .counter("ssf.serve.scored", pairs.len() as u64);
-        self.score_chunk(pairs)
+        self.scorer().score(pairs)
     }
 
     /// Fans a batch out over `threads` threads — the caller plus
@@ -446,11 +537,11 @@ impl ScoringSnapshot {
         std::thread::scope(|s| {
             let handles: Vec<_> = rest
                 .chunks(chunk)
-                .map(|c| (c.len(), s.spawn(move || self.score_chunk(c))))
+                .map(|c| (c.len(), s.spawn(move || self.scorer().score(c))))
                 .collect();
             // The calling thread scores the first chunk itself, with its
             // own reused cache, while the spawned threads run the rest.
-            out.extend(self.score_chunk(first));
+            out.extend(self.scorer().score(first));
             for (len, h) in handles {
                 match h.join() {
                     Ok(scores) => out.extend(scores),
@@ -463,70 +554,20 @@ impl ScoringSnapshot {
         out
     }
 
-    fn memo(&self) -> MutexGuard<'_, LruCache<(NodeId, NodeId), f64>> {
-        // The memo only holds finished scores, so a panic elsewhere can
-        // never leave it half-written.
-        self.inner
-            .memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The one serial scoring loop behind every snapshot path: validate,
-    /// read the memo, extract and score the misses against this thread's
-    /// borrowed cache (taken on the first miss), degrade to the
-    /// common-neighbor fallback on error or panic. The cache goes back
-    /// to the thread cleared, unless a pair panicked in it.
-    fn score_chunk(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
+    /// The scoring loop over this snapshot's graph, model and memo.
+    fn scorer(&self) -> Scorer<'_, OverlayView> {
         let inner = &*self.inner;
-        let graph = &inner.graph;
-        let n = graph.node_count() as NodeId;
-        let mut cache: Option<ThreadCache> = None;
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let mut out = Vec::with_capacity(pairs.len());
-        for &(u, v) in pairs {
-            if u == v || u >= n || v >= n {
-                out.push(None);
-                continue;
-            }
-            let (Some(present), Some(fitted)) =
-                (inner.present, inner.model.as_deref())
-            else {
-                out.push(None);
-                continue;
-            };
-            let memoised = self.memo().get(&(u, v)).copied();
-            if let Some(p) = memoised {
-                hits += 1;
-                out.push(Some(p));
-                continue;
-            }
-            misses += 1;
-            let cache = cache.get_or_insert_with(|| {
-                ExtractionCache::borrow(inner.obs.clone())
-            });
-            let attempt = cache.catch(|cache| {
-                fitted.model.try_score_cached(graph, u, v, present, cache)
-            });
-            out.push(match attempt {
-                Ok(Ok(p)) => {
-                    self.memo().insert((u, v), p);
-                    Some(p)
-                }
-                Ok(Err(_)) | Err(_) => {
-                    inner.degraded_scores.fetch_add(1, Ordering::Relaxed);
-                    inner.obs.counter("ssf.serve.degraded_scores", 1);
-                    Some(common_neighbor_fallback(graph, u, v))
-                }
-            });
+        Scorer {
+            graph: &inner.graph,
+            model: inner
+                .model
+                .as_deref()
+                .map(|fitted| &fitted.model)
+                .zip(inner.present),
+            memo: Some(&inner.memo),
+            degraded: (&inner.degraded_scores, "ssf.serve.degraded_scores"),
+            obs: &inner.obs,
         }
-        if hits > 0 {
-            inner.obs.counter("ssf.serve.memo.hits", hits);
-        }
-        if misses > 0 {
-            inner.obs.counter("ssf.serve.memo.misses", misses);
-        }
-        out
     }
 }
 

@@ -22,7 +22,7 @@
 //! [`OnlineLinkPredictor::snapshot`] and see [`crate::serve`].
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use dyngraph::{
@@ -30,11 +30,10 @@ use dyngraph::{
     WindowedView,
 };
 use obs::{labeled, ObsHandle};
-use ssf_core::{ExtractionCache, ThreadCache};
 use ssf_eval::{backtest_splits, BacktestConfig, Split, SplitConfig};
 use ssf_persist::{
-    replay, ReplayStep, SnapshotReader, SnapshotWriter, WalOp, WalOptions,
-    WalWriter,
+    replay, PersistError, ReplayStep, SnapshotReader, SnapshotWriter, WalOp,
+    WalOptions, WalWriter,
 };
 
 use crate::durability::{
@@ -365,7 +364,7 @@ impl OnlineLinkPredictor {
         // Log-before-mutate: the WAL sees every event — including ones
         // about to be quarantined, whose node registration still bumps
         // the revision — so replay reproduces the exact state machine.
-        self.log_event(u, v, t);
+        self.log_record(|wal| wal.append(u, v, t));
         if let (Some(max_lag), Some(head)) =
             (self.config.max_lag, self.network.max_timestamp())
         {
@@ -482,7 +481,7 @@ impl OnlineLinkPredictor {
         to: Timestamp,
     ) -> Result<Option<AdvanceReport>, SsfError> {
         let _span = self.obs.span("ssf.stream.advance");
-        self.log_advance(to);
+        self.log_record(|wal| wal.append_advance(to));
         let Some(report) = self.network.advance(to)? else {
             return Ok(None);
         };
@@ -614,7 +613,7 @@ impl OnlineLinkPredictor {
     /// one-pair case of [`score_batch`](OnlineLinkPredictor::score_batch).
     pub fn score(&self, u: NodeId, v: NodeId) -> Option<f64> {
         let _span = self.obs.span("ssf.stream.score");
-        self.score_pairs(&[(u, v)]).pop().flatten()
+        self.scorer().score(&[(u, v)]).pop().flatten()
     }
 
     /// Scores many candidate pairs at once. Each slot carries the same
@@ -629,54 +628,27 @@ impl OnlineLinkPredictor {
     pub fn score_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
         let _span = self.obs.span("ssf.stream.score_batch");
         self.obs.counter("ssf.stream.scored", pairs.len() as u64);
-        self.score_pairs(pairs)
+        self.scorer().score(pairs)
     }
 
-    /// The one scoring loop behind [`score`] and [`score_batch`]:
-    /// validate, extract and score against this thread's borrowed cache
-    /// (taken on the first pair the model scores), degrade to the
-    /// common-neighbor fallback on error or panic.
-    ///
-    /// [`score`]: OnlineLinkPredictor::score
-    /// [`score_batch`]: OnlineLinkPredictor::score_batch
-    fn score_pairs(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
-        let n = self.network.node_count() as NodeId;
+    /// The scoring loop over the writer's graph and model, without a
+    /// memo.
+    fn scorer(&self) -> serve::Scorer<'_, WindowedView> {
         let present = self.network.max_timestamp().map(|t| t.saturating_add(1));
-        let mut cache: Option<ThreadCache> = None;
-        let mut out = Vec::with_capacity(pairs.len());
-        for &(u, v) in pairs {
-            if u == v || u >= n || v >= n {
-                out.push(None);
-                continue;
-            }
-            let (Some(present), Some(fitted)) =
-                (present, self.fitted.as_deref())
-            else {
-                out.push(None);
-                continue;
-            };
-            let cache = cache.get_or_insert_with(|| {
-                ExtractionCache::borrow(self.obs.clone())
-            });
-            let attempt = cache.catch(|cache| {
-                fitted.model.try_score_cached(
-                    &self.network,
-                    u,
-                    v,
-                    present,
-                    cache,
-                )
-            });
-            out.push(match attempt {
-                Ok(Ok(p)) => Some(p),
-                Ok(Err(_)) | Err(_) => {
-                    self.stats.degraded_scores.fetch_add(1, Ordering::Relaxed);
-                    self.obs.counter("ssf.stream.degraded_scores", 1);
-                    Some(self.common_neighbor_fallback(u, v))
-                }
-            });
+        serve::Scorer {
+            graph: &self.network,
+            model: self
+                .fitted
+                .as_deref()
+                .map(|fitted| &fitted.model)
+                .zip(present),
+            memo: None,
+            degraded: (
+                &self.stats.degraded_scores,
+                "ssf.stream.degraded_scores",
+            ),
+            obs: &self.obs,
         }
-        out
     }
 
     /// Publishes the current epoch as an immutable, `Arc`-shared
@@ -771,39 +743,25 @@ impl OnlineLinkPredictor {
         }
     }
 
-    /// Appends one event to the WAL when durable. An append failure
-    /// must not drop the event or panic the ingest path: the event
-    /// still enters memory, the degradation is recorded in
+    /// Appends one event or window-advance record to the WAL through
+    /// `append` when durable. An append failure must not drop the record
+    /// or panic the ingest path: the change still enters memory, the
+    /// degradation is recorded in
     /// [`last_wal_error`](OnlineLinkPredictor::last_wal_error) and the
-    /// `ssf.persist.wal_append_failed` counter. The error is sticky —
-    /// a later successful append does not clear it, because the failed
-    /// event is still absent from the durable history; only a
-    /// successful [`checkpoint`](OnlineLinkPredictor::checkpoint)
-    /// (which persists the full in-memory state, failed appends
-    /// included) resets it.
-    fn log_event(&mut self, u: NodeId, v: NodeId, t: Timestamp) {
+    /// `ssf.persist.wal_append_failed` counter. The error is sticky — a
+    /// later successful append does not clear it, because the failed
+    /// record is still absent from the durable history; only a
+    /// successful [`checkpoint`](OnlineLinkPredictor::checkpoint) (which
+    /// persists the full in-memory state, failed appends included)
+    /// resets it.
+    fn log_record(
+        &mut self,
+        append: impl FnOnce(&mut WalWriter) -> Result<u64, PersistError>,
+    ) {
         let Some(d) = self.durability.as_mut() else {
             return;
         };
-        match d.wal.append(u, v, t) {
-            Ok(_) => {
-                self.obs.counter("ssf.persist.wal_appends", 1);
-            }
-            Err(e) => {
-                d.last_wal_error = Some(e.to_string());
-                self.obs.counter("ssf.persist.wal_append_failed", 1);
-            }
-        }
-    }
-
-    /// Logs one explicit window advance to the WAL when durable, with
-    /// the same sticky-error degradation as
-    /// [`log_event`](OnlineLinkPredictor::log_event).
-    fn log_advance(&mut self, to: Timestamp) {
-        let Some(d) = self.durability.as_mut() else {
-            return;
-        };
-        match d.wal.append_advance(to) {
+        match append(&mut d.wal) {
             Ok(_) => {
                 self.obs.counter("ssf.persist.wal_appends", 1);
             }
@@ -840,10 +798,7 @@ impl OnlineLinkPredictor {
         let (epoch, saved) = match self.fitted.as_deref() {
             Some(fitted) if installed => (
                 fitted.epoch,
-                fitted
-                    .model
-                    .save(&mut bytes)
-                    .map_err(ssf_persist::PersistError::from),
+                fitted.model.save(&mut bytes).map_err(PersistError::from),
             ),
             _ => (self.network.revision(), Ok(())),
         };
@@ -885,12 +840,6 @@ impl OnlineLinkPredictor {
         let g = &self.network;
         (u as usize) < g.node_count()
             && g.incident_links(u).any(|l| l == (v, t))
-    }
-
-    /// Degraded scorer shared with the snapshot path (see
-    /// [`serve::common_neighbor_fallback`]).
-    fn common_neighbor_fallback(&self, u: NodeId, v: NodeId) -> f64 {
-        serve::common_neighbor_fallback(&self.network, u, v)
     }
 }
 
@@ -1770,8 +1719,9 @@ mod tests {
         p.observe(0, 3, 1);
         p.observe(3, 2, 1);
         // 0 and 2 share {1, 3}; 0 and 1 share nothing.
-        assert!((p.common_neighbor_fallback(0, 2) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(p.common_neighbor_fallback(0, 1), 0.0);
+        let cn = |u, v| serve::common_neighbor_fallback(p.network(), u, v);
+        assert!((cn(0, 2) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(cn(0, 1), 0.0);
         assert_eq!(p.stats().degraded_scores(), 0);
     }
 

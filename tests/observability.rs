@@ -304,11 +304,12 @@ fn observed_extraction_rows_are_bit_identical() {
     let registry = Arc::new(Registry::new());
     let obs = ObsHandle::of_registry(Arc::clone(&registry));
     for threads in [1, 4] {
-        let (plain, _) = Method::Ssfnm.extract_batch_stats(
+        let (plain, _) = Method::Ssfnm.extract_batch_observed(
             &split,
             &opts,
             &split.train,
             threads,
+            &ObsHandle::noop(),
         );
         let (observed, _) = Method::Ssfnm.extract_batch_observed(
             &split,

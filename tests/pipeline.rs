@@ -1,10 +1,15 @@
 //! End-to-end integration tests: dataset generation → splitting → every
 //! Table III method → metric sanity, plus determinism across the whole
-//! pipeline.
+//! pipeline, and offline = online: a fitted [`SsfnmModel`] reproduces the
+//! offline SSFNM scores.
 
 use ssf_repro::datasets::DatasetSpec;
 use ssf_repro::methods::{Method, MethodOptions};
-use ssf_repro::ssf_eval::{ResultsTable, Split, SplitConfig};
+use ssf_repro::ssf_eval::{
+    backtest_splits, BacktestConfig, LinkSample, ResultsTable, Split,
+    SplitConfig,
+};
+use ssf_repro::{SsfError, SsfnmModel};
 
 fn quick_opts() -> MethodOptions {
     MethodOptions {
@@ -119,5 +124,97 @@ fn supervised_and_ranking_agree_on_obvious_signal() {
             r.name,
             r.auc
         );
+    }
+}
+
+/// Offline = online: SSFNM trained by [`SsfnmModel::try_fit`] on a split
+/// plus earlier-window folds scores the held-out pairs bit for bit as
+/// [`Method::evaluate_augmented`] does, and so does the model read back
+/// from its saved form.
+#[test]
+#[allow(clippy::expect_used)]
+fn fitted_model_scores_match_offline_ssfnm_bit_for_bit() {
+    let split = small_split(&DatasetSpec::coauthor().scaled(0.2), 7);
+    let extra = backtest_splits(
+        &split.history,
+        &BacktestConfig {
+            split: SplitConfig {
+                seed: 7,
+                max_positives: Some(60),
+                ..SplitConfig::default()
+            },
+            folds: 2,
+            stride: 1,
+            min_positives: 10,
+        },
+    )
+    .expect("history must backtest");
+    assert!(!extra.is_empty(), "the fit must see extra folds");
+    let opts = quick_opts();
+    let to_bits = |scores: &[f64]| -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    };
+    let offline = Method::Ssfnm.evaluate_augmented(&split, &extra, &opts);
+    let model = SsfnmModel::try_fit(&split, &extra, &opts).expect("fit");
+    let mut saved = Vec::new();
+    model.save(&mut saved).expect("save");
+    let loaded = SsfnmModel::load(saved.as_slice()).expect("load");
+    let present = split.history.max_timestamp().expect("history") + 1;
+    for (name, m) in [("fitted", &model), ("loaded", &loaded)] {
+        let online: Vec<f64> = split
+            .test
+            .iter()
+            .map(|s| {
+                m.try_score(&split.history, s.u, s.v, present)
+                    .expect("test pairs are valid")
+            })
+            .collect();
+        assert_eq!(
+            to_bits(&online),
+            to_bits(&offline.test_scores),
+            "{name} model diverged from the offline scores"
+        );
+    }
+}
+
+/// The fit contract: a self pair or an endpoint outside the fold's id
+/// space, in the split's train samples or in an extra fold, is refused
+/// as [`SsfError::Extract`] rather than trained on.
+#[test]
+#[allow(clippy::expect_used)]
+fn fit_refuses_degenerate_and_out_of_range_samples() {
+    let split = small_split(&DatasetSpec::coauthor().scaled(0.15), 3);
+    let n = split.history.node_count() as u32;
+    let good = split.train[0];
+    let opts = MethodOptions {
+        nm_epochs: 2,
+        ..MethodOptions::default()
+    };
+    let hand_built = |train: Vec<LinkSample>| Split {
+        history: split.history.clone(),
+        l_t: split.l_t,
+        train,
+        test: Vec::new(),
+    };
+    SsfnmModel::try_fit(&hand_built(vec![good]), &[], &opts)
+        .expect("a valid hand-built split fits");
+    for bad in [(3, 3), (0, n), (n + 5, 1)] {
+        let bad = LinkSample {
+            u: bad.0,
+            v: bad.1,
+            label: true,
+        };
+        let own = SsfnmModel::try_fit(&hand_built(vec![good, bad]), &[], &opts);
+        let extra = SsfnmModel::try_fit(
+            &hand_built(vec![good]),
+            &[hand_built(vec![bad])],
+            &opts,
+        );
+        for (r, which) in [(own, "train"), (extra, "extra fold")] {
+            assert!(
+                matches!(r, Err(SsfError::Extract(_))),
+                "{bad:?} in the {which}: {r:?}"
+            );
+        }
     }
 }
