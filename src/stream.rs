@@ -906,7 +906,10 @@ impl OnlineLinkPredictor {
     }
 
     /// [`open`](OnlineLinkPredictor::open) with an explicit policy and
-    /// telemetry: recovery runs under an `ssf.persist.open` span and
+    /// telemetry: recovery runs under an `ssf.persist.open` span, with
+    /// each snapshot it tries read (file and checksums) under
+    /// `ssf.persist.snapshot.read` and decoded (CSR validation
+    /// included) under `ssf.persist.snapshot.decode` inside it, and
     /// reports `ssf.persist.recovered_records`,
     /// `ssf.persist.dropped_bytes` and
     /// `ssf.persist.corrupt_snapshots` counters; the recovered
@@ -1313,9 +1316,14 @@ fn load_newest_snapshot(
         if max_revision.is_some_and(|max| entry.revision > max) {
             continue;
         }
-        let state = match SnapshotReader::open(&entry.path)
-            .and_then(|r| durability::decode_state(&r))
-        {
+        let read = obs.span("ssf.persist.snapshot.read");
+        let reader = SnapshotReader::open(&entry.path);
+        read.finish();
+        let decoded = reader.and_then(|r| {
+            let _decode = obs.span("ssf.persist.snapshot.decode");
+            durability::decode_state(&r)
+        });
+        let state = match decoded {
             Ok(state) if state.meta.next_seq == entry.seq => state,
             Ok(_) | Err(_) => {
                 obs.counter("ssf.persist.corrupt_snapshots", 1);
